@@ -12,17 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .incidence import IncidenceRing, fi_ring
+from .incidence import IncidenceRing, _validate_family, fi_ring
 from .preorders import Preorder
-from .rings import (
-    Bimodule,
-    RingElement,
-    StructureRing,
-    are_orthogonal,
-    corner_of,
-    is_idempotent,
-    matrix_bimodule,
-)
+from .rings import Bimodule, RingElement, StructureRing, corner_of, matrix_bimodule
 from .solver import (
     DERIVATION,
     JORDAN,
@@ -108,23 +100,27 @@ def restrict_to_class(fi: IncidenceRing, d: AdditiveMap, ci: int) -> AdditiveMap
     return AdditiveMap.from_array(mr, np.array(cols, dtype=np.int64).T)
 
 
+# -- whole-array ring arithmetic -----------------------------------------------
+
+def _mul(ring: StructureRing, *factors: np.ndarray) -> np.ndarray:
+    """Product of coefficient arrays of shape (..., k), broadcast and folded left.
+
+    Each step contracts x with the structure constants and then with y,
+    reducing mod m after both, so no entry ever holds a three-factor product.
+    """
+    m, c = ring.modulus, ring.constants
+    x = factors[0]
+    for y in factors[1:]:
+        x = np.einsum("...j,...jt->...t", y, np.einsum("...i,ijt->...jt", x, c) % m) % m
+    return x
+
+
+def _dmap(ring: StructureRing, D: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The map with matrix D applied to coefficient arrays of shape (..., k)."""
+    return x @ D.T % ring.modulus
+
+
 # -- d' reconstruction ---------------------------------------------------------
-
-def _validate_family(ring: StructureRing, family) -> list:
-    family = list(family)
-    if not family:
-        raise ValueError("the idempotent family is empty")
-    for e in family:
-        if not e.ring.same_presentation(ring):
-            raise ValueError("family members must belong to the ring")
-        if not is_idempotent(e):
-            raise ValueError(f"family member {e!r} is not idempotent")
-    for i, e in enumerate(family):
-        for f in family[i + 1:]:
-            if not are_orthogonal(e, f):
-                raise ValueError(f"family members {e!r} and {f!r} are not orthogonal")
-    return family
-
 
 def construct_dprime(ring: StructureRing, family, d: AdditiveMap) -> AdditiveMap:
     """The blockwise reconstruction e d'(r) f = e d(erf) f - e d(e) r f - e r d(f) f.
@@ -140,17 +136,14 @@ def construct_dprime(ring: StructureRing, family, d: AdditiveMap) -> AdditiveMap
         total = total + e
     if not ring.is_unital or total != ring.one():
         raise ValueError("the idempotent family must sum to the unit")
-    images_of_family = [d(e) for e in family]
-    cols = []
-    for j in range(ring.rank):
-        b = ring.basis_element(j)
-        acc = ring.zero()
-        for e, de in zip(family, images_of_family):
-            eb = e * b
-            for f, df in zip(family, images_of_family):
-                acc = acc + e * d(eb * f) * f - e * de * b * f - eb * df * f
-        cols.append(acc.coeffs)
-    return AdditiveMap.from_array(ring, np.array(cols, dtype=np.int64).T)
+    D = d.as_array()
+    idempotents = np.array([e.coeffs for e in family], dtype=np.int64)
+    e, f = idempotents[:, None, None], idempotents[None, :, None]
+    b = np.eye(ring.rank, dtype=np.int64)
+    blocks = (_mul(ring, e, _dmap(ring, D, _mul(ring, e, b, f)), f)
+              - _mul(ring, e, _dmap(ring, D, e), b, f)
+              - _mul(ring, e, b, _dmap(ring, D, f), f))
+    return AdditiveMap.from_array(ring, blocks.sum(axis=(0, 1)).T % ring.modulus)
 
 
 # -- isolated-point extension --------------------------------------------------
@@ -354,6 +347,10 @@ def identity_suite(ring: StructureRing, family, d: AdditiveMap,
     The map must be a Jordan derivation (the identities presuppose it);
     one identity holds for derivations only and is skipped otherwise, and
     the blockwise identity needs the incidence presentation ``fi``.
+
+    Each identity is one whole-array expression per family tuple, over all
+    sample tuples at once; the witness is the first failing (family tuple,
+    sample tuple) in row-major order.
     """
     if mode not in ("basis", "randomized"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -369,138 +366,136 @@ def identity_suite(ring: StructureRing, family, d: AdditiveMap,
     if fi is not None and not fi.ring.same_presentation(ring):
         raise ValueError("incidence presentation does not match the ring")
 
-    if mode == "basis":
-        def samples(arity):
-            pool = ring.basis()
-            if arity == 1:
-                return ((r,) for r in pool)
-            if arity == 2:
-                return ((r, s) for r in pool for s in pool)
-            return ((r, s, t) for r in pool for s in pool for t in pool)
-    else:
-        rng = random.Random(seed)
-
-        def samples(arity):
-            for _ in range(trials):
-                yield tuple(
-                    ring.element([rng.randrange(ring.modulus) for _ in range(ring.rank)])
-                    for _ in range(arity)
-                )
-
+    k, m, D = ring.rank, ring.modulus, d.as_array()
+    rng = random.Random(seed) if mode == "randomized" else None
+    eye = np.eye(k, dtype=np.int64)
     outcomes = []
 
-    def run(name, applicable, cases):
+    def mul(*factors):
+        return _mul(ring, *factors)
+
+    def dm(x):
+        return _dmap(ring, D, x)
+
+    def differ(lhs, rhs):
+        return ((lhs - rhs) % m).any(axis=-1)
+
+    def draw(arity):
+        """One batch of sample tuples, as arrays that broadcast to the check shape.
+
+        Basis mode puts the basis on one axis per variable; randomized mode
+        draws ``trials`` tuples coefficient by coefficient, in tuple order.
+        """
+        if rng is None:
+            return tuple(eye.reshape((1,) * a + (k,) + (1,) * (arity - a - 1) + (k,))
+                         for a in range(arity))
+        draws = [rng.randrange(m) for _ in range(trials * arity * k)]
+        draws = np.array(draws, dtype=np.int64).reshape(trials, arity, k)
+        return tuple(draws[:, a] for a in range(arity))
+
+    def run(name, applicable, tuples, arity, mismatch, witness=None):
+        """Check one identity, one sample batch per family tuple.
+
+        ``mismatch(*family arrays, *sample arrays)`` is a mask whose row-major
+        order is the order of the checks, sample index first when randomized.
+        """
         if not applicable:
             outcomes.append(IdentityOutcome(name, False, True, 0))
             return
         checks = 0
-        for lhs, rhs, witness in cases():
-            checks += 1
-            if lhs != rhs:
-                outcomes.append(IdentityOutcome(name, True, False, checks, witness))
+        for tup in tuples:
+            state = rng.getstate() if rng is not None else None
+            xs = draw(arity)
+            bad = mismatch(*(e.as_array() for e in tup), *xs)
+            if bad.any():
+                first = int(bad.argmax())
+                index = np.unravel_index(first, bad.shape)
+                if rng is not None and arity:
+                    # Leave the stream where drawing tuple by tuple stops:
+                    # right after the failing sample.
+                    rng.setstate(state)
+                    for _ in range((index[0] + 1) * arity * k):
+                        rng.randrange(m)
+                if witness is None:
+                    found = tuple(e.coeffs for e in tup) + tuple(
+                        tuple(np.broadcast_to(x, bad.shape + (k,))[index].tolist())
+                        for x in xs)
+                else:
+                    found = witness(xs, index)
+                outcomes.append(IdentityOutcome(name, True, False, checks + first + 1, found))
                 return
+            checks += bad.size
         outcomes.append(IdentityOutcome(name, True, True, checks))
 
-    d_of = {e: d(e) for e in family}
     pairs = [(e, f) for e in family for f in family if e != f]
 
-    def polarized_product():
-        for (r, s) in samples(2):
-            dr, ds = d(r), d(s)
-            yield (d(r * s + s * r), dr * s + r * ds + ds * r + s * dr,
-                   (r.coeffs, s.coeffs))
+    def polarized_product(r, s):
+        dr, ds = dm(r), dm(s)
+        return differ(dm(mul(r, s) + mul(s, r)),
+                      mul(dr, s) + mul(r, ds) + mul(ds, r) + mul(s, dr))
 
-    run("polarized-product", True, polarized_product)
+    run("polarized-product", True, [()], 2, polarized_product)
 
-    def herstein():
-        for (r, s, t) in samples(3):
-            dr, ds, dt = d(r), d(s), d(t)
-            lhs = d(r * s * t + t * s * r)
-            rhs = (dr * s * t + r * ds * t + r * s * dt
-                   + dt * s * r + t * ds * r + t * s * dr)
-            yield lhs, rhs, (r.coeffs, s.coeffs, t.coeffs)
+    def herstein(r, s, t):
+        dr, ds, dt = dm(r), dm(s), dm(t)
+        return differ(dm(mul(r, s, t) + mul(t, s, r)),
+                      mul(dr, s, t) + mul(r, ds, t) + mul(r, s, dt)
+                      + mul(dt, s, r) + mul(t, ds, r) + mul(t, s, dr))
 
-    run("herstein", True, herstein)
+    run("herstein", True, [()], 3, herstein)
 
-    def orthogonal_sandwich():
-        for e, f in pairs:
-            de, df = d_of[e], d_of[f]
-            for (r,) in samples(1):
-                lhs = e * d(r) * f
-                rhs = (e * d(e * r * f) * f - e * de * r * f
-                       - e * r * df * f + e * d(f * r * e) * f)
-                yield lhs, rhs, (e.coeffs, f.coeffs, r.coeffs)
+    def orthogonal_sandwich(e, f, r):
+        return differ(mul(e, dm(r), f),
+                      mul(e, dm(mul(e, r, f)), f) - mul(e, dm(e), r, f)
+                      - mul(e, r, dm(f), f) + mul(e, dm(mul(f, r, e)), f))
 
-    run("orthogonal-sandwich", True, orthogonal_sandwich)
+    run("orthogonal-sandwich", True, pairs, 1, orthogonal_sandwich)
 
-    def same_idempotent_sandwich():
-        for e in family:
-            de = d_of[e]
-            for (r,) in samples(1):
-                lhs = e * d(r) * e
-                rhs = e * d(e * r * e) * e - e * de * r * e - e * r * de * e
-                yield lhs, rhs, (e.coeffs, r.coeffs)
+    def same_idempotent_sandwich(e, r):
+        return differ(mul(e, dm(r), e),
+                      mul(e, dm(mul(e, r, e)), e) - mul(e, dm(e), r, e) - mul(e, r, dm(e), e))
 
-    run("same-idempotent-sandwich", True, same_idempotent_sandwich)
+    run("same-idempotent-sandwich", True, [(e,) for e in family], 1, same_idempotent_sandwich)
 
-    def orthogonal_corner_vanishing():
-        zero = ring.zero()
-        for e, f in pairs:
-            for (r,) in samples(1):
-                yield e * d(f * r * f) * e, zero, (e.coeffs, f.coeffs, r.coeffs)
+    run("orthogonal-corner-vanishing", True, pairs, 1,
+        lambda e, f, r: differ(mul(e, dm(mul(f, r, f)), e), 0))
 
-    run("orthogonal-corner-vanishing", True, orthogonal_corner_vanishing)
+    run("idempotent-image-pairing", True, [(e, f) for e in family for f in family], 0,
+        lambda e, f: differ(mul(e, dm(e), f) + mul(e, dm(f), f), 0))
 
-    def idempotent_image_pairing():
-        zero = ring.zero()
-        for e in family:
-            for f in family:
-                yield (e * d_of[e] * f + e * d_of[f] * f, zero,
-                       (e.coeffs, f.coeffs))
+    def triple_composition(e, g, f, r, s):
+        erg, gsf = mul(e, r, g), mul(g, s, f)
+        return differ(mul(e, dm(mul(erg, gsf)), f),
+                      mul(e, dm(erg), gsf) + mul(erg, dm(gsf), f))
 
-    run("idempotent-image-pairing", True, idempotent_image_pairing)
+    triples = [(e, g, f) for e in family for g in family for f in family
+               if not e == g == f]
+    run("triple-composition", True, triples, 2, triple_composition)
 
-    def triple_composition():
-        for e in family:
-            for g in family:
-                for f in family:
-                    if e == g == f:
-                        continue
-                    for (r, s) in samples(2):
-                        erg = e * r * g
-                        gsf = g * s * f
-                        lhs = e * d(erg * gsf) * f
-                        rhs = e * d(erg) * gsf + erg * d(gsf) * f
-                        yield lhs, rhs, (e.coeffs, g.coeffs, f.coeffs,
-                                         r.coeffs, s.coeffs)
+    run("derivation-remark", check_map(ring, d, DERIVATION).ok, pairs, 1,
+        lambda e, f, r: differ(mul(e, dm(mul(f, r, e)), f), 0))
 
-    run("triple-composition", True, triple_composition)
+    blocks = []  # (x, y, basis indices of Mor(x, y)) for comparable classes x <= y
+    if fi is not None:
+        quotient, k_r = fi.quotient, fi.coefficients.rank
+        blocks = [(x, y, [fi.basis_index(p, q, t) for p in quotient.classes[x]
+                          for q in quotient.classes[y] for t in range(k_r)])
+                  for x in range(quotient.size) for y in range(quotient.size)
+                  if quotient.leq(x, y)]
 
-    def derivation_remark():
-        zero = ring.zero()
-        for e, f in pairs:
-            for (r,) in samples(1):
-                yield e * d(f * r * e) * f, zero, (e.coeffs, f.coeffs, r.coeffs)
+    def incidence_block(alpha):
+        d_alpha = dm(alpha)
+        d_ex = [dm(e.as_array()) for e in fi.class_idempotents()]
+        bad = np.zeros(alpha.shape[:-1] + (len(blocks),), dtype=bool)
+        for n, (x, y, cols) in enumerate(blocks):
+            alpha_xy = np.zeros_like(alpha)
+            alpha_xy[..., cols] = alpha[..., cols]
+            rhs = dm(alpha_xy) - mul(d_ex[x], alpha) - mul(alpha, d_ex[y])
+            bad[..., n] = differ(d_alpha[..., cols], rhs[..., cols])
+        return bad
 
-    run("derivation-remark", check_map(ring, d, DERIVATION).ok, derivation_remark)
-
-    def incidence_block():
-        quotient = fi.quotient
-        exs = fi.class_idempotents()
-        d_of_ex = [d(e) for e in exs]
-        for (alpha,) in samples(1):
-            d_alpha = d(alpha)
-            for x in range(quotient.size):
-                for y in range(quotient.size):
-                    if not quotient.leq(x, y):
-                        continue
-                    axy = fi.block_element(x, y, fi.extract_block(alpha, x, y))
-                    lhs = d_alpha
-                    rhs = d(axy) - d_of_ex[x] * alpha - alpha * d_of_ex[y]
-                    yield (fi.extract_block(lhs, x, y), fi.extract_block(rhs, x, y),
-                           (alpha.coeffs, x, y))
-
-    run("incidence-block", fi is not None, incidence_block)
+    run("incidence-block", fi is not None, [()], 1, incidence_block,
+        lambda xs, index: (tuple(xs[0][index[0]].tolist()),) + blocks[index[1]][:2])
 
     ok = all(entry.passed for entry in outcomes)
     return IdentitySuiteReport(ok, tuple(outcomes))

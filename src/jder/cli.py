@@ -329,7 +329,7 @@ def _verdict_json(verdict) -> dict:
     }
 
 
-def _digest(instance: Instance, fi: IncidenceRing | None) -> dict:
+def _digest(instance: Instance, fi_rank: int | None) -> dict:
     ring = instance.ring
     out = {
         "ring": {
@@ -339,7 +339,7 @@ def _digest(instance: Instance, fi: IncidenceRing | None) -> dict:
             "labels": list(ring.labels),
         },
         "preorder": None,
-        "fi_rank": None,
+        "fi_rank": fi_rank,
     }
     if instance.preorder is not None:
         quotient = instance.preorder.quotient()
@@ -348,8 +348,6 @@ def _digest(instance: Instance, fi: IncidenceRing | None) -> dict:
             "classes": [list(quotient.members(ci)) for ci in range(quotient.size)],
             "isolated_elements": list(instance.preorder.isolated_elements()),
         }
-    if fi is not None:
-        out["fi_rank"] = fi.rank
     return out
 
 
@@ -415,6 +413,7 @@ def run(command: str, instance: Instance, seed: int = 0, trials: int = 1000,
         )
 
     fi = None
+    fi_rank = None
     result: dict
     if command in ("solve-der", "solve-jder", "compare", "identities", "dprime-check"):
         target, fi = _target(instance)
@@ -477,7 +476,7 @@ def run(command: str, instance: Instance, seed: int = 0, trials: int = 1000,
     elif command == "cross-check":
         preorder = _require_preorder(instance, command)
         report = cross_check(preorder, instance.ring, budget=budget)
-        fi = fi_ring(preorder, instance.ring)
+        fi_rank = report.fi_rank
         result = {
             "verdict": _verdict_json(report.verdict),
             "fi_comparison": _comparison_json(report.fi_comparison),
@@ -510,7 +509,7 @@ def run(command: str, instance: Instance, seed: int = 0, trials: int = 1000,
         "format_version": FORMAT_VERSION,
         "command": command,
         "seed": seed,
-        "instance": _digest(instance, fi),
+        "instance": _digest(instance, fi.rank if fi is not None else fi_rank),
         "result": result,
     }
 

@@ -11,9 +11,6 @@ comparable pair of quotient classes x <= y, with Mor(x, x) a full matrix
 ring over R.  The flattened basis used here is (p, q, t) for comparable
 element pairs and t running over R's basis, ordered by (class of p,
 class of q, p, q, t) so corner extraction cuts out contiguous blocks.
-
-Everything is finite, so every element trivially has finite support; the
-finitary predicate is exposed for interface completeness and always holds.
 """
 
 from __future__ import annotations
@@ -23,7 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .preorders import Preorder, QuotientPoset
-from .rings import MatrixRing, RingElement, StructureRing, matrix_ring
+from .rings import (
+    MatrixRing,
+    RingElement,
+    StructureRing,
+    are_orthogonal,
+    is_idempotent,
+    matrix_ring,
+)
 
 __all__ = ["IncidenceRing", "fi_ring", "FamilyConditionsReport", "verify_family_conditions"]
 
@@ -120,10 +124,6 @@ class IncidenceRing:
                 out.append((self.preorder.labels[p], self.preorder.labels[q]))
         return out
 
-    def is_finitary(self, elem: RingElement) -> bool:
-        """Finite support predicate; trivially true on a finite preorder."""
-        return True
-
     # -- convolution ----------------------------------------------------------
 
     def convolve(self, a: RingElement, b: RingElement) -> RingElement:
@@ -202,6 +202,23 @@ def fi_ring(preorder: Preorder, coefficients: StructureRing) -> IncidenceRing:
     return IncidenceRing(preorder, coefficients)
 
 
+def _validate_family(ring: StructureRing, family, allow_empty: bool = False) -> list:
+    """The family as a list, once it is checked to be pairwise orthogonal idempotents of ring."""
+    family = list(family)
+    if not family and not allow_empty:
+        raise ValueError("the idempotent family is empty")
+    for e in family:
+        if not e.ring.same_presentation(ring):
+            raise ValueError("family members must belong to the ring")
+        if not is_idempotent(e):
+            raise ValueError(f"family member {e!r} is not idempotent")
+    for i, e in enumerate(family):
+        for f in family[i + 1:]:
+            if not are_orthogonal(e, f):
+                raise ValueError(f"family members {e!r} and {f!r} are not orthogonal")
+    return family
+
+
 @dataclass(frozen=True)
 class FamilyConditionsReport:
     """Outcome of the summability check for a family of orthogonal idempotents."""
@@ -224,17 +241,7 @@ def verify_family_conditions(
     fail is the displayed summation identity, e.g. when the family does not
     cover enough of the ring.
     """
-    from .rings import are_orthogonal, is_idempotent
-
-    for e in family:
-        if not e.ring.same_presentation(ring):
-            raise ValueError("family members must belong to the ring")
-        if not is_idempotent(e):
-            raise ValueError(f"family member {e!r} is not idempotent")
-    for i, e in enumerate(family):
-        for f in family[i + 1:]:
-            if not are_orthogonal(e, f):
-                raise ValueError(f"family members {e!r} and {f!r} are not orthogonal")
+    family = _validate_family(ring, family, allow_empty=True)
     checked = 0
     failures = []
     basis = ring.basis()

@@ -3,12 +3,15 @@
 Everything here works by exhaustive or randomized enumeration straight from
 the defining data (rows of a matrix, structure constants of a ring) and never
 calls the library's elimination or solver code, so agreement between the two
-routes is meaningful.
+routes is meaningful.  The identity-suite reference at the end is the scalar
+route the whole-array suite replaced: it evaluates every identity one
+RingElement product at a time and shares only the suite's input gates.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 
 import numpy as np
 
@@ -153,3 +156,190 @@ def brute_force_maps(c: np.ndarray, m: int, kind: str) -> list[np.ndarray]:
     else:
         raise ValueError(f"unknown kind {kind!r}")
     return [maps[i] for i in np.nonzero(alive)[0]]
+
+
+# ---------------------------------------------------------------------------
+# Element-at-a-time references for the whole-array analysis routines.
+# ---------------------------------------------------------------------------
+
+def construct_dprime_scalar(ring, family, d):
+    """``jder.analysis.construct_dprime`` one RingElement product at a time.
+
+    Inputs are taken as valid: a complete family of orthogonal idempotents.
+    """
+    from jder.solver import AdditiveMap
+
+    images_of_family = [d(e) for e in family]
+    cols = []
+    for j in range(ring.rank):
+        b = ring.basis_element(j)
+        acc = ring.zero()
+        for e, de in zip(family, images_of_family):
+            eb = e * b
+            for f, df in zip(family, images_of_family):
+                acc = acc + e * d(eb * f) * f - e * de * b * f - eb * df * f
+        cols.append(acc.coeffs)
+    return AdditiveMap.from_array(ring, np.array(cols, dtype=np.int64).T)
+
+
+def identity_suite_scalar(ring, family, d, mode="basis", seed=0, trials=200, fi=None):
+    """Evaluate the identity suite one RingElement at a time.
+
+    Same contract and report as ``jder.analysis.identity_suite``, including
+    witnesses and the randomized sample stream.  The Jordan precondition and
+    the derivation gate are looked up on ``jder.analysis`` at call time, so a
+    test that patches ``analysis.check_map`` patches both routes alike.
+    """
+    from jder import analysis
+    from jder.incidence import _validate_family
+    from jder.solver import DERIVATION, JORDAN
+
+    if mode not in ("basis", "randomized"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if not d.ring.same_presentation(ring):
+        raise ValueError("map belongs to a different ring")
+    verdict = analysis.check_map(ring, d, JORDAN)
+    if not verdict.ok:
+        raise ValueError(
+            f"map is not a Jordan derivation (violates {verdict.identity} "
+            f"at {verdict.indices})"
+        )
+    family = _validate_family(ring, family)
+    if fi is not None and not fi.ring.same_presentation(ring):
+        raise ValueError("incidence presentation does not match the ring")
+
+    if mode == "basis":
+        def samples(arity):
+            pool = ring.basis()
+            if arity == 1:
+                return ((r,) for r in pool)
+            if arity == 2:
+                return ((r, s) for r in pool for s in pool)
+            return ((r, s, t) for r in pool for s in pool for t in pool)
+    else:
+        rng = random.Random(seed)
+
+        def samples(arity):
+            for _ in range(trials):
+                yield tuple(
+                    ring.element([rng.randrange(ring.modulus) for _ in range(ring.rank)])
+                    for _ in range(arity)
+                )
+
+    outcomes = []
+
+    def run(name, applicable, cases):
+        if not applicable:
+            outcomes.append(analysis.IdentityOutcome(name, False, True, 0))
+            return
+        checks = 0
+        for lhs, rhs, witness in cases():
+            checks += 1
+            if lhs != rhs:
+                outcomes.append(analysis.IdentityOutcome(name, True, False, checks, witness))
+                return
+        outcomes.append(analysis.IdentityOutcome(name, True, True, checks))
+
+    d_of = {e: d(e) for e in family}
+    pairs = [(e, f) for e in family for f in family if e != f]
+
+    def polarized_product():
+        for (r, s) in samples(2):
+            dr, ds = d(r), d(s)
+            yield (d(r * s + s * r), dr * s + r * ds + ds * r + s * dr,
+                   (r.coeffs, s.coeffs))
+
+    run("polarized-product", True, polarized_product)
+
+    def herstein():
+        for (r, s, t) in samples(3):
+            dr, ds, dt = d(r), d(s), d(t)
+            lhs = d(r * s * t + t * s * r)
+            rhs = (dr * s * t + r * ds * t + r * s * dt
+                   + dt * s * r + t * ds * r + t * s * dr)
+            yield lhs, rhs, (r.coeffs, s.coeffs, t.coeffs)
+
+    run("herstein", True, herstein)
+
+    def orthogonal_sandwich():
+        for e, f in pairs:
+            de, df = d_of[e], d_of[f]
+            for (r,) in samples(1):
+                lhs = e * d(r) * f
+                rhs = (e * d(e * r * f) * f - e * de * r * f
+                       - e * r * df * f + e * d(f * r * e) * f)
+                yield lhs, rhs, (e.coeffs, f.coeffs, r.coeffs)
+
+    run("orthogonal-sandwich", True, orthogonal_sandwich)
+
+    def same_idempotent_sandwich():
+        for e in family:
+            de = d_of[e]
+            for (r,) in samples(1):
+                lhs = e * d(r) * e
+                rhs = e * d(e * r * e) * e - e * de * r * e - e * r * de * e
+                yield lhs, rhs, (e.coeffs, r.coeffs)
+
+    run("same-idempotent-sandwich", True, same_idempotent_sandwich)
+
+    def orthogonal_corner_vanishing():
+        zero = ring.zero()
+        for e, f in pairs:
+            for (r,) in samples(1):
+                yield e * d(f * r * f) * e, zero, (e.coeffs, f.coeffs, r.coeffs)
+
+    run("orthogonal-corner-vanishing", True, orthogonal_corner_vanishing)
+
+    def idempotent_image_pairing():
+        zero = ring.zero()
+        for e in family:
+            for f in family:
+                yield (e * d_of[e] * f + e * d_of[f] * f, zero,
+                       (e.coeffs, f.coeffs))
+
+    run("idempotent-image-pairing", True, idempotent_image_pairing)
+
+    def triple_composition():
+        for e in family:
+            for g in family:
+                for f in family:
+                    if e == g == f:
+                        continue
+                    for (r, s) in samples(2):
+                        erg = e * r * g
+                        gsf = g * s * f
+                        lhs = e * d(erg * gsf) * f
+                        rhs = e * d(erg) * gsf + erg * d(gsf) * f
+                        yield lhs, rhs, (e.coeffs, g.coeffs, f.coeffs,
+                                         r.coeffs, s.coeffs)
+
+    run("triple-composition", True, triple_composition)
+
+    def derivation_remark():
+        zero = ring.zero()
+        for e, f in pairs:
+            for (r,) in samples(1):
+                yield e * d(f * r * e) * f, zero, (e.coeffs, f.coeffs, r.coeffs)
+
+    run("derivation-remark", analysis.check_map(ring, d, DERIVATION).ok, derivation_remark)
+
+    def incidence_block():
+        quotient = fi.quotient
+        exs = fi.class_idempotents()
+        d_of_ex = [d(e) for e in exs]
+        for (alpha,) in samples(1):
+            d_alpha = d(alpha)
+            for x in range(quotient.size):
+                for y in range(quotient.size):
+                    if not quotient.leq(x, y):
+                        continue
+                    axy = fi.block_element(x, y, fi.extract_block(alpha, x, y))
+                    lhs = d_alpha
+                    rhs = d(axy) - d_of_ex[x] * alpha - alpha * d_of_ex[y]
+                    yield (fi.extract_block(lhs, x, y), fi.extract_block(rhs, x, y),
+                           (alpha.coeffs, x, y))
+
+    run("incidence-block", fi is not None, incidence_block)
+
+    ok = all(entry.passed for entry in outcomes)
+    return analysis.IdentitySuiteReport(ok, tuple(outcomes))

@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from jder import analysis
 from jder.analysis import (
     ALL_JORDAN_ARE_DERIVATIONS,
     CONDITIONAL_ON_COEFFICIENT_RING,
@@ -34,10 +35,12 @@ from jder.solver import (
     DERIVATION,
     JORDAN,
     AdditiveMap,
+    CheckResult,
     check_map,
     inner_derivation,
     solve_jordan_derivations,
 )
+from oracles import construct_dprime_scalar, identity_suite_scalar
 
 
 def chain(n):
@@ -53,6 +56,44 @@ POINT_PLUS_CHAIN = Preorder.from_pairs("abc", [("b", "c")])
 
 def random_element(rng, ring):
     return ring.element([rng.randrange(ring.modulus) for _ in range(ring.rank)])
+
+
+def sparse_map(rng, ring, density):
+    """A random additive map with about density * k^2 nonzero entries."""
+    return AdditiveMap.from_array(ring, [
+        [rng.randrange(1, ring.modulus) if rng.random() < density else 0
+         for _ in range(ring.rank)]
+        for _ in range(ring.rank)
+    ])
+
+
+def _matrix_case(m):
+    r = matrix_ring(zmod(m), 2)
+    return r, [r.matrix_unit(0, 0), r.matrix_unit(1, 1)], None
+
+
+def _dual_case():
+    r = dual_numbers(2)
+    return r, [r.one()], None
+
+
+def _incidence_case(preorder, coefficients):
+    fi = fi_ring(preorder, coefficients)
+    return fi.ring, fi.class_idempotents(), fi
+
+
+# Z/4[e] with e^2 = 0, presented by structure constants.
+Z4_DUAL = build_ring(4, [[[1, 0], [0, 1]], [[0, 1], [0, 0]]], unit=(1, 0))
+
+# (ring, family, incidence presentation or None) on which the whole-array
+# identity suite is held to the scalar reference.
+ORACLE_CASES = {
+    "M2(Z3)": lambda: _matrix_case(3),
+    "M2(Z4)": lambda: _matrix_case(4),
+    "dual_numbers(2)": _dual_case,
+    "FI(chain3,Z2)": lambda: _incidence_case(chain(3), zmod(2)),
+    "FI(a+b<=c,Z4[e])": lambda: _incidence_case(POINT_PLUS_CHAIN, Z4_DUAL),
+}
 
 
 class TestRestrictCorner:
@@ -161,6 +202,13 @@ class TestConstructDprime:
                 dprime = construct_dprime(fi.ring, family, d)
                 assert dprime == d
                 assert construct_dprime(fi.ring, family, dprime) == dprime
+
+    def test_arbitrary_maps_match_scalar_reference(self):
+        rng = random.Random(4)
+        for ring, family, _ in (_incidence_case(chain(3), zmod(4)), _matrix_case(6)):
+            for _ in range(5):
+                d = sparse_map(rng, ring, density=0.3)
+                assert construct_dprime(ring, family, d) == construct_dprime_scalar(ring, family, d)
 
     def test_incomplete_family_rejected(self):
         r = matrix_ring(zmod(3), 2)
@@ -337,3 +385,45 @@ class TestIdentitySuite:
         r = matrix_ring(zmod(2), 2)
         with pytest.raises(ValueError):
             identity_suite(r, [r.one(), r.matrix_unit(0, 0)], AdditiveMap.zero(r))
+
+
+class TestIdentitySuiteOracle:
+    """The whole-array suite against the scalar reference in tests/oracles.py."""
+
+    @pytest.mark.parametrize("mode", ["basis", "randomized"])
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_jordan_derivations_match_scalar_reference(self, case, mode):
+        ring, family, fi = ORACLE_CASES[case]()
+        gens = [g.as_array() for g in solve_jordan_derivations(ring).generators()]
+        rng = random.Random(case)
+        for _ in range(2):
+            # A random element of JDer(R): a combination of all generators.
+            d = AdditiveMap.from_array(ring, sum(rng.randrange(ring.modulus) * g for g in gens))
+            kwargs = dict(mode=mode, seed=7, trials=15, fi=fi)
+            report = identity_suite(ring, family, d, **kwargs)
+            assert report == identity_suite_scalar(ring, family, d, **kwargs)
+            assert report.ok
+
+    def test_forced_failures_match_scalar_reference(self, monkeypatch):
+        # Let non-Jordan maps past the precondition (and the derivation gate)
+        # of both routes, so that identities fail and report witnesses.
+        monkeypatch.setattr(analysis, "check_map", lambda ring, d, kind: CheckResult(True))
+        failures = {"basis": 0, "randomized": 0}
+        rewound = 0
+        for case in sorted(ORACLE_CASES):
+            ring, family, fi = ORACLE_CASES[case]()
+            rng = random.Random(case)
+            for seed in range(4):
+                d = sparse_map(rng, ring, 0.1)
+                for mode in ("basis", "randomized"):
+                    kwargs = dict(mode=mode, seed=seed, trials=9, fi=fi)
+                    report = identity_suite(ring, family, d, **kwargs)
+                    assert report == identity_suite_scalar(ring, family, d, **kwargs), (case, seed)
+                    failed = [o for o in report.outcomes if not o.passed]
+                    failures[mode] += len(failed)
+                    if mode == "randomized" and len(failed) > 1 and failed[0].checks > 1:
+                        rewound += 1
+        assert failures["basis"] > 0 and failures["randomized"] > 0
+        # A randomized failure in mid-batch followed by a later failing
+        # identity: the later witness holds samples drawn after the rewind.
+        assert rewound > 0

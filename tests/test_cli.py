@@ -1,6 +1,8 @@
 """Instance-file parsing, report generation, exit codes, determinism."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -82,6 +84,41 @@ constants =
 labels = one x
 unit = 1 0
 """
+
+
+# FI({a} + {b<=c}, Z/4[e]) with e^2 = 0: the benchmark's identities instance,
+# here in randomized mode.
+ISOLATED_RANDOMIZED_INSTANCE = """
+[instance]
+format_version = 1
+
+[preorder]
+labels = a b c
+pairs = b<=c
+
+[ring]
+kind = constants
+modulus = 4
+rank = 2
+unit = 1 0
+constants =
+    0 0 : 1 0
+    0 1 : 0 1
+    1 0 : 0 1
+    1 1 : 0 0
+
+[task]
+command = identities
+mode = randomized
+seed = 3
+trials = 25
+"""
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def sha256_of(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def write(tmp_path, text, name="inst.ini"):
@@ -246,6 +283,22 @@ def test_identities_randomized_depends_only_on_seed(tmp_path):
     a = run("identities", inst, seed=5, trials=20, mode="randomized")
     b = run("identities", inst, seed=5, trials=20, mode="randomized")
     assert a == b
+
+
+def test_identities_report_matches_benchmark_digest(tmp_path):
+    out = tmp_path / "report.json"
+    instance = BENCH / "instances" / "identities-isolated.ini"
+    assert main(["identities", "--input", str(instance), "--out", str(out)]) == 0
+    expected = json.loads((BENCH / "expected.json").read_text(encoding="utf-8"))
+    assert sha256_of(out) == expected["sha256"]["identities-isolated"]
+
+
+def test_identities_randomized_report_is_pinned(tmp_path):
+    out = tmp_path / "report.json"
+    path = write(tmp_path, ISOLATED_RANDOMIZED_INSTANCE)
+    assert main(["identities", "--input", path, "--out", str(out)]) == 0
+    # Digest of this report as produced by the element-at-a-time suite.
+    assert sha256_of(out) == "0dc4371983665a59d856720c0f0f425eb18f817b9ddb784ba9af9890e2ea71d3"
 
 
 def test_command_must_match_declared(tmp_path):
