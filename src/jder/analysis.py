@@ -100,20 +100,7 @@ def restrict_to_class(fi: IncidenceRing, d: AdditiveMap, ci: int) -> AdditiveMap
     return AdditiveMap.from_array(mr, np.array(cols, dtype=np.int64).T)
 
 
-# -- whole-array ring arithmetic -----------------------------------------------
-
-def _mul(ring: StructureRing, *factors: np.ndarray) -> np.ndarray:
-    """Product of coefficient arrays of shape (..., k), broadcast and folded left.
-
-    Each step contracts x with the structure constants and then with y,
-    reducing mod m after both, so no entry ever holds a three-factor product.
-    """
-    m, c = ring.modulus, ring.constants
-    x = factors[0]
-    for y in factors[1:]:
-        x = np.einsum("...j,...jt->...t", y, np.einsum("...i,ijt->...jt", x, c) % m) % m
-    return x
-
+# -- whole-array map application ----------------------------------------------
 
 def _dmap(ring: StructureRing, D: np.ndarray, x: np.ndarray) -> np.ndarray:
     """The map with matrix D applied to coefficient arrays of shape (..., k)."""
@@ -140,9 +127,10 @@ def construct_dprime(ring: StructureRing, family, d: AdditiveMap) -> AdditiveMap
     idempotents = np.array([e.coeffs for e in family], dtype=np.int64)
     e, f = idempotents[:, None, None], idempotents[None, :, None]
     b = np.eye(ring.rank, dtype=np.int64)
-    blocks = (_mul(ring, e, _dmap(ring, D, _mul(ring, e, b, f)), f)
-              - _mul(ring, e, _dmap(ring, D, e), b, f)
-              - _mul(ring, e, b, _dmap(ring, D, f), f))
+    mul = ring.mul
+    blocks = (mul(e, _dmap(ring, D, mul(e, b, f)), f)
+              - mul(e, _dmap(ring, D, e), b, f)
+              - mul(e, b, _dmap(ring, D, f), f))
     return AdditiveMap.from_array(ring, blocks.sum(axis=(0, 1)).T % ring.modulus)
 
 
@@ -370,9 +358,7 @@ def identity_suite(ring: StructureRing, family, d: AdditiveMap,
     rng = random.Random(seed) if mode == "randomized" else None
     eye = np.eye(k, dtype=np.int64)
     outcomes = []
-
-    def mul(*factors):
-        return _mul(ring, *factors)
+    mul = ring.mul
 
     def dm(x):
         return _dmap(ring, D, x)

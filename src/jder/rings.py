@@ -166,12 +166,21 @@ class StructureRing:
             raise RingConstructionError("ring has no unit")
         return RingElement(self, self.unit)
 
-    def mul_vec(self, x, y) -> np.ndarray:
-        x = np.asarray(x, dtype=np.int64) % self.modulus
-        y = np.asarray(y, dtype=np.int64) % self.modulus
-        if self.rank == 0:
-            return np.zeros(0, dtype=np.int64)
-        return np.einsum("i,j,ijt->t", x, y, self.constants) % self.modulus
+    def mul(self, *factors) -> np.ndarray:
+        """Product of reduced coefficient arrays of shape (..., k), folded left.
+
+        The factors broadcast against each other.  Each step contracts x with
+        the structure constants and then with y, reducing mod m after both,
+        so no entry ever holds a three-factor product.
+        """
+        m, c = self.modulus, self.constants
+        x = np.asarray(factors[0], dtype=np.int64)
+        for y in factors[1:]:
+            x = np.einsum("...i,ijt->...jt", x, c)
+            x %= m
+            x = np.einsum("...j,...jt->...t", np.asarray(y, dtype=np.int64), x)
+            x %= m
+        return x
 
     def left_mul_matrix(self, x) -> np.ndarray:
         """Matrix L with L @ y = x * y on coefficient vectors."""
@@ -241,8 +250,8 @@ class RingElement:
             m = self.ring.modulus
             return RingElement(self.ring, tuple((other * a) % m for a in self.coeffs))
         other = self._coerce(other)
-        prod = self.ring.mul_vec(self.as_array(), other.as_array())
-        return RingElement(self.ring, tuple(int(x) for x in prod))
+        prod = self.ring.mul(self.as_array(), other.as_array())
+        return RingElement(self.ring, tuple(prod.tolist()))
 
     def __rmul__(self, other):
         if isinstance(other, int):
@@ -497,24 +506,6 @@ class Bimodule:
     def modulus(self) -> int:
         return self.left.modulus
 
-    def act_left(self, a_vec, m_vec) -> np.ndarray:
-        m = self.modulus
-        return np.einsum(
-            "i,j,ijt->t",
-            np.asarray(a_vec, dtype=np.int64) % m,
-            np.asarray(m_vec, dtype=np.int64) % m,
-            self.left_action,
-        ) % m
-
-    def act_right(self, m_vec, b_vec) -> np.ndarray:
-        m = self.modulus
-        return np.einsum(
-            "j,i,jit->t",
-            np.asarray(m_vec, dtype=np.int64) % m,
-            np.asarray(b_vec, dtype=np.int64) % m,
-            self.right_action,
-        ) % m
-
 
 def regular_bimodule(ring: StructureRing) -> Bimodule:
     """The ring itself as an (R, R)-bimodule via its own multiplication."""
@@ -645,19 +636,19 @@ def corner_of(parent: StructureRing, e: RingElement) -> Corner:
     if not is_idempotent(e):
         raise ValueError("corner rings require an idempotent element")
     m = parent.modulus
-    images = [(e * b * e).coeffs for b in parent.basis()]
-    basis = howell_form(ZmMatrix(m, tuple(images) if images else ((0,) * parent.rank,)))
+    e_vec = e.as_array()
+    images = parent.mul(e_vec, np.eye(parent.rank, dtype=np.int64), e_vec)
+    basis = howell_form(ZmMatrix.from_array(m, images))
     pivots = basis.pivots()
     if any(d != 1 for _, d in pivots):
         raise CornerNotFreeError(
             "corner subgroup is not free over Z/m: pivots "
             f"{[d for _, d in pivots]} (only unit pivots can be presented)"
         )
-    gens = [g.as_array() for g in basis.generators]
+    gens = np.array([g.entries for g in basis.generators], dtype=np.int64)
+    gens = gens.reshape(len(gens), parent.rank)
     s = len(gens)
-    embed = np.zeros((parent.rank, s), dtype=np.int64)
-    for j, g in enumerate(gens):
-        embed[:, j] = g
+    embed = gens.T
     # Coordinate extraction is linear when all pivots are 1: peel generators
     # off greedily and record the linear functional used at each step.
     project = np.zeros((s, parent.rank), dtype=np.int64)
@@ -668,15 +659,12 @@ def corner_of(parent: StructureRing, e: RingElement) -> Corner:
         residual = (residual - np.outer(g, residual[p])) % m
     if s and ((project @ embed) % m != np.eye(s, dtype=np.int64)).any():
         raise AssertionError("corner projection failed to invert the embedding")
-    constants = np.zeros((s, s, s), dtype=np.int64)
-    for a in range(s):
-        for b in range(s):
-            prod = parent.mul_vec(gens[a], gens[b])
-            constants[a, b] = (project @ prod) % m
-            if (((embed @ constants[a, b]) % m) != prod % m).any():
-                raise CornerNotFreeError("corner subgroup is not closed under products")
-    e_coords = (project @ e.as_array()) % m
-    if (((embed @ e_coords) % m) != e.as_array()).any():
+    prods = parent.mul(gens[:, None], gens[None, :])
+    constants = prods @ project.T % m
+    if ((constants @ gens % m) != prods).any():
+        raise CornerNotFreeError("corner subgroup is not closed under products")
+    e_coords = (project @ e_vec) % m
+    if (((embed @ e_coords) % m) != e_vec).any():
         raise AssertionError("idempotent escaped its own corner")
     labels = [f"g{j}" for j in range(s)]
     ring = StructureRing(m, constants, unit=tuple(int(x) for x in e_coords), labels=labels)

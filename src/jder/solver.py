@@ -23,6 +23,15 @@ outer variable of Q2 (which is linear in s) yields Q2 on basis pairs
 plus its outer polarization Q2pol on triples with distinct outer
 indices.  ``check_map`` re-evaluates all of these identities directly on
 ring elements, independently of the assembled rows.
+
+Row assembly.  Every identity is linear in d, so a row's entry for the
+unknown D[a, b] (column a + k*b) is the identity's residual at the map
+d = E_ab, which sends x to x_b e_a.  At E_ab the term d(x_1...x_n) is the
+b-th coefficient of the product times e_a, and the term
+x_1...d(x_p)...x_n is the product with b_b replaced by e_a if x_p = b_b,
+else 0.  Both read off the structure constants (n = 2) or the basis
+triple-product tensor b_i b_j b_l (n = 3), so each kind's rows are built
+in a few whole-array steps.
 """
 
 from dataclasses import dataclass
@@ -225,75 +234,64 @@ def check_map(ring: StructureRing, d: AdditiveMap, kind: str) -> CheckResult:
 
 # -- constraint assembly -------------------------------------------------------
 
-def _blocks_for_kind(ring: StructureRing, kind: str):
-    """Yield (k, k^2) row blocks; unknowns are vec(D) in column-major order.
+def _rule_rows(out: np.ndarray, prod: np.ndarray, tuples) -> None:
+    """Add product-rule residuals at d = E_ab into ``out``, indexed [q, r, b, a].
 
-    A term M @ D @ v contributes the block kron(v^T, M).  Row order is
-    fixed: product by (i, j); square by i; square-pol by (i, j) with
-    i < j; triple by (i, j); triple-pol by (i, l, j) with i < l.
+    ``prod`` is a basis product tensor of arity n: prod[x_1, ..., x_n] is
+    the coefficient vector of b_{x_1} ... b_{x_n}.  Each entry of ``tuples``
+    holds n index arrays of length N = len(out); block q gains coefficient
+    r of d(x_1...x_n) - sum_p x_1...d(x_p)...x_n at the q-th tuple.
     """
-    k = ring.rank
-    c = ring.constants
-    L = ring.left_matrices
-    R = ring.right_matrices
-    eye = np.eye(k, dtype=np.int64)
+    q, diag = np.arange(out.shape[0]), np.arange(out.shape[1])
+    a = diag[:, None]
+    for idx in tuples:
+        out[:, diag, :, diag] += prod[idx]
+        for p, x in enumerate(idx):
+            # prod with factor p replaced by e_a, as (a, N, r) -> (N, r, a).
+            out[q, :, x, :] -= prod[idx[:p] + (a,) + idx[p + 1:]].transpose(1, 2, 0)
 
-    def term(v, mat):
-        return np.kron(np.asarray(v, dtype=np.int64)[None, :], mat)
 
+def _constraint_rows(ring: StructureRing, kind: str) -> np.ndarray:
+    """Raw constraint rows at d = E_ab (module docstring), D[a, b] at column a + k*b.
+
+    Row order is fixed: product by (i, j); square by i; square-pol by
+    (i, j) with i < j; triple by (i, j); triple-pol by (i, l, j) with i < l.
+    """
+    k, c = ring.rank, ring.constants
+    i, j = np.divmod(np.arange(k * k), k)
     if kind == DERIVATION:
-        for i in range(k):
-            for j in range(k):
-                yield term(c[i, j], eye) - term(eye[i], R[j]) - term(eye[j], L[i])
-        return
-
-    lmat = ring.left_mul_matrix
-    rmat = ring.right_mul_matrix
-    for i in range(k):
-        yield term(c[i, i], eye) - term(eye[i], R[i]) - term(eye[i], L[i])
-    for i in range(k):
-        for j in range(i + 1, k):
-            yield (
-                term(c[i, j] + c[j, i], eye)
-                - term(eye[i], R[j])
-                - term(eye[j], L[i])
-                - term(eye[j], R[i])
-                - term(eye[i], L[j])
-            )
-    for i in range(k):
-        for j in range(k):
-            yield (
-                term(R[i] @ c[i, j], eye)
-                - term(eye[i], rmat(c[j, i]))
-                - term(eye[j], L[i] @ R[i])
-                - term(eye[i], lmat(c[i, j]))
-            )
-    for i in range(k):
-        for l in range(i + 1, k):
-            for j in range(k):
-                yield (
-                    term(R[l] @ c[i, j] + R[i] @ c[l, j], eye)
-                    - term(eye[i], rmat(c[j, l]))
-                    - term(eye[j], L[i] @ R[l])
-                    - term(eye[l], lmat(c[i, j]))
-                    - term(eye[l], rmat(c[j, i]))
-                    - term(eye[j], L[l] @ R[i])
-                    - term(eye[i], lmat(c[l, j]))
-                )
+        families = [(c, [(i, j)])]
+    else:
+        ar = np.arange(k)
+        eye = np.eye(k, dtype=np.int64)
+        triple = ring.mul(eye[:, None, None], eye[None, :, None], eye[None, None, :])
+        iu, lu = np.triu_indices(k, 1)
+        pi, pl, pj = np.repeat(iu, k), np.repeat(lu, k), np.tile(ar, len(iu))
+        families = [
+            (c, [(ar, ar)]),
+            (c, [(iu, lu), (lu, iu)]),
+            (triple, [(i, j, i)]),
+            (triple, [(pi, pj, pl), (pl, pj, pi)]),
+        ]
+    out = np.zeros((sum(len(t[0][0]) for _, t in families), k, k, k), dtype=np.int64)
+    start = 0
+    for prod, tuples in families:
+        stop = start + len(tuples[0][0])
+        _rule_rows(out[start:stop], prod, tuples)
+        start = stop
+    out %= ring.modulus
+    return out.reshape(len(out) * k, k * k)
 
 
 def _constraint_matrix(ring: StructureRing, kind: str) -> ZmMatrix:
     m = ring.modulus
-    k2 = ring.rank * ring.rank
-    blocks = [b % m for b in _blocks_for_kind(ring, kind)]
-    if blocks:
-        rows = np.unique(np.vstack(blocks), axis=0)
+    rows = _constraint_rows(ring, kind)
+    if len(rows):
+        rows = np.unique(rows, axis=0)
         rows = rows[np.any(rows, axis=1)]
-    else:
-        rows = np.zeros((0, k2), dtype=np.int64)
     if rows.shape[0] == 0:
         # No constraints: keep one zero row so the kernel is everything.
-        rows = np.zeros((1, k2), dtype=np.int64)
+        rows = np.zeros((1, rows.shape[1]), dtype=np.int64)
     return ZmMatrix.from_array(m, rows)
 
 
@@ -342,8 +340,8 @@ def inner_derivation(ring: StructureRing, a: RingElement) -> AdditiveMap:
     """The map r -> ar - ra."""
     if not a.ring.same_presentation(ring):
         raise ValueError("element belongs to a different ring")
-    mat = ring.left_mul_matrix(a.coeffs) - ring.right_mul_matrix(a.coeffs)
-    return AdditiveMap.from_array(ring, mat % ring.modulus)
+    x, eye = a.as_array(), np.eye(ring.rank, dtype=np.int64)
+    return AdditiveMap.from_array(ring, (ring.mul(x, eye) - ring.mul(eye, x)).T % ring.modulus)
 
 
 @dataclass(frozen=True)

@@ -27,10 +27,7 @@ __all__ = [
     "SubgroupBasis",
     "howell_form",
     "kernel",
-    "subgroup_contains",
-    "subgroup_coordinates",
     "subgroup_equal",
-    "subgroup_cardinality",
 ]
 
 MAX_MODULUS = 1 << 31
@@ -117,13 +114,41 @@ class SubgroupBasis:
     generators: tuple[ZmVector, ...]
 
     def contains(self, v: ZmVector) -> bool:
-        return subgroup_contains(self, v)
+        """Exact membership of v in the subgroup."""
+        return self.coordinates(v) is not None
 
     def coordinates(self, v: ZmVector) -> tuple[int, ...] | None:
-        return subgroup_coordinates(self, v)
+        """Coefficients expressing v over the generators, or None if v is outside.
+
+        Greedy reduction against the Howell form: at each pivot column the
+        residual entry must be divisible by the pivot; by the Howell property
+        this greedy pass is complete.
+        """
+        _check_compatible(self, v)
+        cur = v.as_array()
+        coeffs = []
+        m = self.modulus
+        for g in self.generators:
+            row = g.as_array()
+            j = int(np.nonzero(row)[0][0])
+            d = int(row[j])
+            r = int(cur[j])
+            if r % d != 0:
+                return None
+            q = r // d
+            coeffs.append(q)
+            if q:
+                cur = (cur - q * row) % m
+        if cur.any():
+            return None
+        return tuple(coeffs)
 
     def cardinality(self) -> int:
-        return subgroup_cardinality(self)
+        """Number of elements in the subgroup: the product of m/pivot over rows."""
+        card = 1
+        for _, d in self.pivots():
+            card *= self.modulus // d
+        return card
 
     def pivots(self) -> tuple[tuple[int, int], ...]:
         """(column, value) of each generator's leading entry."""
@@ -277,38 +302,6 @@ def _check_compatible(basis: SubgroupBasis, v: ZmVector) -> None:
         )
 
 
-def subgroup_coordinates(basis: SubgroupBasis, v: ZmVector) -> tuple[int, ...] | None:
-    """Coefficients expressing v over the generators, or None if v is outside.
-
-    Greedy reduction against the Howell form: at each pivot column the
-    residual entry must be divisible by the pivot; by the Howell property
-    this greedy pass is complete.
-    """
-    _check_compatible(basis, v)
-    cur = v.as_array()
-    coeffs = []
-    m = basis.modulus
-    for g in basis.generators:
-        row = g.as_array()
-        j = int(np.nonzero(row)[0][0])
-        d = int(row[j])
-        r = int(cur[j])
-        if r % d != 0:
-            return None
-        q = r // d
-        coeffs.append(q)
-        if q:
-            cur = (cur - q * row) % m
-    if cur.any():
-        return None
-    return tuple(coeffs)
-
-
-def subgroup_contains(basis: SubgroupBasis, v: ZmVector) -> bool:
-    """Exact membership of v in the subgroup spanned by the basis."""
-    return subgroup_coordinates(basis, v) is not None
-
-
 def subgroup_equal(a: SubgroupBasis, b: SubgroupBasis) -> bool:
     """Whether two canonical bases span the same subgroup."""
     if a.modulus != b.modulus or a.dim != b.dim:
@@ -318,11 +311,3 @@ def subgroup_equal(a: SubgroupBasis, b: SubgroupBasis) -> bool:
         )
     return a.generators == b.generators
 
-
-def subgroup_cardinality(basis: SubgroupBasis) -> int:
-    """Number of elements in the subgroup: the product of m/pivot over rows."""
-    m = basis.modulus
-    card = 1
-    for _, d in basis.pivots():
-        card *= m // d
-    return card

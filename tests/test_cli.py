@@ -328,7 +328,12 @@ def test_search_modulus_four_finds_witnessed_counterexamples(tmp_path):
     from jder.rings import build_ring
 
     inst = load_instance(write(tmp_path, MATRIX_INSTANCE))
-    result = run("search", inst, moduli=(4,))["result"]
+    report = run("search", inst, moduli=(4,))
+    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    # Digest of these report bytes as produced by the kron-block assembly.
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "f7fb15d99ee946bab915cac092241c6b25d6ccf17cc267271a36b2e167ec6fbb")
+    result = report["result"]
     assert result["found"] and result["note"] is None
     first = result["counterexamples"][0]
     ring = build_ring(

@@ -45,6 +45,15 @@ class TestConstruction:
         assert one * x == x and x * one == x
         assert r.one() == one
 
+    @pytest.mark.parametrize("m", [2**31 - 1, 2**31])
+    def test_product_exact_at_largest_moduli(self, m):
+        # Z/m presented with unit -1: b0 * b0 = -b0, so (-1)(-1) = -1 in
+        # coefficients, which needs the product reduced between factors.
+        r = build_ring(m, [[[m - 1]]], unit=(m - 1,))
+        x = r.element((m - 1,))
+        assert (x * x).coeffs == (m - 1,)
+        assert r.one() * x == x
+
     def test_associativity_rejected_with_witness(self):
         c = np.zeros((2, 2, 2), dtype=np.int64)
         c[0, 0] = (0, 1)
@@ -158,20 +167,29 @@ class TestProductRing:
 
 
 class TestBimodule:
+    # The actions are read through the triangular-ring product:
+    # (a, 0, 0)(0, x, 0) = (0, a x, 0) and (0, x, 0)(0, 0, b) = (0, x b, 0).
+
     def test_regular_bimodule(self):
-        bim = regular_bimodule(zmod(4))
+        z4 = zmod(4)
+        bim = regular_bimodule(z4)
         assert bim.rank == 1
-        assert tuple(bim.act_left((3,), (2,))) == (2,)
-        assert tuple(bim.act_right((2,), (3,))) == (2,)
+        tri = triangular_ring(z4, bim, z4)
+        zero, three = z4.zero(), z4.element((3,))
+        module = tri.triple(zero, (2,), zero)
+        assert tri.parts(tri.triple(three, (0,), zero) * module)[1] == (2,)
+        assert tri.parts(module * tri.triple(zero, (0,), three))[1] == (2,)
 
     def test_matrix_bimodule_actions(self):
         bim = matrix_bimodule(zmod(2), 1, 2)
         left, right = bim.left, bim.right
         assert bim.rank == 2
         # 1x1 identity acts as identity; right multiplication permutes columns.
-        m01 = np.array([0, 1])
-        out = bim.act_right(m01, right.matrix_unit(1, 0).as_array())
-        assert tuple(out) == (1, 0)
+        tri = triangular_ring(left, bim, right)
+        m01 = tri.triple(left.zero(), (0, 1), right.zero())
+        e10 = tri.triple(left.zero(), (0, 0), right.matrix_unit(1, 0))
+        assert tri.parts(m01 * e10)[1] == (1, 0)
+        assert tri.parts(tri.triple(left.one(), (0, 0), right.zero()) * m01)[1] == (0, 1)
 
     def test_shape_rejected(self):
         with pytest.raises(RingConstructionError):

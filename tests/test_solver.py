@@ -145,11 +145,19 @@ BRUTE_RINGS = [
     dual_numbers(3),
     t2(2),
     matrix_ring(zmod(2), 2),
+    # Non-unital rank-2 tables: b1*b1 = 2*b1 over Z/4, where Der != JDer,
+    # and the noncommutative b0*b0 = b0, b0*b1 = b1 over Z/3.
+    build_ring(4, [[[0, 0], [0, 0]], [[0, 0], [0, 2]]]),
+    build_ring(3, [[[1, 0], [0, 1]], [[0, 0], [0, 0]]]),
 ]
 
 
+def ring_id(ring):
+    return f"k{ring.rank}m{ring.modulus}" + ("" if ring.is_unital else "-nonunital")
+
+
 class TestExhaustiveAgreement:
-    @pytest.mark.parametrize("ring", BRUTE_RINGS, ids=lambda r: f"k{r.rank}m{r.modulus}")
+    @pytest.mark.parametrize("ring", BRUTE_RINGS, ids=ring_id)
     @pytest.mark.parametrize("kind", [DERIVATION, JORDAN])
     def test_solver_matches_enumeration(self, ring, kind):
         maps = brute_force_maps(ring.constants, ring.modulus, kind)
@@ -172,6 +180,19 @@ class TestCompare:
         cmp = compare_spaces(build_ring(2, [[[0]]]))
         assert cmp.equal
         assert cmp.jordan.cardinality() == 2
+
+    def test_unitization_of_proper_inclusion_keeps_it(self):
+        # Adjoin a unit to b0 * b0 = b0 * b1 = 0, b1 * b1 = 2 * b1 over Z/4.
+        # Triple products through the unit are nonzero, so the polarized
+        # triple rows matter here.  Both counts agree with
+        # oracles.brute_force_maps (4^9 maps, too slow to run every time).
+        c = np.zeros((3, 3, 3), dtype=np.int64)
+        for i in range(3):
+            c[0, i, i] = c[i, 0, i] = 1
+        c[2, 2] = (0, 0, 2)
+        cmp = compare_spaces(build_ring(4, c, unit=(1, 0, 0)))
+        assert (cmp.derivations.cardinality(), cmp.jordan.cardinality()) == (64, 256)
+        assert not cmp.equal
 
 
 def random_element(rng, ring):
