@@ -9,7 +9,6 @@ so it never perturbs the report.
 """
 
 import argparse
-import itertools
 import json
 import sys
 import time
@@ -43,6 +42,7 @@ from .solver import (
     solve_derivations,
     solve_jordan_derivations,
 )
+from .zmodlin import SelfCheckError
 
 __all__ = ["InstanceError", "Instance", "load_instance", "run", "main"]
 
@@ -375,29 +375,31 @@ def _jordan_family(target: StructureRing, fi: IncidenceRing | None) -> list:
     return [target.one()]
 
 
+# Rank-2 tables decoded per step of the search; bounds its working memory.
+_SEARCH_CHUNK = 1 << 16
+
+
 def _enumerate_search_rings(moduli):
     """All structure-constant rings of rank <= 2 over the given moduli.
 
-    Tables are deduplicated and emitted in lexicographic order; the rank-2
-    associativity filter is vectorized over the whole table family.
+    Per modulus: the m rank-1 tables, then the associative rank-2 tables in
+    lexicographic order of their 8 flattened entries.  Rank-2 tables are
+    decoded from consecutive integers in chunks, as base-m digits, and
+    filtered for associativity chunk by chunk.
     """
-    seen = set()
     for m in sorted(set(moduli)):
         for v in range(m):
-            key = (m, 1, (v,))
-            if key not in seen:
-                seen.add(key)
-                yield build_ring(m, np.array([[[v]]], dtype=np.int64))
-        tables = np.array(
-            list(itertools.product(range(m), repeat=8)), dtype=np.int64
-        ).reshape(-1, 2, 2, 2)
-        lhs = np.einsum("nijs,nslt->nijlt", tables, tables) % m
-        rhs = np.einsum("njls,nist->nijlt", tables, tables) % m
-        mask = np.all(lhs == rhs, axis=(1, 2, 3, 4))
-        for table in tables[mask]:
-            key = (m, 2, tuple(table.flatten().tolist()))
-            if key not in seen:
-                seen.add(key)
+            yield build_ring(m, np.array([[[v]]], dtype=np.int64))
+        place = m ** np.arange(7, -1, -1, dtype=np.int64)
+        for start in range(0, m ** 8, _SEARCH_CHUNK):
+            n = np.arange(start, min(start + _SEARCH_CHUNK, m ** 8), dtype=np.int64)
+            tables = (n[:, None] // place % m).reshape(-1, 2, 2, 2)
+            # (b_i b_j) b_l as [(i, j), (l, t)]; b_i (b_j b_l) as [(j, l), (i, t)].
+            pairs = tables.reshape(-1, 4, 2)
+            lhs = np.matmul(pairs, tables.reshape(-1, 2, 4)).reshape(-1, 2, 2, 2, 2)
+            rhs = np.matmul(pairs, tables.transpose(0, 2, 1, 3).reshape(-1, 2, 4))
+            rhs = rhs.reshape(-1, 2, 2, 2, 2).transpose(0, 3, 1, 2, 4)
+            for table in tables[~((lhs - rhs) % m).any(axis=(1, 2, 3, 4))]:
                 yield build_ring(m, table)
 
 
@@ -546,6 +548,9 @@ def main(argv=None) -> int:
     except (InstanceError, SizeBudgetError, RingConstructionError, ClosureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except SelfCheckError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:

@@ -96,12 +96,6 @@ class StructureRing:
             raise RingConstructionError("unit vector length must equal the rank")
         if validate:
             self._validate()
-        # Left/right multiplication matrices of the basis elements, used by
-        # the derivation solver: L[i] @ y = b_i * y, R[j] @ x = x * b_j.
-        self.left_matrices = np.transpose(self.constants, (0, 2, 1)).copy()
-        self.right_matrices = np.transpose(self.constants, (1, 2, 0)).copy()
-        self.left_matrices.setflags(write=False)
-        self.right_matrices.setflags(write=False)
 
     def _validate(self) -> None:
         c, m = self.constants, self.modulus
@@ -181,20 +175,6 @@ class StructureRing:
             x = np.einsum("...j,...jt->...t", np.asarray(y, dtype=np.int64), x)
             x %= m
         return x
-
-    def left_mul_matrix(self, x) -> np.ndarray:
-        """Matrix L with L @ y = x * y on coefficient vectors."""
-        x = np.asarray(x, dtype=np.int64) % self.modulus
-        if self.rank == 0:
-            return np.zeros((0, 0), dtype=np.int64)
-        return np.einsum("i,ist->ts", x, self.constants) % self.modulus
-
-    def right_mul_matrix(self, y) -> np.ndarray:
-        """Matrix R with R @ x = x * y on coefficient vectors."""
-        y = np.asarray(y, dtype=np.int64) % self.modulus
-        if self.rank == 0:
-            return np.zeros((0, 0), dtype=np.int64)
-        return np.einsum("j,sjt->ts", y, self.constants) % self.modulus
 
     def multiplication_table(self) -> tuple:
         """Basis-by-basis product table, for presentation comparisons."""

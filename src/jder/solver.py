@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rings import RingElement, StructureRing
-from .zmodlin import SubgroupBasis, ZmMatrix, ZmVector, kernel, subgroup_equal
+from .zmodlin import SelfCheckError, SubgroupBasis, ZmMatrix, ZmVector, kernel, subgroup_equal
 
 __all__ = [
     "DERIVATION",
@@ -168,67 +168,41 @@ def _validate_kind(kind: str) -> None:
 def check_map(ring: StructureRing, d: AdditiveMap, kind: str) -> CheckResult:
     """Evaluate the basis-level constraints of ``kind`` directly on elements.
 
-    This deliberately avoids the assembled constraint matrix: each identity
-    is recomputed from ring multiplication, giving an independent oracle for
-    the solver's kernels.  Returns the first violated identity by name with
-    the offending basis indices.
+    This deliberately avoids the assembled constraint matrix: the residuals
+    P[i, j] = d(b_i b_j) - d(b_i) b_j - b_i d(b_j) and its three-factor
+    analogue T[i, j, l] are recomputed from the structure constants and D
+    over all basis tuples, giving an independent oracle for the solver's
+    kernels.  Returns the first violated identity by name with the
+    offending basis indices.
     """
     _validate_kind(kind)
     if not d.ring.same_presentation(ring):
         raise ValueError("map belongs to a different ring")
-    k = ring.rank
-    m = ring.modulus
-    c = ring.constants
-    D = d.as_array()
-    L = ring.left_matrices
-    R = ring.right_matrices
+    k, m, c, D = ring.rank, ring.modulus, ring.constants, d.as_array()
 
-    def lmat(v):
-        return ring.left_mul_matrix(v)
+    def ein(spec, *operands):
+        return np.einsum(spec, *operands) % m
 
-    def rmat(v):
-        return ring.right_mul_matrix(v)
-
+    P = (ein("ijt,at->ija", c, D) - ein("si,sjt->ijt", D, c) - ein("sj,ist->ijt", D, c)) % m
     if kind == DERIVATION:
-        for i in range(k):
-            for j in range(k):
-                lhs = D @ c[i, j]
-                rhs = R[j] @ D[:, i] + L[i] @ D[:, j]
-                if ((lhs - rhs) % m).any():
-                    return CheckResult(False, "product", (i, j))
-        return CheckResult(True)
-
-    for i in range(k):
-        lhs = D @ c[i, i]
-        rhs = R[i] @ D[:, i] + L[i] @ D[:, i]
-        if ((lhs - rhs) % m).any():
-            return CheckResult(False, "square", (i,))
-    for i in range(k):
-        for j in range(i + 1, k):
-            lhs = D @ (c[i, j] + c[j, i])
-            rhs = R[j] @ D[:, i] + L[i] @ D[:, j] + R[i] @ D[:, j] + L[j] @ D[:, i]
-            if ((lhs - rhs) % m).any():
-                return CheckResult(False, "square-pol", (i, j))
-    for i in range(k):
-        for j in range(k):
-            lhs = D @ (R[i] @ c[i, j])
-            rhs = rmat(c[j, i]) @ D[:, i] + L[i] @ R[i] @ D[:, j] + lmat(c[i, j]) @ D[:, i]
-            if ((lhs - rhs) % m).any():
-                return CheckResult(False, "triple", (i, j))
-    for i in range(k):
-        for l in range(i + 1, k):
-            for j in range(k):
-                lhs = D @ (R[l] @ c[i, j] + R[i] @ c[l, j])
-                rhs = (
-                    rmat(c[j, l]) @ D[:, i]
-                    + L[i] @ R[l] @ D[:, j]
-                    + lmat(c[i, j]) @ D[:, l]
-                    + rmat(c[j, i]) @ D[:, l]
-                    + L[l] @ R[i] @ D[:, j]
-                    + lmat(c[l, j]) @ D[:, i]
-                )
-                if ((lhs - rhs) % m).any():
-                    return CheckResult(False, "triple-pol", (i, l, j))
+        checks = [("product", P.any(-1))]
+    else:
+        c3 = ein("ijs,slt->ijlt", c, c)
+        T = (ein("ijls,as->ijla", c3, D) - ein("si,sjlt->ijlt", D, c3)
+             - ein("sj,islt->ijlt", D, c3) - ein("sl,ijst->ijlt", D, c3)) % m
+        ar, upper = np.arange(k), np.triu(np.ones((k, k), dtype=bool), 1)
+        checks = [
+            ("square", P[ar, ar].any(-1)),
+            ("square-pol", ((P + P.transpose(1, 0, 2)) % m).any(-1) & upper),
+            ("triple", T[ar[:, None], ar, ar[:, None]].any(-1)),
+            # T[i, j, l] + T[l, j, i], indexed (i, l, j).
+            ("triple-pol", ((T + T.transpose(2, 1, 0, 3)) % m).any(-1).transpose(0, 2, 1)
+             & upper[:, :, None]),
+        ]
+    for name, bad in checks:
+        hits = np.argwhere(bad)
+        if len(hits):
+            return CheckResult(False, name, tuple(int(x) for x in hits[0]))
     return CheckResult(True)
 
 
@@ -284,15 +258,18 @@ def _constraint_rows(ring: StructureRing, kind: str) -> np.ndarray:
 
 
 def _constraint_matrix(ring: StructureRing, kind: str) -> ZmMatrix:
-    m = ring.modulus
+    """The distinct nonzero raw rows, sorted as byte strings."""
     rows = _constraint_rows(ring, kind)
     if len(rows):
-        rows = np.unique(rows, axis=0)
-        rows = rows[np.any(rows, axis=1)]
+        # Sort the C-contiguous rows in place as byte strings; keep each run's first.
+        rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).sort(axis=0)
+        keep = rows.any(axis=1)
+        keep[1:] &= (rows[1:] != rows[:-1]).any(axis=1)
+        rows = rows[keep]
     if rows.shape[0] == 0:
         # No constraints: keep one zero row so the kernel is everything.
         rows = np.zeros((1, rows.shape[1]), dtype=np.int64)
-    return ZmMatrix.from_array(m, rows)
+    return ZmMatrix.from_array(ring.modulus, rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -322,7 +299,10 @@ def _solve(ring: StructureRing, kind: str) -> DerivationSpace:
     space = DerivationSpace(ring, kind, kernel(_constraint_matrix(ring, kind)))
     for g in space.generators():
         result = check_map(ring, g, kind)
-        assert result.ok, f"solver generator violates {result.identity} at {result.indices}"
+        if not result.ok:
+            raise SelfCheckError(
+                f"solver generator violates {result.identity} at {result.indices}"
+            )
     return space
 
 
@@ -372,4 +352,4 @@ def compare_spaces(ring: StructureRing) -> SpaceComparison:
     for g in jder.generators():
         if not der.contains(g):
             return SpaceComparison(False, g, der, jder)
-    raise AssertionError("unequal spaces must be witnessed by a generator")
+    raise SelfCheckError("unequal spaces must be witnessed by a generator")

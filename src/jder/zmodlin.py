@@ -22,6 +22,7 @@ import numpy as np
 __all__ = [
     "MAX_MODULUS",
     "DimensionMismatch",
+    "SelfCheckError",
     "ZmVector",
     "ZmMatrix",
     "SubgroupBasis",
@@ -35,6 +36,10 @@ MAX_MODULUS = 1 << 31
 
 class DimensionMismatch(ValueError):
     """Operands disagree on modulus or ambient dimension."""
+
+
+class SelfCheckError(AssertionError):
+    """A computed result failed the independent re-check run on it."""
 
 
 def _validate_modulus(m: int) -> None:
@@ -65,40 +70,65 @@ class ZmVector:
         return all(e == 0 for e in self.entries)
 
 
-@dataclass(frozen=True)
 class ZmMatrix:
-    """Rectangular residue matrix over Z/m (a tuple of equal-length rows)."""
+    """Rectangular residue matrix over Z/m, held as one read-only int64 array.
 
-    modulus: int
-    rows: tuple[tuple[int, ...], ...]
+    Entries are reduced to [0, m).  ``rows`` gives the same matrix as a tuple
+    of int tuples; equality and hashing are those of ``(modulus, rows)``.
+    """
 
-    def __post_init__(self) -> None:
-        _validate_modulus(self.modulus)
-        reduced = tuple(
-            tuple(int(e) % self.modulus for e in row) for row in self.rows
-        )
-        widths = {len(row) for row in reduced}
-        if len(widths) > 1:
+    def __init__(self, modulus: int, rows) -> None:
+        _validate_modulus(modulus)
+        reduced = [[int(e) % modulus for e in row] for row in rows]
+        if len({len(row) for row in reduced}) > 1:
             raise ValueError("matrix rows must all have the same length")
-        object.__setattr__(self, "rows", reduced)
+        shape = (len(reduced), len(reduced[0]) if reduced else 0)
+        self._set(modulus, np.array(reduced, dtype=np.int64).reshape(shape))
+
+    def _set(self, modulus: int, array: np.ndarray) -> None:
+        array.setflags(write=False)
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "_array", array)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ZmMatrix is immutable")
 
     @classmethod
     def from_array(cls, modulus: int, arr) -> "ZmMatrix":
+        _validate_modulus(modulus)
         a = np.asarray(arr, dtype=np.int64)
         if a.ndim != 2:
             raise ValueError("expected a 2-d array")
-        return cls(modulus, tuple(tuple(int(x) for x in row) for row in a))
+        out = cls.__new__(cls)
+        out._set(modulus, a % modulus)
+        return out
+
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self._array.tolist()))
 
     @property
     def nrows(self) -> int:
-        return len(self.rows)
+        return self._array.shape[0]
 
     @property
     def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
+        return self._array.shape[1]
 
     def as_array(self) -> np.ndarray:
-        return np.array(self.rows, dtype=np.int64).reshape(self.nrows, self.ncols)
+        """The entries as a read-only (nrows, ncols) int64 array."""
+        return self._array
+
+    def __eq__(self, other):
+        if not isinstance(other, ZmMatrix):
+            return NotImplemented
+        return self.modulus == other.modulus and self.rows == other.rows
+
+    def __hash__(self):
+        return hash((self.modulus, self.rows))
+
+    def __repr__(self):
+        return f"ZmMatrix(modulus={self.modulus}, rows={self.rows})"
 
 
 @dataclass(frozen=True)
@@ -287,7 +317,7 @@ def kernel(matrix: ZmMatrix) -> SubgroupBasis:
     if nrows:
         for g in out:
             if ((a @ g.as_array()) % m).any():
-                raise AssertionError("kernel generator failed re-multiplication check")
+                raise SelfCheckError("kernel generator failed re-multiplication check")
     return SubgroupBasis(m, ncols, out)
 
 

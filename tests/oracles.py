@@ -159,8 +159,76 @@ def brute_force_maps(c: np.ndarray, m: int, kind: str) -> list[np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# Element-at-a-time references for the whole-array analysis routines.
+# Element-at-a-time references for the whole-array library routines.
 # ---------------------------------------------------------------------------
+
+def check_map_scalar(ring, d, kind):
+    """``jder.solver.check_map`` one basis tuple at a time.
+
+    Same contract and result, including the identity name and indices of
+    the first violation in the same order.
+    """
+    from jder.solver import DERIVATION, CheckResult, _validate_kind
+
+    _validate_kind(kind)
+    if not d.ring.same_presentation(ring):
+        raise ValueError("map belongs to a different ring")
+    k = ring.rank
+    m = ring.modulus
+    c = ring.constants
+    D = d.as_array()
+    # L[i] @ y = b_i y and R[j] @ x = x b_j; lmat(x) @ y = x y = rmat(y) @ x.
+    L = np.transpose(c, (0, 2, 1))
+    R = np.transpose(c, (1, 2, 0))
+
+    def lmat(x):
+        return np.einsum("i,ist->ts", x, c) % m
+
+    def rmat(y):
+        return np.einsum("j,sjt->ts", y, c) % m
+
+    if kind == DERIVATION:
+        for i in range(k):
+            for j in range(k):
+                lhs = D @ c[i, j]
+                rhs = R[j] @ D[:, i] + L[i] @ D[:, j]
+                if ((lhs - rhs) % m).any():
+                    return CheckResult(False, "product", (i, j))
+        return CheckResult(True)
+
+    for i in range(k):
+        lhs = D @ c[i, i]
+        rhs = R[i] @ D[:, i] + L[i] @ D[:, i]
+        if ((lhs - rhs) % m).any():
+            return CheckResult(False, "square", (i,))
+    for i in range(k):
+        for j in range(i + 1, k):
+            lhs = D @ (c[i, j] + c[j, i])
+            rhs = R[j] @ D[:, i] + L[i] @ D[:, j] + R[i] @ D[:, j] + L[j] @ D[:, i]
+            if ((lhs - rhs) % m).any():
+                return CheckResult(False, "square-pol", (i, j))
+    for i in range(k):
+        for j in range(k):
+            lhs = D @ (R[i] @ c[i, j])
+            rhs = rmat(c[j, i]) @ D[:, i] + L[i] @ R[i] @ D[:, j] + lmat(c[i, j]) @ D[:, i]
+            if ((lhs - rhs) % m).any():
+                return CheckResult(False, "triple", (i, j))
+    for i in range(k):
+        for l in range(i + 1, k):
+            for j in range(k):
+                lhs = D @ (R[l] @ c[i, j] + R[i] @ c[l, j])
+                rhs = (
+                    rmat(c[j, l]) @ D[:, i]
+                    + L[i] @ R[l] @ D[:, j]
+                    + lmat(c[i, j]) @ D[:, l]
+                    + rmat(c[j, i]) @ D[:, l]
+                    + L[l] @ R[i] @ D[:, j]
+                    + lmat(c[l, j]) @ D[:, i]
+                )
+                if ((lhs - rhs) % m).any():
+                    return CheckResult(False, "triple-pol", (i, l, j))
+    return CheckResult(True)
+
 
 def construct_dprime_scalar(ring, family, d):
     """``jder.analysis.construct_dprime`` one RingElement product at a time.
@@ -343,3 +411,31 @@ def identity_suite_scalar(ring, family, d, mode="basis", seed=0, trials=200, fi=
 
     ok = all(entry.passed for entry in outcomes)
     return analysis.IdentitySuiteReport(ok, tuple(outcomes))
+
+
+# ---------------------------------------------------------------------------
+# Reference for the ``search`` enumeration.
+# ---------------------------------------------------------------------------
+
+# Associativity of a rank-2 table f (f[4i + 2j + t] = coefficient t of
+# b_i b_j) at (i, j, l, t): sum_s c[i,j,s] c[s,l,t] = sum_s c[j,l,s] c[i,s,t].
+_ASSOC_TERMS = tuple(
+    (4 * i + 2 * j, 2 * l + t, 4 * i + 2 * j + 1, 4 + 2 * l + t,
+     4 * j + 2 * l, 4 * i + t, 4 * j + 2 * l + 1, 4 * i + 2 + t)
+    for i, j, l, t in itertools.product(range(2), repeat=4)
+)
+
+
+def search_tables_reference(m: int):
+    """(modulus, rank, flat constants) of every rank <= 2 table ``search`` visits.
+
+    The m rank-1 tables, then every associative rank-2 table in the order
+    of ``itertools.product``, filtered one table and one index tuple at a
+    time.
+    """
+    for v in range(m):
+        yield (m, 1, (v,))
+    for f in itertools.product(range(m), repeat=8):
+        if all((f[a] * f[b] + f[c] * f[d] - f[e] * f[g] - f[h] * f[i]) % m == 0
+               for a, b, c, d, e, g, h, i in _ASSOC_TERMS):
+            yield (m, 2, f)

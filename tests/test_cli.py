@@ -1,14 +1,18 @@
 """Instance-file parsing, report generation, exit codes, determinism."""
 
 import hashlib
+import importlib.util
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from jder.cli import Instance, InstanceError, load_instance, main, run
-from jder.solver import DERIVATION, JORDAN, AdditiveMap, check_map
+from jder import solver
+from jder.cli import Instance, InstanceError, _enumerate_search_rings, load_instance, main, run
+from jder.solver import DERIVATION, JORDAN, AdditiveMap, CheckResult, check_map
+
+from oracles import search_tables_reference
 
 MATRIX_INSTANCE = """
 [instance]
@@ -344,6 +348,26 @@ def test_search_modulus_four_finds_witnessed_counterexamples(tmp_path):
     assert not check_map(ring, witness, DERIVATION).ok
 
 
+def test_search_enumeration_matches_reference():
+    # 390,625 rank-2 tables at m = 5 span several decoding chunks.
+    got = [
+        (ring.modulus, ring.rank, tuple(ring.constants.flatten().tolist()))
+        for ring in _enumerate_search_rings((5, 3, 2, 4, 3))
+    ]
+    assert got == [t for m in (2, 3, 4, 5) for t in search_tables_reference(m)]
+    assert len(got) == 1572
+
+
+def test_bench_trace_targets_resolve():
+    # The benchmark's tracer wraps these by name; a rename would drop a layer.
+    spec = importlib.util.spec_from_file_location("bench_child", BENCH / "child.py")
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    assert child.TRACED
+    for module, attr in child.TRACED:
+        assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)
+
+
 # -- entry point ---------------------------------------------------------------
 
 
@@ -390,6 +414,17 @@ def test_main_size_budget_exit_code(tmp_path, capsys):
     path = write(tmp_path, CHAIN_INSTANCE)
     assert main(["cross-check", "--input", path, "--budget", "2"]) == 2
     assert "budget" in capsys.readouterr().err
+
+
+def test_main_self_check_exit_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(
+        solver, "check_map", lambda ring, d, kind: CheckResult(False, "triple", (0, 2))
+    )
+    path = write(tmp_path, MATRIX_INSTANCE)
+    assert main(["compare", "--input", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: solver generator violates triple at (0, 2)" in captured.err
 
 
 def test_main_missing_file_exit_code(tmp_path, capsys):

@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from jder.cli import _enumerate_search_rings
 from jder.incidence import fi_ring
 from jder.preorders import Preorder
 from jder.rings import build_ring, dual_numbers, matrix_ring, regular_bimodule, triangular_ring, zmod
@@ -12,15 +13,17 @@ from jder.solver import (
     DERIVATION,
     JORDAN,
     AdditiveMap,
+    _constraint_matrix,
+    _constraint_rows,
     check_map,
     compare_spaces,
     inner_derivation,
     solve_derivations,
     solve_jordan_derivations,
 )
-from jder.zmodlin import ZmMatrix, howell_form
+from jder.zmodlin import ZmMatrix, howell_form, kernel
 
-from oracles import brute_force_maps, is_derivation_map, is_jordan_map
+from oracles import brute_force_maps, check_map_scalar, is_derivation_map, is_jordan_map
 
 
 def t2(m):
@@ -70,6 +73,48 @@ class TestCheckMap:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             check_map(zmod(2), AdditiveMap.zero(zmod(2)), "lie")
+
+    def test_matches_scalar_reference(self):
+        rng = random.Random(5)
+        rings = list(_enumerate_search_rings((2, 3))) + [
+            matrix_ring(zmod(4), 2),
+            matrix_ring(dual_numbers(3), 2),
+            build_ring(3, np.zeros((0, 0, 0), dtype=np.int64)),
+        ]
+        seen = set()
+        for ring in rings:
+            k, m = ring.rank, ring.modulus
+            maps = solve_derivations(ring).generators()
+            maps += solve_jordan_derivations(ring).generators()
+            for a, b in np.ndindex(k, k):
+                sparse = np.zeros((k, k), dtype=np.int64)
+                sparse[a, b] = rng.randrange(1, m)
+                maps.append(AdditiveMap.from_array(ring, sparse))
+            for _ in range(2):
+                dense = [[rng.randrange(m) for _ in range(k)] for _ in range(k)]
+                maps.append(AdditiveMap.from_array(ring, dense))
+            # Maps that pass square and square-pol, so the triple rows are reached.
+            square_rows = _constraint_rows(ring, JORDAN)[:k * (k * (k + 1) // 2)]
+            maps += [AdditiveMap.from_flat(ring, g)
+                     for g in kernel(ZmMatrix.from_array(m, square_rows)).generators]
+            for d in maps:
+                for kind in (DERIVATION, JORDAN):
+                    result = check_map(ring, d, kind)
+                    assert result == check_map_scalar(ring, d, kind), (ring.constants, d, kind)
+                    seen.add(result.identity)
+        # No map found so far passes triple but fails triple-pol, so that
+        # branch is compared on passing maps only.
+        assert seen == {"", "product", "square", "square-pol", "triple"}
+
+
+class TestConstraintMatrix:
+    @pytest.mark.parametrize("kind", [DERIVATION, JORDAN])
+    def test_rows_are_the_distinct_nonzero_raw_rows(self, kind):
+        nonunital = build_ring(4, [[[0, 0], [0, 0]], [[0, 0], [0, 2]]])
+        for ring in (matrix_ring(zmod(4), 2), t2(2), nonunital):
+            raw = {tuple(row) for row in _constraint_rows(ring, kind).tolist() if any(row)}
+            rows = _constraint_matrix(ring, kind).rows
+            assert len(rows) == len(raw) and set(rows) == raw
 
 
 class TestInnerDerivation:
@@ -180,6 +225,15 @@ class TestCompare:
         cmp = compare_spaces(build_ring(2, [[[0]]]))
         assert cmp.equal
         assert cmp.jordan.cardinality() == 2
+
+    @pytest.mark.parametrize("m", [2**31 - 1, 2**31])
+    def test_matrix_ring_exact_at_largest_moduli(self, m):
+        # M_2 over Z/m presented with unit -1.  Der = JDer = the inner
+        # derivations, m^4 / m of them; the self-check must accept every
+        # generator, which an overflowing check once refused at 2^31 - 1.
+        cmp = compare_spaces(matrix_ring(build_ring(m, [[[m - 1]]], unit=(m - 1,)), 2))
+        assert cmp.equal
+        assert cmp.derivations.cardinality() == cmp.jordan.cardinality() == m ** 3
 
     def test_unitization_of_proper_inclusion_keeps_it(self):
         # Adjoin a unit to b0 * b0 = b0 * b1 = 0, b1 * b1 = 2 * b1 over Z/4.

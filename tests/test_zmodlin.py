@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jder import zmodlin
 from jder.zmodlin import (
     DimensionMismatch,
+    SelfCheckError,
     SubgroupBasis,
     ZmMatrix,
     ZmVector,
@@ -89,6 +91,33 @@ class TestValidation:
     def test_entries_reduced(self):
         assert ZmVector(3, (-1, 7)).entries == (2, 1)
         assert ZmMatrix(4, ((5, -2),)).rows == ((1, 2),)
+
+    def test_array_and_tuple_construction_agree(self):
+        for rows in (((5, -2), (0, 7)), ((), ()), ()):
+            a = ZmMatrix(4, rows)
+            b = ZmMatrix.from_array(4, np.array(rows, dtype=np.int64).reshape(a.nrows, a.ncols))
+            assert a == b and hash(a) == hash(b) and a.rows == b.rows
+            assert (b.nrows, b.ncols) == (len(rows), len(rows[0]) if rows else 0)
+        assert ZmMatrix(4, ((1, 2),)) != ZmMatrix(5, ((1, 2),))
+        assert ZmMatrix(4, ((), ())) != ZmMatrix(4, ())
+
+    def test_entries_are_read_only(self):
+        source = np.array([[1, 6]], dtype=np.int64)
+        mat = ZmMatrix.from_array(4, source)
+        source[0, 0] = 3
+        assert mat.rows == ((1, 2),)
+        with pytest.raises(ValueError):
+            mat.as_array()[0, 0] = 0
+        with pytest.raises(AttributeError):
+            mat.modulus = 5
+
+    def test_kernel_self_check_failure_is_named(self, monkeypatch):
+        # A Howell step that returns a non-kernel row must not go unnoticed.
+        monkeypatch.setattr(
+            zmodlin, "_howell_rows", lambda arr, m: [np.ones(arr.shape[1], dtype=np.int64)]
+        )
+        with pytest.raises(SelfCheckError, match="re-multiplication"):
+            kernel(ZmMatrix(5, ((1, 0),)))
 
 
 small_matrix = st.integers(2, 6).flatmap(
