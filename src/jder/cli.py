@@ -36,8 +36,7 @@ from .rings import (
     zmod,
 )
 from .solver import (
-    DERIVATION,
-    JORDAN,
+    compare_all,
     compare_spaces,
     solve_derivations,
     solve_jordan_derivations,
@@ -379,17 +378,16 @@ def _jordan_family(target: StructureRing, fi: IncidenceRing | None) -> list:
 _SEARCH_CHUNK = 1 << 16
 
 
-def _enumerate_search_rings(moduli):
-    """All structure-constant rings of rank <= 2 over the given moduli.
+def _search_batches(moduli):
+    """All structure-constant rings of rank <= 2 over the given moduli, in batches.
 
-    Per modulus: the m rank-1 tables, then the associative rank-2 tables in
-    lexicographic order of their 8 flattened entries.  Rank-2 tables are
-    decoded from consecutive integers in chunks, as base-m digits, and
-    filtered for associativity chunk by chunk.
+    Per modulus: one batch of the m rank-1 tables, then the associative
+    rank-2 tables in lexicographic order of their 8 flattened entries.
+    Rank-2 tables are decoded from consecutive integers in chunks, as
+    base-m digits, and each chunk's associative tables form one batch.
     """
     for m in sorted(set(moduli)):
-        for v in range(m):
-            yield build_ring(m, np.array([[[v]]], dtype=np.int64))
+        yield [build_ring(m, np.array([[[v]]], dtype=np.int64)) for v in range(m)]
         place = m ** np.arange(7, -1, -1, dtype=np.int64)
         for start in range(0, m ** 8, _SEARCH_CHUNK):
             n = np.arange(start, min(start + _SEARCH_CHUNK, m ** 8), dtype=np.int64)
@@ -399,8 +397,8 @@ def _enumerate_search_rings(moduli):
             lhs = np.matmul(pairs, tables.reshape(-1, 2, 4)).reshape(-1, 2, 2, 2, 2)
             rhs = np.matmul(pairs, tables.transpose(0, 2, 1, 3).reshape(-1, 2, 4))
             rhs = rhs.reshape(-1, 2, 2, 2, 2).transpose(0, 3, 1, 2, 4)
-            for table in tables[~((lhs - rhs) % m).any(axis=(1, 2, 3, 4))]:
-                yield build_ring(m, table)
+            yield [build_ring(m, table)
+                   for table in tables[~((lhs - rhs) % m).any(axis=(1, 2, 3, 4))]]
 
 
 def run(command: str, instance: Instance, seed: int = 0, trials: int = 1000,
@@ -489,16 +487,16 @@ def run(command: str, instance: Instance, seed: int = 0, trials: int = 1000,
     else:  # search
         counterexamples = []
         checked = 0
-        for ring in _enumerate_search_rings(moduli):
-            checked += 1
-            comparison = compare_spaces(ring)
-            if not comparison.equal:
-                counterexamples.append({
-                    "modulus": ring.modulus,
-                    "rank": ring.rank,
-                    "constants": ring.constants.flatten().tolist(),
-                    "witness": _map_json(comparison.witness),
-                })
+        for batch in _search_batches(moduli):
+            checked += len(batch)
+            for ring, comparison in zip(batch, compare_all(batch)):
+                if not comparison.equal:
+                    counterexamples.append({
+                        "modulus": ring.modulus,
+                        "rank": ring.rank,
+                        "constants": ring.constants.flatten().tolist(),
+                        "witness": _map_json(comparison.witness),
+                    })
         result = {
             "family": {"moduli": sorted(set(moduli)), "max_rank": 2},
             "rings_checked": checked,

@@ -30,8 +30,8 @@ d = E_ab, which sends x to x_b e_a.  At E_ab the term d(x_1...x_n) is the
 b-th coefficient of the product times e_a, and the term
 x_1...d(x_p)...x_n is the product with b_b replaced by e_a if x_p = b_b,
 else 0.  Both read off the structure constants (n = 2) or the basis
-triple-product tensor b_i b_j b_l (n = 3), so each kind's rows are built
-in a few whole-array steps.
+triple-product tensor b_i b_j b_l (n = 3), so each kind's rows for a
+whole batch of rings are built in a few whole-array steps.
 """
 
 from dataclasses import dataclass
@@ -49,6 +49,7 @@ __all__ = [
     "DerivationSpace",
     "SpaceComparison",
     "check_map",
+    "compare_all",
     "compare_spaces",
     "inner_derivation",
     "solve_derivations",
@@ -178,67 +179,79 @@ def check_map(ring: StructureRing, d: AdditiveMap, kind: str) -> CheckResult:
     _validate_kind(kind)
     if not d.ring.same_presentation(ring):
         raise ValueError("map belongs to a different ring")
-    k, m, c, D = ring.rank, ring.modulus, ring.constants, d.as_array()
+    return _check_all(ring.constants[None], d.as_array()[None], ring.modulus, kind)[0]
+
+
+def _check_all(c: np.ndarray, D: np.ndarray, m: int, kind: str) -> list:
+    """``check_map`` of each map D[n] on the ring with structure constants c[n]."""
 
     def ein(spec, *operands):
         return np.einsum(spec, *operands) % m
 
-    P = (ein("ijt,at->ija", c, D) - ein("si,sjt->ijt", D, c) - ein("sj,ist->ijt", D, c)) % m
+    P = (ein("nijt,nat->nija", c, D) - ein("nsi,nsjt->nijt", D, c)
+         - ein("nsj,nist->nijt", D, c)) % m
     if kind == DERIVATION:
         checks = [("product", P.any(-1))]
     else:
-        c3 = ein("ijs,slt->ijlt", c, c)
-        T = (ein("ijls,as->ijla", c3, D) - ein("si,sjlt->ijlt", D, c3)
-             - ein("sj,islt->ijlt", D, c3) - ein("sl,ijst->ijlt", D, c3)) % m
+        c3 = ein("nijs,nslt->nijlt", c, c)
+        T = (ein("nijls,nas->nijla", c3, D) - ein("nsi,nsjlt->nijlt", D, c3)
+             - ein("nsj,nislt->nijlt", D, c3) - ein("nsl,nijst->nijlt", D, c3)) % m
+        k = c.shape[1]
         ar, upper = np.arange(k), np.triu(np.ones((k, k), dtype=bool), 1)
         checks = [
-            ("square", P[ar, ar].any(-1)),
-            ("square-pol", ((P + P.transpose(1, 0, 2)) % m).any(-1) & upper),
-            ("triple", T[ar[:, None], ar, ar[:, None]].any(-1)),
+            ("square", P[:, ar, ar].any(-1)),
+            ("square-pol", ((P + P.transpose(0, 2, 1, 3)) % m).any(-1) & upper),
+            ("triple", T[:, ar[:, None], ar, ar[:, None]].any(-1)),
             # T[i, j, l] + T[l, j, i], indexed (i, l, j).
-            ("triple-pol", ((T + T.transpose(2, 1, 0, 3)) % m).any(-1).transpose(0, 2, 1)
+            ("triple-pol", ((T + T.transpose(0, 3, 2, 1, 4)) % m).any(-1).transpose(0, 1, 3, 2)
              & upper[:, :, None]),
         ]
-    for name, bad in checks:
+    results = [CheckResult(True)] * len(D)
+    # The first identity that fails, at its first tuple in C order.
+    for name, bad in reversed(checks):
         hits = np.argwhere(bad)
-        if len(hits):
-            return CheckResult(False, name, tuple(int(x) for x in hits[0]))
-    return CheckResult(True)
+        maps, first = np.unique(hits[:, 0], return_index=True)
+        for n, index in zip(maps.tolist(), hits[first, 1:].tolist()):
+            results[n] = CheckResult(False, name, tuple(index))
+    return results
 
 
 # -- constraint assembly -------------------------------------------------------
 
 def _rule_rows(out: np.ndarray, prod: np.ndarray, tuples) -> None:
-    """Add product-rule residuals at d = E_ab into ``out``, indexed [q, r, b, a].
+    """Add product-rule residuals at d = E_ab into ``out``, indexed [n, q, r, b, a].
 
-    ``prod`` is a basis product tensor of arity n: prod[x_1, ..., x_n] is
-    the coefficient vector of b_{x_1} ... b_{x_n}.  Each entry of ``tuples``
-    holds n index arrays of length N = len(out); block q gains coefficient
-    r of d(x_1...x_n) - sum_p x_1...d(x_p)...x_n at the q-th tuple.
+    ``prod`` stacks one basis product tensor of arity s per ring:
+    prod[n, x_1, ..., x_s] is the coefficient vector of b_{x_1} ... b_{x_s}
+    in ring n.  Each entry of ``tuples`` holds s index arrays of length
+    N = out.shape[1]; block q gains coefficient r of
+    d(x_1...x_s) - sum_p x_1...d(x_p)...x_s at the q-th tuple.
     """
-    q, diag = np.arange(out.shape[0]), np.arange(out.shape[1])
-    a = diag[:, None]
+    q, diag = np.arange(out.shape[1]), np.arange(out.shape[2])
+    a, rings = diag[:, None], (slice(None),)
     for idx in tuples:
-        out[:, diag, :, diag] += prod[idx]
+        out[:, :, diag, :, diag] += prod[rings + idx]
         for p, x in enumerate(idx):
-            # prod with factor p replaced by e_a, as (a, N, r) -> (N, r, a).
-            out[q, :, x, :] -= prod[idx[:p] + (a,) + idx[p + 1:]].transpose(1, 2, 0)
+            # prod with factor p replaced by e_a, as (n, a, N, r) -> (N, n, r, a).
+            out[:, q, :, x, :] -= prod[rings + idx[:p] + (a,) + idx[p + 1:]].transpose(2, 0, 3, 1)
 
 
-def _constraint_rows(ring: StructureRing, kind: str) -> np.ndarray:
+def _constraint_rows(c: np.ndarray, m: int, kind: str) -> np.ndarray:
     """Raw constraint rows at d = E_ab (module docstring), D[a, b] at column a + k*b.
 
-    Row order is fixed: product by (i, j); square by i; square-pol by
-    (i, j) with i < j; triple by (i, j); triple-pol by (i, l, j) with i < l.
+    ``c`` stacks the structure constants of rings over Z/m, and the result
+    is indexed [ring, row, column].  Row order is fixed: product by (i, j);
+    square by i; square-pol by (i, j) with i < j; triple by (i, j);
+    triple-pol by (i, l, j) with i < l.
     """
-    k, c = ring.rank, ring.constants
+    k = c.shape[1]
     i, j = np.divmod(np.arange(k * k), k)
     if kind == DERIVATION:
         families = [(c, [(i, j)])]
     else:
         ar = np.arange(k)
-        eye = np.eye(k, dtype=np.int64)
-        triple = ring.mul(eye[:, None, None], eye[None, :, None], eye[None, None, :])
+        # b_i b_j b_l, with the sums and reductions of StructureRing.mul.
+        triple = np.einsum("nijs,nslt->nijlt", c, c) % m
         iu, lu = np.triu_indices(k, 1)
         pi, pl, pj = np.repeat(iu, k), np.repeat(lu, k), np.tile(ar, len(iu))
         families = [
@@ -247,29 +260,26 @@ def _constraint_rows(ring: StructureRing, kind: str) -> np.ndarray:
             (triple, [(i, j, i)]),
             (triple, [(pi, pj, pl), (pl, pj, pi)]),
         ]
-    out = np.zeros((sum(len(t[0][0]) for _, t in families), k, k, k), dtype=np.int64)
+    blocks = sum(len(t[0][0]) for _, t in families)
+    out = np.zeros((len(c), blocks, k, k, k), dtype=np.int64)
     start = 0
     for prod, tuples in families:
         stop = start + len(tuples[0][0])
-        _rule_rows(out[start:stop], prod, tuples)
+        _rule_rows(out[:, start:stop], prod, tuples)
         start = stop
-    out %= ring.modulus
-    return out.reshape(len(out) * k, k * k)
+    out %= m
+    return out.reshape(len(c), blocks * k, k * k)
 
 
-def _constraint_matrix(ring: StructureRing, kind: str) -> ZmMatrix:
-    """The distinct nonzero raw rows, sorted as byte strings."""
-    rows = _constraint_rows(ring, kind)
-    if len(rows):
-        # Sort the C-contiguous rows in place as byte strings; keep each run's first.
-        rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).sort(axis=0)
-        keep = rows.any(axis=1)
-        keep[1:] &= (rows[1:] != rows[:-1]).any(axis=1)
-        rows = rows[keep]
-    if rows.shape[0] == 0:
-        # No constraints: keep one zero row so the kernel is everything.
-        rows = np.zeros((1, rows.shape[1]), dtype=np.int64)
-    return ZmMatrix.from_array(ring.modulus, rows)
+def _constraint_matrices(c: np.ndarray, m: int, kind: str) -> list:
+    """Per ring, the distinct nonzero raw rows, sorted as byte strings."""
+    rows = _constraint_rows(c, m, kind)
+    if rows.size:
+        # Sort each ring's C-contiguous rows in place as byte strings; keep each run's first.
+        rows.view(np.dtype((np.void, rows.itemsize * rows.shape[2]))).sort(axis=1)
+    keep = rows.any(axis=2)
+    keep[:, 1:] &= (rows[:, 1:] != rows[:, :-1]).any(axis=2)
+    return [ZmMatrix.from_array(m, r[s]) for r, s in zip(rows, keep)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -295,25 +305,37 @@ class DerivationSpace:
         return f"DerivationSpace(kind={self.kind!r}, cardinality={self.cardinality()})"
 
 
-def _solve(ring: StructureRing, kind: str) -> DerivationSpace:
-    space = DerivationSpace(ring, kind, kernel(_constraint_matrix(ring, kind)))
-    for g in space.generators():
-        result = check_map(ring, g, kind)
-        if not result.ok:
-            raise SelfCheckError(
-                f"solver generator violates {result.identity} at {result.indices}"
-            )
-    return space
+def _solve_all(rings, kind: str) -> list:
+    """Solve ``kind`` on rings of one modulus and rank; self-check every generator."""
+    if len({(ring.modulus, ring.rank) for ring in rings}) > 1:
+        raise ValueError("a batch needs rings of one modulus and rank")
+    if not rings:
+        return []
+    k, m = rings[0].rank, rings[0].modulus
+    c = np.stack([ring.constants for ring in rings])
+    spaces = [DerivationSpace(ring, kind, kernel(matrix))
+              for ring, matrix in zip(rings, _constraint_matrices(c, m, kind))]
+    gens = [space.basis.generators for space in spaces]
+    # Slot j holds the j-th generator of each ring, so a check needs k^4 per ring.
+    for j in range(max(map(len, gens))):
+        has = [n for n, g in enumerate(gens) if len(g) > j]
+        # Column a + k*b of a generator is D[a, b].
+        D = np.array([gens[n][j].entries for n in has], np.int64).reshape(-1, k, k)
+        for result in _check_all(c[has], D.transpose(0, 2, 1), m, kind):
+            if not result.ok:
+                raise SelfCheckError(
+                    f"solver generator violates {result.identity} at {result.indices}")
+    return spaces
 
 
 def solve_derivations(ring: StructureRing) -> DerivationSpace:
     """All additive d with d(rs) = d(r)s + rd(s), as a canonical subgroup."""
-    return _solve(ring, DERIVATION)
+    return _solve_all([ring], DERIVATION)[0]
 
 
 def solve_jordan_derivations(ring: StructureRing) -> DerivationSpace:
     """All additive d with d(r^2) = d(r)r + rd(r) and d(rsr) = d(r)sr + rd(s)r + rsd(r)."""
-    return _solve(ring, JORDAN)
+    return _solve_all([ring], JORDAN)[0]
 
 
 def inner_derivation(ring: StructureRing, a: RingElement) -> AdditiveMap:
@@ -339,17 +361,19 @@ class SpaceComparison:
 
 
 def compare_spaces(ring: StructureRing) -> SpaceComparison:
-    """Decide Der(R) = JDer(R); on proper inclusion return a Jordan witness.
+    """Decide Der(R) = JDer(R); on proper inclusion return a Jordan witness."""
+    return compare_all([ring])[0]
 
-    Der is always a subgroup of JDer, so inequality means some canonical
-    generator of JDer falls outside Der (if every generator were inside,
-    the whole span would be).
-    """
-    der = solve_derivations(ring)
-    jder = solve_jordan_derivations(ring)
-    if subgroup_equal(der.basis, jder.basis):
-        return SpaceComparison(True, None, der, jder)
-    for g in jder.generators():
-        if not der.contains(g):
-            return SpaceComparison(False, g, der, jder)
-    raise SelfCheckError("unequal spaces must be witnessed by a generator")
+
+def compare_all(rings) -> list:
+    """``compare_spaces`` of each ring; ValueError unless all share one modulus and rank."""
+    out = []
+    for der, jder in zip(_solve_all(rings, DERIVATION), _solve_all(rings, JORDAN)):
+        witness = None
+        if not subgroup_equal(der.basis, jder.basis):
+            # Der <= JDer, so some canonical generator of JDer lies outside Der.
+            witness = next((g for g in jder.generators() if not der.contains(g)), None)
+            if witness is None:
+                raise SelfCheckError("unequal spaces must be witnessed by a generator")
+        out.append(SpaceComparison(witness is None, witness, der, jder))
+    return out

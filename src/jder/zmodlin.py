@@ -66,9 +66,6 @@ class ZmVector:
     def as_array(self) -> np.ndarray:
         return np.array(self.entries, dtype=np.int64)
 
-    def is_zero(self) -> bool:
-        return all(e == 0 for e in self.entries)
-
 
 class ZmMatrix:
     """Rectangular residue matrix over Z/m, held as one read-only int64 array.
@@ -158,10 +155,8 @@ class SubgroupBasis:
         cur = v.as_array()
         coeffs = []
         m = self.modulus
-        for g in self.generators:
+        for g, (j, d) in zip(self.generators, self.pivots()):
             row = g.as_array()
-            j = int(np.nonzero(row)[0][0])
-            d = int(row[j])
             r = int(cur[j])
             if r % d != 0:
                 return None
@@ -175,10 +170,7 @@ class SubgroupBasis:
 
     def cardinality(self) -> int:
         """Number of elements in the subgroup: the product of m/pivot over rows."""
-        card = 1
-        for _, d in self.pivots():
-            card *= self.modulus // d
-        return card
+        return math.prod(self.modulus // d for _, d in self.pivots())
 
     def pivots(self) -> tuple[tuple[int, int], ...]:
         """(column, value) of each generator's leading entry."""
@@ -233,15 +225,9 @@ def _howell_rows(arr: np.ndarray, m: int) -> list[np.ndarray]:
     worklist so that the span of trailing columns is fully represented.
     Pivots shrink along the divisor lattice of m, so the loop terminates.
     """
-    ncols = arr.shape[1]
-    if ncols == 0:
-        return []
     basis: dict[int, np.ndarray] = {}
-    pending: list[np.ndarray] = [
-        np.array(row, dtype=np.int64)
-        for row in sorted({tuple(int(x) for x in r) for r in arr % m})
-        if any(row)
-    ]
+    # The Howell form is canonical, so row order and repeats do not matter.
+    pending: list[np.ndarray] = [row for row in arr % m if row.any()]
 
     def push_annihilator(row: np.ndarray, pivot: int) -> None:
         if pivot != 1:
@@ -275,13 +261,12 @@ def _howell_rows(arr: np.ndarray, m: int) -> list[np.ndarray]:
 
     # Reduce entries above each pivot into [0, pivot).
     cols = sorted(basis)
-    for j in cols:
+    for n, j in enumerate(cols):
         d = int(basis[j][j])
-        for i in cols:
-            if i < j:
-                q = int(basis[i][j]) // d
-                if q:
-                    basis[i] = (basis[i] - q * basis[j]) % m
+        for i in cols[:n]:
+            q = int(basis[i][j]) // d
+            if q:
+                basis[i] = (basis[i] - q * basis[j]) % m
     return [basis[j] for j in cols]
 
 
@@ -296,29 +281,21 @@ def howell_form(matrix: ZmMatrix) -> SubgroupBasis:
 def kernel(matrix: ZmMatrix) -> SubgroupBasis:
     """Canonical basis of {v : matrix @ v = 0 (mod m)}.
 
-    The row span of [M^T | I] consists of all pairs (x M^T | x); in its
-    Howell form the rows whose left block vanishes therefore carry exactly
-    the kernel of M, and the Howell property guarantees they generate all of
-    it.  Each generator is re-checked by multiplication before returning.
+    The row span of [M^T | I] consists of all pairs (x M^T | x).  In its
+    Howell form the rows whose left block vanishes are the rows with pivots
+    past that block, so by the Howell property they generate exactly the
+    kernel of M, and their right blocks are already its Howell form.  All
+    generators are re-checked by one multiplication before returning.
     """
     m = matrix.modulus
     a = matrix.as_array()
     nrows, ncols = a.shape
-    aug = np.zeros((ncols, nrows + ncols), dtype=np.int64)
-    if nrows and ncols:
-        aug[:, :nrows] = a.T % m
-    aug[:, nrows:] = np.eye(ncols, dtype=np.int64)
-    gens = []
-    for row in _howell_rows(aug, m):
-        if not row[:nrows].any():
-            gens.append(row[nrows:])
-    rows = _howell_rows(np.array(gens, dtype=np.int64).reshape(len(gens), ncols), m)
-    out = tuple(ZmVector(m, tuple(int(x) for x in r)) for r in rows)
-    if nrows:
-        for g in out:
-            if ((a @ g.as_array()) % m).any():
-                raise SelfCheckError("kernel generator failed re-multiplication check")
-    return SubgroupBasis(m, ncols, out)
+    aug = np.concatenate([a.T, np.eye(ncols, dtype=np.int64)], axis=1)
+    gens = [row[nrows:] for row in _howell_rows(aug, m) if not row[:nrows].any()]
+    gens = np.array(gens, dtype=np.int64).reshape(len(gens), ncols)
+    if ((a @ gens.T) % m).any():
+        raise SelfCheckError("kernel generator failed re-multiplication check")
+    return SubgroupBasis(m, ncols, tuple(ZmVector(m, tuple(g)) for g in gens.tolist()))
 
 
 def _check_compatible(basis: SubgroupBasis, v: ZmVector) -> None:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from jder import solver
-from jder.cli import Instance, InstanceError, _enumerate_search_rings, load_instance, main, run
+from jder.cli import Instance, InstanceError, _search_batches, load_instance, main, run
 from jder.solver import DERIVATION, JORDAN, AdditiveMap, CheckResult, check_map
 
 from oracles import search_tables_reference
@@ -297,6 +297,15 @@ def test_identities_report_matches_benchmark_digest(tmp_path):
     assert sha256_of(out) == expected["sha256"]["identities-isolated"]
 
 
+
+def test_search_report_matches_benchmark_digest(tmp_path):
+    # The m = 5 tables cross six decoding chunks, so every batch boundary counts.
+    out = tmp_path / "report.json"
+    instance = BENCH / "instances" / "search-rank2.ini"
+    assert main(["search", "--input", str(instance), "--out", str(out)]) == 0
+    expected = json.loads((BENCH / "expected.json").read_text(encoding="utf-8"))
+    assert sha256_of(out) == expected["sha256"]["search-rank2"]
+
 def test_identities_randomized_report_is_pinned(tmp_path):
     out = tmp_path / "report.json"
     path = write(tmp_path, ISOLATED_RANDOMIZED_INSTANCE)
@@ -350,10 +359,14 @@ def test_search_modulus_four_finds_witnessed_counterexamples(tmp_path):
 
 def test_search_enumeration_matches_reference():
     # 390,625 rank-2 tables at m = 5 span several decoding chunks.
+    batches = list(_search_batches((5, 3, 2, 4, 3)))
     got = [
         (ring.modulus, ring.rank, tuple(ring.constants.flatten().tolist()))
-        for ring in _enumerate_search_rings((5, 3, 2, 4, 3))
+        for batch in batches for ring in batch
     ]
+    # Per modulus, one rank-1 batch and one batch per chunk: 1 + 1 + 1 + 6 chunks.
+    assert len(batches) == 4 + 9
+    assert all(len({(ring.modulus, ring.rank) for ring in batch}) == 1 for batch in batches)
     assert got == [t for m in (2, 3, 4, 5) for t in search_tables_reference(m)]
     assert len(got) == 1572
 
@@ -418,7 +431,7 @@ def test_main_size_budget_exit_code(tmp_path, capsys):
 
 def test_main_self_check_exit_code(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(
-        solver, "check_map", lambda ring, d, kind: CheckResult(False, "triple", (0, 2))
+        solver, "_check_all", lambda c, D, m, kind: [CheckResult(False, "triple", (0, 2))] * len(D)
     )
     path = write(tmp_path, MATRIX_INSTANCE)
     assert main(["compare", "--input", path]) == 3

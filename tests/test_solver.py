@@ -5,7 +5,8 @@ import random
 import numpy as np
 import pytest
 
-from jder.cli import _enumerate_search_rings
+from jder.cli import _search_batches
+from jder import solver
 from jder.incidence import fi_ring
 from jder.preorders import Preorder
 from jder.rings import build_ring, dual_numbers, matrix_ring, regular_bimodule, triangular_ring, zmod
@@ -13,17 +14,23 @@ from jder.solver import (
     DERIVATION,
     JORDAN,
     AdditiveMap,
-    _constraint_matrix,
+    _check_all,
+    _constraint_matrices,
     _constraint_rows,
     check_map,
+    compare_all,
     compare_spaces,
     inner_derivation,
     solve_derivations,
     solve_jordan_derivations,
 )
-from jder.zmodlin import ZmMatrix, howell_form, kernel
+from jder.zmodlin import SelfCheckError, SubgroupBasis, ZmMatrix, ZmVector, howell_form, kernel
 
 from oracles import brute_force_maps, check_map_scalar, is_derivation_map, is_jordan_map
+
+
+def search_rings(moduli):
+    return [ring for batch in _search_batches(moduli) for ring in batch]
 
 
 def t2(m):
@@ -76,7 +83,7 @@ class TestCheckMap:
 
     def test_matches_scalar_reference(self):
         rng = random.Random(5)
-        rings = list(_enumerate_search_rings((2, 3))) + [
+        rings = search_rings((2, 3)) + [
             matrix_ring(zmod(4), 2),
             matrix_ring(dual_numbers(3), 2),
             build_ring(3, np.zeros((0, 0, 0), dtype=np.int64)),
@@ -94,7 +101,8 @@ class TestCheckMap:
                 dense = [[rng.randrange(m) for _ in range(k)] for _ in range(k)]
                 maps.append(AdditiveMap.from_array(ring, dense))
             # Maps that pass square and square-pol, so the triple rows are reached.
-            square_rows = _constraint_rows(ring, JORDAN)[:k * (k * (k + 1) // 2)]
+            raw = _constraint_rows(ring.constants[None], m, JORDAN)[0]
+            square_rows = raw[:k * (k * (k + 1) // 2)]
             maps += [AdditiveMap.from_flat(ring, g)
                      for g in kernel(ZmMatrix.from_array(m, square_rows)).generators]
             for d in maps:
@@ -106,14 +114,44 @@ class TestCheckMap:
         # branch is compared on passing maps only.
         assert seen == {"", "product", "square", "square-pol", "triple"}
 
+    def test_batch_matches_scalar_reference(self):
+        # One _check_all call over maps on many rings: every map must get its
+        # own first failure, as the scalar reference finds it.
+        rng = random.Random(11)
+        rings = [ring for ring in search_rings((4,)) if ring.rank == 2]
+        rng.shuffle(rings)
+        owners, maps = [], []
+        for ring in rings[:60]:
+            # Maps that pass square, and maps that pass square and square-pol.
+            raw = _constraint_rows(ring.constants[None], 4, JORDAN)[0]
+            candidates = [AdditiveMap.from_flat(ring, g) for rows in (raw[:4], raw[:6])
+                          for g in kernel(ZmMatrix.from_array(4, rows)).generators]
+            candidates += [AdditiveMap.from_array(ring, [[rng.randrange(4) for _ in range(2)]
+                                                         for _ in range(2)])]
+            candidates += solve_jordan_derivations(ring).generators()
+            owners += [ring] * len(candidates)
+            maps += candidates
+        c = np.stack([ring.constants for ring in owners])
+        D = np.stack([d.as_array() for d in maps])
+        for kind, failing in ((DERIVATION, {"product"}),
+                              (JORDAN, {"square", "square-pol", "triple"})):
+            got = _check_all(c, D, 4, kind)
+            assert got == [check_map_scalar(r, d, kind) for r, d in zip(owners, maps)]
+            assert {res.identity for res in got if not res.ok} == failing
+            for name in failing:
+                hit = {id(r) for r, res in zip(owners, got) if res.identity == name}
+                assert len(hit) > 1, (kind, name)
+            assert any(res.ok for res in got)
+
 
 class TestConstraintMatrix:
     @pytest.mark.parametrize("kind", [DERIVATION, JORDAN])
     def test_rows_are_the_distinct_nonzero_raw_rows(self, kind):
         nonunital = build_ring(4, [[[0, 0], [0, 0]], [[0, 0], [0, 2]]])
         for ring in (matrix_ring(zmod(4), 2), t2(2), nonunital):
-            raw = {tuple(row) for row in _constraint_rows(ring, kind).tolist() if any(row)}
-            rows = _constraint_matrix(ring, kind).rows
+            c, m = ring.constants[None], ring.modulus
+            raw = {tuple(row) for row in _constraint_rows(c, m, kind)[0].tolist() if any(row)}
+            rows = _constraint_matrices(c, m, kind)[0].rows
             assert len(rows) == len(raw) and set(rows) == raw
 
 
@@ -234,6 +272,65 @@ class TestCompare:
         cmp = compare_spaces(matrix_ring(build_ring(m, [[[m - 1]]], unit=(m - 1,)), 2))
         assert cmp.equal
         assert cmp.derivations.cardinality() == cmp.jordan.cardinality() == m ** 3
+
+    @pytest.mark.parametrize("m", [2**31 - 1, 2**31])
+    def test_batch_exact_at_largest_moduli(self, m):
+        # The same sums as the batch of one: M_2 over Z/m with unit -1 and
+        # with unit 1, solved together.
+        rings = [matrix_ring(build_ring(m, [[[m - 1]]], unit=(m - 1,)), 2),
+                 matrix_ring(zmod(m), 2)]
+        for cmp in compare_all(rings):
+            assert cmp.equal
+            assert cmp.derivations.cardinality() == cmp.jordan.cardinality() == m ** 3
+
+    def test_batch_matches_one_ring_at_a_time(self):
+        # Rank-2 search rings over Z/4 in a shuffled order, including the
+        # b1 * b1 = 2 * b1 counterexample, and the rank-1 rings.
+        rng = random.Random(2)
+        rings = search_rings((4,))
+        rank2 = [ring for ring in rings if ring.rank == 2]
+        rng.shuffle(rank2)
+        counterexample = [[[0, 0], [0, 0]], [[0, 0], [0, 2]]]
+        assert any(ring.constants.tolist() == counterexample for ring in rank2)
+        verdicts = set()
+        for batch in (rank2, [ring for ring in rings if ring.rank == 1]):
+            for ring, cmp in zip(batch, compare_all(batch)):
+                one = compare_spaces(ring)
+                for got, want in ((cmp.derivations, one.derivations), (cmp.jordan, one.jordan)):
+                    assert got.ring is ring and got.basis == want.basis
+                    assert got.cardinality() == want.cardinality()
+                assert (cmp.verdict, cmp.witness) == (one.verdict, one.witness)
+                if ring.constants.tolist() == counterexample:
+                    assert cmp.verdict == "ProperInclusion"
+                verdicts.add(cmp.verdict)
+        assert verdicts == {"Equal", "ProperInclusion"}
+
+    def test_every_generator_of_every_ring_is_checked(self, monkeypatch):
+        # d = 2 * id on Z/4 breaks the product rule at (0, 0); hide it behind
+        # two passing generators of the middle ring of a batch.
+        real_kernel, calls = solver.kernel, []
+
+        def kernel(matrix):
+            calls.append(matrix)
+            if len(calls) != 2:
+                return real_kernel(matrix)
+            gens = (ZmVector(4, (0,)), ZmVector(4, (0,)), ZmVector(4, (2,)))
+            return SubgroupBasis(4, 1, gens)
+
+        monkeypatch.setattr(solver, "kernel", kernel)
+        with pytest.raises(SelfCheckError, match=r"violates product at \(0, 0\)"):
+            compare_all([zmod(4)] * 3)
+
+    @pytest.mark.parametrize("batch", [
+        [zmod(2), zmod(3)],
+        [zmod(4), dual_numbers(4)],
+    ], ids=["moduli", "ranks"])
+    def test_mixed_batch_rejected(self, batch):
+        with pytest.raises(ValueError, match="one modulus and rank"):
+            compare_all(batch)
+
+    def test_empty_batch(self):
+        assert compare_all([]) == []
 
     def test_unitization_of_proper_inclusion_keeps_it(self):
         # Adjoin a unit to b0 * b0 = b0 * b1 = 0, b1 * b1 = 2 * b1 over Z/4.

@@ -112,9 +112,10 @@ class TestValidation:
             mat.modulus = 5
 
     def test_kernel_self_check_failure_is_named(self, monkeypatch):
-        # A Howell step that returns a non-kernel row must not go unnoticed.
+        # A Howell step that returns a non-kernel row must not go unnoticed:
+        # (0 | 1, 0) has a zero left block, but M (1, 0)^T = 1.
         monkeypatch.setattr(
-            zmodlin, "_howell_rows", lambda arr, m: [np.ones(arr.shape[1], dtype=np.int64)]
+            zmodlin, "_howell_rows", lambda arr, m: [np.array([0, 1, 0], dtype=np.int64)]
         )
         with pytest.raises(SelfCheckError, match="re-multiplication"):
             kernel(ZmMatrix(5, ((1, 0),)))
@@ -124,6 +125,21 @@ small_matrix = st.integers(2, 6).flatmap(
     lambda m: st.tuples(
         st.just(m),
         st.integers(1, 4).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(0, m - 1), min_size=n, max_size=n),
+                min_size=1,
+                max_size=4,
+            )
+        ),
+    )
+)
+
+
+# Moduli up to 12 with at most 1,728 vectors in the ambient group.
+kernel_matrix = st.integers(2, 12).flatmap(
+    lambda m: st.tuples(
+        st.just(m),
+        st.integers(1, 3 if m > 6 else 4).flatmap(
             lambda n: st.lists(
                 st.lists(st.integers(0, m - 1), min_size=n, max_size=n),
                 min_size=1,
@@ -218,6 +234,19 @@ class TestProperties:
         expected = kernel_set(m, rows)
         got = span_set(m, basis_rows(b)) if b.generators else {tuple([0] * n)}
         assert got == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(kernel_matrix)
+    def test_kernel_generators_are_already_howell(self, mm):
+        # kernel() takes one Howell pass over [M^T | I]; the right blocks of
+        # its zero-left-block rows must already be the Howell form of ker M.
+        m, rows = mm
+        n = len(rows[0])
+        b = kernel(ZmMatrix(m, tuple(tuple(r) for r in rows)))
+        if b.generators:
+            assert howell_form(ZmMatrix(m, tuple(g.entries for g in b.generators))) == b
+        got = span_set(m, basis_rows(b)) if b.generators else {tuple([0] * n)}
+        assert got == kernel_set(m, rows)
 
     @settings(max_examples=100, deadline=None)
     @given(small_matrix)
