@@ -179,41 +179,32 @@ def check_map(ring: StructureRing, d: AdditiveMap, kind: str) -> CheckResult:
     _validate_kind(kind)
     if not d.ring.same_presentation(ring):
         raise ValueError("map belongs to a different ring")
-    return _check_all(ring.constants[None], d.as_array()[None], ring.modulus, kind)[0]
-
-
-def _check_all(c: np.ndarray, D: np.ndarray, m: int, kind: str) -> list:
-    """``check_map`` of each map D[n] on the ring with structure constants c[n]."""
+    k, m, c, D = ring.rank, ring.modulus, ring.constants, d.as_array()
 
     def ein(spec, *operands):
         return np.einsum(spec, *operands) % m
 
-    P = (ein("nijt,nat->nija", c, D) - ein("nsi,nsjt->nijt", D, c)
-         - ein("nsj,nist->nijt", D, c)) % m
+    P = (ein("ijt,at->ija", c, D) - ein("si,sjt->ijt", D, c) - ein("sj,ist->ijt", D, c)) % m
     if kind == DERIVATION:
         checks = [("product", P.any(-1))]
     else:
-        c3 = ein("nijs,nslt->nijlt", c, c)
-        T = (ein("nijls,nas->nijla", c3, D) - ein("nsi,nsjlt->nijlt", D, c3)
-             - ein("nsj,nislt->nijlt", D, c3) - ein("nsl,nijst->nijlt", D, c3)) % m
-        k = c.shape[1]
-        ar, upper = np.arange(k), np.triu(np.ones((k, k), dtype=bool), 1)
+        c3 = ein("ijs,slt->ijlt", c, c)
+        T = (ein("ijls,as->ijla", c3, D) - ein("si,sjlt->ijlt", D, c3)
+             - ein("sj,islt->ijlt", D, c3) - ein("sl,ijst->ijlt", D, c3)) % m
+        ar = np.arange(k)
+        upper = ar[:, None] < ar
         checks = [
-            ("square", P[:, ar, ar].any(-1)),
-            ("square-pol", ((P + P.transpose(0, 2, 1, 3)) % m).any(-1) & upper),
-            ("triple", T[:, ar[:, None], ar, ar[:, None]].any(-1)),
+            ("square", P[ar, ar].any(-1)),
+            ("square-pol", ((P + P.transpose(1, 0, 2)) % m).any(-1) & upper),
+            ("triple", T[ar[:, None], ar, ar[:, None]].any(-1)),
             # T[i, j, l] + T[l, j, i], indexed (i, l, j).
-            ("triple-pol", ((T + T.transpose(0, 3, 2, 1, 4)) % m).any(-1).transpose(0, 1, 3, 2)
+            ("triple-pol", ((T + T.transpose(2, 1, 0, 3)) % m).any(-1).transpose(0, 2, 1)
              & upper[:, :, None]),
         ]
-    results = [CheckResult(True)] * len(D)
-    # The first identity that fails, at its first tuple in C order.
-    for name, bad in reversed(checks):
-        hits = np.argwhere(bad)
-        maps, first = np.unique(hits[:, 0], return_index=True)
-        for n, index in zip(maps.tolist(), hits[first, 1:].tolist()):
-            results[n] = CheckResult(False, name, tuple(index))
-    return results
+    for name, bad in checks:
+        if bad.any():
+            return CheckResult(False, name, tuple(int(x) for x in np.argwhere(bad)[0]))
+    return CheckResult(True)
 
 
 # -- constraint assembly -------------------------------------------------------
@@ -311,20 +302,17 @@ def _solve_all(rings, kind: str) -> list:
         raise ValueError("a batch needs rings of one modulus and rank")
     if not rings:
         return []
-    k, m = rings[0].rank, rings[0].modulus
     c = np.stack([ring.constants for ring in rings])
-    spaces = [DerivationSpace(ring, kind, kernel(matrix))
-              for ring, matrix in zip(rings, _constraint_matrices(c, m, kind))]
-    gens = [space.basis.generators for space in spaces]
-    # Slot j holds the j-th generator of each ring, so a check needs k^4 per ring.
-    for j in range(max(map(len, gens))):
-        has = [n for n, g in enumerate(gens) if len(g) > j]
-        # Column a + k*b of a generator is D[a, b].
-        D = np.array([gens[n][j].entries for n in has], np.int64).reshape(-1, k, k)
-        for result in _check_all(c[has], D.transpose(0, 2, 1), m, kind):
+    spaces = []
+    for ring, matrix in zip(rings, _constraint_matrices(c, rings[0].modulus, kind)):
+        space = DerivationSpace(ring, kind, kernel(matrix))
+        for g in space.generators():
+            result = check_map(ring, g, kind)
             if not result.ok:
                 raise SelfCheckError(
-                    f"solver generator violates {result.identity} at {result.indices}")
+                    f"solver generator violates {result.identity} at {result.indices}"
+                )
+        spaces.append(space)
     return spaces
 
 
@@ -360,20 +348,25 @@ class SpaceComparison:
         return "Equal" if self.equal else "ProperInclusion"
 
 
+def _compare(der: DerivationSpace, jder: DerivationSpace) -> SpaceComparison:
+    if subgroup_equal(der.basis, jder.basis):
+        return SpaceComparison(True, None, der, jder)
+    for g in jder.generators():
+        if not der.contains(g):
+            return SpaceComparison(False, g, der, jder)
+    raise SelfCheckError("unequal spaces must be witnessed by a generator")
+
+
 def compare_spaces(ring: StructureRing) -> SpaceComparison:
-    """Decide Der(R) = JDer(R); on proper inclusion return a Jordan witness."""
-    return compare_all([ring])[0]
+    """Decide Der(R) = JDer(R); on proper inclusion return a Jordan witness.
+
+    Der is always a subgroup of JDer, so inequality means some canonical
+    generator of JDer falls outside Der (if every generator were inside,
+    the whole span would be).
+    """
+    return _compare(solve_derivations(ring), solve_jordan_derivations(ring))
 
 
 def compare_all(rings) -> list:
     """``compare_spaces`` of each ring; ValueError unless all share one modulus and rank."""
-    out = []
-    for der, jder in zip(_solve_all(rings, DERIVATION), _solve_all(rings, JORDAN)):
-        witness = None
-        if not subgroup_equal(der.basis, jder.basis):
-            # Der <= JDer, so some canonical generator of JDer lies outside Der.
-            witness = next((g for g in jder.generators() if not der.contains(g)), None)
-            if witness is None:
-                raise SelfCheckError("unequal spaces must be witnessed by a generator")
-        out.append(SpaceComparison(witness is None, witness, der, jder))
-    return out
+    return list(map(_compare, _solve_all(rings, DERIVATION), _solve_all(rings, JORDAN)))

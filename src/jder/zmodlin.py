@@ -170,7 +170,10 @@ class SubgroupBasis:
 
     def cardinality(self) -> int:
         """Number of elements in the subgroup: the product of m/pivot over rows."""
-        return math.prod(self.modulus // d for _, d in self.pivots())
+        card = 1
+        for _, d in self.pivots():
+            card *= self.modulus // d
+        return card
 
     def pivots(self) -> tuple[tuple[int, int], ...]:
         """(column, value) of each generator's leading entry."""
@@ -261,12 +264,13 @@ def _howell_rows(arr: np.ndarray, m: int) -> list[np.ndarray]:
 
     # Reduce entries above each pivot into [0, pivot).
     cols = sorted(basis)
-    for n, j in enumerate(cols):
+    for j in cols:
         d = int(basis[j][j])
-        for i in cols[:n]:
-            q = int(basis[i][j]) // d
-            if q:
-                basis[i] = (basis[i] - q * basis[j]) % m
+        for i in cols:
+            if i < j:
+                q = int(basis[i][j]) // d
+                if q:
+                    basis[i] = (basis[i] - q * basis[j]) % m
     return [basis[j] for j in cols]
 
 

@@ -297,7 +297,6 @@ def test_identities_report_matches_benchmark_digest(tmp_path):
     assert sha256_of(out) == expected["sha256"]["identities-isolated"]
 
 
-
 def test_search_report_matches_benchmark_digest(tmp_path):
     # The m = 5 tables cross six decoding chunks, so every batch boundary counts.
     out = tmp_path / "report.json"
@@ -305,6 +304,7 @@ def test_search_report_matches_benchmark_digest(tmp_path):
     assert main(["search", "--input", str(instance), "--out", str(out)]) == 0
     expected = json.loads((BENCH / "expected.json").read_text(encoding="utf-8"))
     assert sha256_of(out) == expected["sha256"]["search-rank2"]
+
 
 def test_identities_randomized_report_is_pinned(tmp_path):
     out = tmp_path / "report.json"
@@ -431,7 +431,7 @@ def test_main_size_budget_exit_code(tmp_path, capsys):
 
 def test_main_self_check_exit_code(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(
-        solver, "_check_all", lambda c, D, m, kind: [CheckResult(False, "triple", (0, 2))] * len(D)
+        solver, "check_map", lambda ring, d, kind: CheckResult(False, "triple", (0, 2))
     )
     path = write(tmp_path, MATRIX_INSTANCE)
     assert main(["compare", "--input", path]) == 3
