@@ -9,6 +9,7 @@ so it never perturbs the report.
 """
 
 import argparse
+import itertools
 import json
 import sys
 import time
@@ -267,6 +268,7 @@ def load_instance(path: str) -> Instance:
             task["moduli"] = tuple(
                 _parse_int("task", "moduli", tok) for tok in raw["moduli"].split()
             )
+            _check_moduli(task["moduli"])
         if "mode" in raw:
             mode = raw["mode"].strip()
             if mode not in ("basis", "randomized"):
@@ -376,6 +378,36 @@ def _jordan_family(target: StructureRing, fi: IncidenceRing | None) -> list:
 
 # Rank-2 tables decoded per step of the search; bounds its working memory.
 _SEARCH_CHUNK = 1 << 16
+# Most rank-2 tables one search visits, summing m^8 over its moduli (so m <= 8);
+# int16 holds each associativity residual, in +-2(m - 1)^2, for any m <= 128.
+_SEARCH_TABLES = 1 << 24
+
+
+def _check_moduli(moduli) -> None:
+    for m in moduli:
+        if not (isinstance(m, int) and 2 <= m <= 1 << 31):
+            _fail("task", f"key 'moduli' entries must be integers in [2, 2^31], got {m!r}")
+    tables = sum(m ** 8 for m in set(moduli))
+    if tables > _SEARCH_TABLES:
+        _fail("task", f"key 'moduli' needs {tables} rank-2 tables, over the search limit {_SEARCH_TABLES}")
+
+
+def _associative(c: np.ndarray, m: int) -> np.ndarray:
+    """The associative tables among c[i, j, t, n] (b_i b_j's coefficient t), in order;
+    each equation (b_i b_j) b_l = b_i (b_j b_l) at t drops the tables that fail it."""
+    for i, j, l, t in itertools.product(range(2), repeat=4):
+        residual = (c[i, j, 0] * c[0, l, t] + c[i, j, 1] * c[1, l, t]
+                    - c[j, l, 0] * c[i, 0, t] - c[j, l, 1] * c[i, 1, t])
+        c = c[..., residual % m == 0]
+    return c
+
+
+def _associative_tables(m: int, start: int) -> np.ndarray:
+    """The associative rank-2 tables of the chunk from table number start, as int64."""
+    digits = np.indices((m,) * 4, dtype=np.int16).reshape(4, -1)
+    high, low = divmod(np.arange(start, min(start + _SEARCH_CHUNK, m ** 8)), m ** 4)
+    c = np.concatenate((digits[:, high], digits[:, low])).reshape(2, 2, 2, -1)
+    return np.moveaxis(_associative(c, m), -1, 0).astype(np.int64)
 
 
 def _search_batches(moduli):
@@ -388,17 +420,8 @@ def _search_batches(moduli):
     """
     for m in sorted(set(moduli)):
         yield [build_ring(m, np.array([[[v]]], dtype=np.int64)) for v in range(m)]
-        place = m ** np.arange(7, -1, -1, dtype=np.int64)
         for start in range(0, m ** 8, _SEARCH_CHUNK):
-            n = np.arange(start, min(start + _SEARCH_CHUNK, m ** 8), dtype=np.int64)
-            tables = (n[:, None] // place % m).reshape(-1, 2, 2, 2)
-            # (b_i b_j) b_l as [(i, j), (l, t)]; b_i (b_j b_l) as [(j, l), (i, t)].
-            pairs = tables.reshape(-1, 4, 2)
-            lhs = np.matmul(pairs, tables.reshape(-1, 2, 4)).reshape(-1, 2, 2, 2, 2)
-            rhs = np.matmul(pairs, tables.transpose(0, 2, 1, 3).reshape(-1, 2, 4))
-            rhs = rhs.reshape(-1, 2, 2, 2, 2).transpose(0, 3, 1, 2, 4)
-            yield [build_ring(m, table)
-                   for table in tables[~((lhs - rhs) % m).any(axis=(1, 2, 3, 4))]]
+            yield [build_ring(m, table) for table in _associative_tables(m, start)]
 
 
 def run(command: str, instance: Instance, seed: int = 0, trials: int = 1000,
@@ -485,6 +508,7 @@ def run(command: str, instance: Instance, seed: int = 0, trials: int = 1000,
             "consistent": report.consistent,
         }
     else:  # search
+        _check_moduli(moduli)
         counterexamples = []
         checked = 0
         for batch in _search_batches(moduli):

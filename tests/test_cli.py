@@ -7,12 +7,23 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jder import solver
-from jder.cli import Instance, InstanceError, _search_batches, load_instance, main, run
+from jder.cli import (
+    _SEARCH_TABLES,
+    Instance,
+    InstanceError,
+    _associative,
+    _search_batches,
+    load_instance,
+    main,
+    run,
+)
 from jder.solver import DERIVATION, JORDAN, AdditiveMap, CheckResult, check_map
 
-from oracles import search_tables_reference
+from oracles import _ASSOC_TERMS, search_tables_reference
 
 MATRIX_INSTANCE = """
 [instance]
@@ -369,6 +380,90 @@ def test_search_enumeration_matches_reference():
     assert all(len({(ring.modulus, ring.rank) for ring in batch}) == 1 for batch in batches)
     assert got == [t for m in (2, 3, 4, 5) for t in search_tables_reference(m)]
     assert len(got) == 1572
+
+
+def test_search_batches_hold_no_chunk_arrays_while_suspended():
+    # Each batch is solved while the generator is suspended; no decoding or
+    # filtering array of the 2^16-table chunk may stay alive across the yield.
+    batches = _search_batches((5,))
+    count = 0
+    for batch in batches:
+        count += 1
+        held = {name: value.nbytes for name, value in batches.gi_frame.f_locals.items()
+                if isinstance(value, np.ndarray) and value.nbytes > 1 << 16}
+        assert held == {}
+    assert count == 1 + 6
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 8).flatmap(lambda m: st.tuples(
+    st.just(m),
+    st.lists(st.lists(st.integers(0, m - 1), min_size=8, max_size=8), max_size=12),
+)))
+def test_associativity_filter_matches_scalar_check(case):
+    m, tables = case
+    stack = np.array(tables, dtype=np.int16).reshape(-1, 8).T.reshape(2, 2, 2, -1)
+    got = _associative(stack, m).reshape(8, -1).T.tolist()
+    assert got == [
+        f for f in tables
+        if all((f[a] * f[b] + f[c] * f[d] - f[e] * f[g] - f[h] * f[i]) % m == 0
+               for a, b, c, d, e, g, h, i in _ASSOC_TERMS)
+    ]
+
+
+@pytest.mark.parametrize(
+    "moduli, fragment",
+    [
+        ("0", "got 0"),
+        ("2 0", "got 0"),
+        ("1", "got 1"),
+        ("-3", "got -3"),
+        ("2147483649", "got 2147483649"),
+        ("9", f"search limit {_SEARCH_TABLES}"),
+        ("7 8", f"search limit {_SEARCH_TABLES}"),
+    ],
+)
+def test_search_moduli_rejected_on_load(tmp_path, moduli, fragment):
+    path = write(tmp_path, MATRIX_INSTANCE + f"\n[task]\nmoduli = {moduli}\n")
+    with pytest.raises(InstanceError, match="moduli") as err:
+        load_instance(path)
+    assert str(err.value).startswith("[task]")
+    assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "moduli, fragment",
+    [
+        ((0,), "got 0"),
+        ((2, 0), "got 0"),
+        ((1,), "got 1"),
+        ((-3,), "got -3"),
+        ((2.0,), "got 2.0"),
+        ((1 << 31,), f"search limit {_SEARCH_TABLES}"),
+        ((2, 3, 4, 5, 6, 7, 8), f"search limit {_SEARCH_TABLES}"),
+    ],
+)
+def test_search_moduli_rejected_by_run(tmp_path, moduli, fragment):
+    inst = load_instance(write(tmp_path, MATRIX_INSTANCE))
+    with pytest.raises(InstanceError, match="moduli") as err:
+        run("search", inst, moduli=moduli)
+    assert str(err.value).startswith("[task]")
+    assert fragment in str(err.value)
+
+
+def test_search_table_limit_admits_modulus_eight(tmp_path):
+    # 8^8 tables is exactly the limit, and a repeated modulus counts once.
+    assert 8 ** 8 == _SEARCH_TABLES
+    inst = load_instance(write(tmp_path, MATRIX_INSTANCE + "\n[task]\nmoduli = 8 8\n"))
+    assert inst.task["moduli"] == (8, 8)
+
+
+def test_main_search_limit_exit_code(tmp_path, capsys):
+    path = write(tmp_path, MATRIX_INSTANCE + "\n[task]\ncommand = search\nmoduli = 9\n")
+    assert main(["search", "--input", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"rank-2 tables, over the search limit {_SEARCH_TABLES}" in captured.err
 
 
 def test_bench_trace_targets_resolve():
