@@ -50,7 +50,7 @@ from .solver import (
     solve_derivations,
     solve_jordan_derivations,
 )
-from .zmodlin import SubgroupBasis, ZmMatrix, ZmVector, howell_form, kernel
+from .zmodlin import SubgroupBasis, ZmMatrix, howell_form, kernel
 
 __version__ = "0.1.0"
 
@@ -73,7 +73,6 @@ __all__ = [
     "StructureRing",
     "SubgroupBasis",
     "ZmMatrix",
-    "ZmVector",
     "are_orthogonal",
     "bimodule_faithful",
     "build_ring",

@@ -70,11 +70,8 @@ def restrict_corner(d: AdditiveMap, e: RingElement) -> AdditiveMap:
     if not e.ring.same_presentation(ring):
         raise ValueError("idempotent does not belong to the map's ring")
     corner = corner_of(ring, e)
-    cols = []
-    for g in corner.ring.basis():
-        image = e * d(corner.embed(g)) * e
-        cols.append(corner.project(image).coeffs)
-    return AdditiveMap.from_array(corner.ring, np.array(cols, dtype=np.int64).T)
+    images = [corner.project(e * d(corner.embed(g)) * e) for g in corner.ring.basis()]
+    return AdditiveMap.from_images(corner.ring, images)
 
 
 def restrict_to_class(fi: IncidenceRing, d: AdditiveMap, ci: int) -> AdditiveMap:
@@ -90,14 +87,10 @@ def restrict_to_class(fi: IncidenceRing, d: AdditiveMap, ci: int) -> AdditiveMap
         raise ValueError(f"no class with index {ci}")
     mr = fi.class_matrix_ring(ci)
     members = fi.quotient.classes[ci]
-    cols = []
-    for p in members:
-        for q in members:
-            for t in range(fi.coefficients.rank):
-                alpha = fi.ring.basis_element(fi.basis_index(p, q, t))
-                grid = fi.extract_block(d(alpha), ci, ci)
-                cols.append(mr.from_entries(grid).coeffs)
-    return AdditiveMap.from_array(mr, np.array(cols, dtype=np.int64).T)
+    basis = [fi.ring.basis_element(fi.basis_index(p, q, t))
+             for p in members for q in members for t in range(fi.coefficients.rank)]
+    images = [mr.from_entries(fi.extract_block(d(alpha), ci, ci)) for alpha in basis]
+    return AdditiveMap.from_images(mr, images)
 
 
 # -- whole-array map application ----------------------------------------------
@@ -124,7 +117,7 @@ def construct_dprime(ring: StructureRing, family, d: AdditiveMap) -> AdditiveMap
     if not ring.is_unital or total != ring.one():
         raise ValueError("the idempotent family must sum to the unit")
     D = d.as_array()
-    idempotents = np.array([e.coeffs for e in family], dtype=np.int64)
+    idempotents = np.array([e.as_array() for e in family])
     e, f = idempotents[:, None, None], idempotents[None, :, None]
     b = np.eye(ring.rank, dtype=np.int64)
     mul = ring.mul
@@ -185,11 +178,8 @@ def _annihilator(side_ring: StructureRing, action: np.ndarray) -> RingElement | 
     if rows.shape[0] == 0:
         # Rank-0 module: no constraint, everything annihilates.
         rows = np.zeros((1, k), dtype=np.int64)
-    ann = kernel(ZmMatrix.from_array(side_ring.modulus, rows))
-    for g in ann.generators:
-        if any(g.entries):
-            return side_ring.element(g.entries)
-    return None
+    gens = kernel(ZmMatrix.from_array(side_ring.modulus, rows)).as_array()
+    return side_ring.element(gens[0]) if len(gens) else None
 
 
 def bimodule_faithful(bim: Bimodule) -> FaithfulnessReport:

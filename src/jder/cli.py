@@ -176,7 +176,9 @@ def _parse_ring(parser: ConfigParser, section: str, visited: set) -> StructureRi
             right = _parse_ring(parser, f"{section}.right", visited)
             return triangular_ring(left, _parse_module(parser, f"{section}.module", left, right, visited), right)
         return _parse_constants_ring(parser, section)
-    except RingConstructionError as exc:
+    except InstanceError:
+        raise
+    except ValueError as exc:  # a RingConstructionError or a modulus out of range
         _fail(section, str(exc))
 
 
@@ -200,7 +202,7 @@ def _parse_module(parser: ConfigParser, section: str, left: StructureRing,
     )
     try:
         return Bimodule(left, right, rank, left_action, right_action)
-    except (RingConstructionError, ValueError) as exc:
+    except ValueError as exc:
         _fail(section, str(exc))
 
 
@@ -250,6 +252,8 @@ def load_instance(path: str) -> Instance:
     if "ring" not in parser:
         _fail("ring", "section is required")
     ring = _parse_ring(parser, "ring", visited)
+    if preorder is not None and not ring.is_unital:
+        _fail("ring", "incidence rings need a unital coefficient ring")
 
     task = {}
     if "task" in parser:
@@ -287,12 +291,12 @@ def _basis_json(basis) -> dict:
     return {
         "modulus": basis.modulus,
         "dim": basis.dim,
-        "generators": [list(g.entries) for g in basis.generators],
+        "generators": basis.as_array().tolist(),
     }
 
 
 def _map_json(d) -> list:
-    return [list(row) for row in d.entries]
+    return d.as_array().tolist()
 
 
 def _space_json(space) -> dict:
@@ -384,6 +388,8 @@ _SEARCH_TABLES = 1 << 24
 
 
 def _check_moduli(moduli) -> None:
+    if not moduli:
+        _fail("task", "key 'moduli' needs at least one modulus")
     for m in moduli:
         if not (isinstance(m, int) and 2 <= m <= 1 << 31):
             _fail("task", f"key 'moduli' entries must be integers in [2, 2^31], got {m!r}")

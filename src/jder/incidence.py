@@ -75,9 +75,7 @@ class IncidenceRing:
             for t in range(k_r):
                 suffix = "" if k_r == 1 else f"*{coefficients.labels[t]}"
                 labels.append(f"[{lp},{lq}]{suffix}")
-        self.ring = StructureRing(
-            m, c, unit=tuple(int(x) for x in unit), labels=labels
-        )
+        self.ring = StructureRing(m, c, unit=unit, labels=labels)
         self._class_rings: dict[int, MatrixRing] = {}
 
     # -- basis bookkeeping --------------------------------------------------
@@ -95,15 +93,14 @@ class IncidenceRing:
 
     def element(self, entries: dict) -> RingElement:
         """Build an element from {(p_label, q_label): R-element} support."""
-        coeffs = [0] * self.rank
+        coeffs = np.zeros(self.rank, dtype=np.int64)
         k_r = self.coefficients.rank
         for (pl, ql), val in entries.items():
             p, q = self.preorder.index(pl), self.preorder.index(ql)
             if not val.ring.same_presentation(self.coefficients):
                 raise ValueError("entry values must belong to the coefficient ring")
             n = self.basis_index(p, q, 0)
-            for t, ct in enumerate(val.coeffs):
-                coeffs[n + t] = ct
+            coeffs[n:n + k_r] = val.as_array()
         return self.ring.element(coeffs)
 
     def entry(self, elem: RingElement, pl: str, ql: str) -> RingElement:
@@ -112,15 +109,13 @@ class IncidenceRing:
         if (p, q) not in self._pair_pos:
             return self.coefficients.zero()
         n = self.basis_index(p, q, 0)
-        return self.coefficients.element(
-            elem.coeffs[n:n + self.coefficients.rank]
-        )
+        return self.coefficients.element(elem.as_array()[n:n + self.coefficients.rank])
 
     def support(self, elem: RingElement) -> list[tuple[str, str]]:
         out = []
         k_r = self.coefficients.rank
         for n, (p, q) in enumerate(self.pairs):
-            if any(elem.coeffs[n * k_r:(n + 1) * k_r]):
+            if elem.as_array()[n * k_r:(n + 1) * k_r].any():
                 out.append((self.preorder.labels[p], self.preorder.labels[q]))
         return out
 
@@ -150,12 +145,11 @@ class IncidenceRing:
 
     def class_idempotent(self, ci: int) -> RingElement:
         """e_x: the identity concentrated on the diagonal of one class."""
-        coeffs = [0] * self.rank
+        coeffs = np.zeros(self.rank, dtype=np.int64)
         k_r = self.coefficients.rank
         for i in self.quotient.classes[ci]:
             n = self.basis_index(i, i, 0)
-            for t, ct in enumerate(self.coefficients.unit):
-                coeffs[n + t] = ct
+            coeffs[n:n + k_r] = self.coefficients.unit
         return self.ring.element(coeffs)
 
     def class_idempotents(self) -> list[RingElement]:

@@ -139,26 +139,26 @@ class StructureRing:
         return self.modulus ** self.rank
 
     def element(self, coeffs) -> "RingElement":
-        coeffs = tuple(int(x) % self.modulus for x in coeffs)
-        if len(coeffs) != self.rank:
-            raise ValueError(f"expected {self.rank} coefficients, got {len(coeffs)}")
-        return RingElement(self, coeffs)
+        a = np.asarray(coeffs, dtype=np.int64) % self.modulus
+        if a.shape != (self.rank,):
+            raise ValueError(f"expected {self.rank} coefficients, got shape {a.shape}")
+        return RingElement(self, a)
 
     def basis_element(self, i: int) -> "RingElement":
-        coeffs = [0] * self.rank
-        coeffs[i] = 1
-        return RingElement(self, tuple(coeffs))
+        a = np.zeros(self.rank, dtype=np.int64)
+        a[i] = 1
+        return RingElement(self, a)
 
     def basis(self) -> list["RingElement"]:
         return [self.basis_element(i) for i in range(self.rank)]
 
     def zero(self) -> "RingElement":
-        return RingElement(self, (0,) * self.rank)
+        return RingElement(self, np.zeros(self.rank, dtype=np.int64))
 
     def one(self) -> "RingElement":
         if self.unit is None:
             raise RingConstructionError("ring has no unit")
-        return RingElement(self, self.unit)
+        return self.element(self.unit)
 
     def mul(self, *factors) -> np.ndarray:
         """Product of reduced coefficient arrays of shape (..., k), folded left.
@@ -178,10 +178,7 @@ class StructureRing:
 
     def multiplication_table(self) -> tuple:
         """Basis-by-basis product table, for presentation comparisons."""
-        return tuple(
-            tuple(tuple(int(x) for x in self.constants[i, j]) for j in range(self.rank))
-            for i in range(self.rank)
-        )
+        return tuple(tuple(map(tuple, plane)) for plane in self.constants.tolist())
 
     def __repr__(self) -> str:
         unital = "unital " if self.is_unital else ""
@@ -189,16 +186,25 @@ class StructureRing:
 
 
 class RingElement:
-    """An element of a StructureRing, carried as a reduced coefficient tuple."""
+    """An element of a StructureRing, held as one read-only reduced (k,) int64 array.
 
-    __slots__ = ("ring", "coeffs")
+    ``coeffs`` gives the same coefficients as a tuple.  Build elements with
+    ``StructureRing.element``; the constructor takes an already reduced array.
+    """
 
-    def __init__(self, ring: StructureRing, coeffs: tuple[int, ...]):
+    __slots__ = ("ring", "_array")
+
+    def __init__(self, ring: StructureRing, array: np.ndarray):
+        array.setflags(write=False)
         self.ring = ring
-        self.coeffs = coeffs
+        self._array = array
+
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        return tuple(self._array.tolist())
 
     def as_array(self) -> np.ndarray:
-        return np.array(self.coeffs, dtype=np.int64)
+        return self._array
 
     def _coerce(self, other: "RingElement") -> "RingElement":
         if not isinstance(other, RingElement):
@@ -209,29 +215,21 @@ class RingElement:
 
     def __add__(self, other):
         other = self._coerce(other)
-        m = self.ring.modulus
-        return RingElement(
-            self.ring, tuple((a + b) % m for a, b in zip(self.coeffs, other.coeffs))
-        )
+        return RingElement(self.ring, (self._array + other._array) % self.ring.modulus)
 
     def __sub__(self, other):
         other = self._coerce(other)
-        m = self.ring.modulus
-        return RingElement(
-            self.ring, tuple((a - b) % m for a, b in zip(self.coeffs, other.coeffs))
-        )
+        return RingElement(self.ring, (self._array - other._array) % self.ring.modulus)
 
     def __neg__(self):
-        m = self.ring.modulus
-        return RingElement(self.ring, tuple((-a) % m for a in self.coeffs))
+        return RingElement(self.ring, -self._array % self.ring.modulus)
 
     def __mul__(self, other):
+        m = self.ring.modulus
         if isinstance(other, int):
-            m = self.ring.modulus
-            return RingElement(self.ring, tuple((other * a) % m for a in self.coeffs))
+            return RingElement(self.ring, other % m * self._array % m)
         other = self._coerce(other)
-        prod = self.ring.mul(self.as_array(), other.as_array())
-        return RingElement(self.ring, tuple(prod.tolist()))
+        return RingElement(self.ring, self.ring.mul(self._array, other._array))
 
     def __rmul__(self, other):
         if isinstance(other, int):
@@ -241,13 +239,14 @@ class RingElement:
     def __eq__(self, other):
         if not isinstance(other, RingElement):
             return NotImplemented
-        return self.ring.same_presentation(other.ring) and self.coeffs == other.coeffs
+        return (self.ring.same_presentation(other.ring)
+                and self._array.tobytes() == other._array.tobytes())
 
     def __hash__(self):
-        return hash((self.ring.signature, self.coeffs))
+        return hash((self.ring.signature, self._array.tobytes()))
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not self._array.any()
 
     def __repr__(self) -> str:
         terms = []
@@ -323,7 +322,7 @@ class MatrixRing(StructureRing):
             for i in range(size):
                 w0 = (i * size + i) * k_r
                 uv[w0:w0 + k_r] = base.unit
-            unit = tuple(int(x) for x in uv)
+            unit = uv
         if k_r == 1:
             labels = [f"e[{i},{j}]" for i in range(size) for j in range(size)]
         else:
@@ -346,28 +345,26 @@ class MatrixRing(StructureRing):
             scalar = self.base.one()
         elif not scalar.ring.same_presentation(self.base):
             raise ValueError("scalar must belong to the base ring")
-        coeffs = [0] * self.rank
+        coeffs = np.zeros(self.rank, dtype=np.int64)
         w0 = self.flat_index(i, j, 0)
-        for t, ct in enumerate(scalar.coeffs):
-            coeffs[w0 + t] = ct
+        coeffs[w0:w0 + self.base.rank] = scalar.as_array()
         return self.element(coeffs)
 
     def entry(self, elem: RingElement, i: int, j: int) -> RingElement:
         """The (i, j) entry of a matrix-ring element, as a base-ring element."""
         w0 = self.flat_index(i, j, 0)
-        return self.base.element(elem.coeffs[w0:w0 + self.base.rank])
+        return self.base.element(elem.as_array()[w0:w0 + self.base.rank])
 
     def from_entries(self, grid) -> RingElement:
         """Build an element from an n x n grid of base-ring elements."""
-        coeffs = [0] * self.rank
+        coeffs = np.zeros(self.rank, dtype=np.int64)
         for i in range(self.size):
             for j in range(self.size):
                 cell = grid[i][j]
                 if not cell.ring.same_presentation(self.base):
                     raise ValueError("grid entries must belong to the base ring")
                 w0 = self.flat_index(i, j, 0)
-                for t, ct in enumerate(cell.coeffs):
-                    coeffs[w0 + t] = ct
+                coeffs[w0:w0 + self.base.rank] = cell.as_array()
         return self.element(coeffs)
 
 
@@ -397,11 +394,11 @@ class ProductRing(StructureRing):
     def pair(self, x: RingElement, y: RingElement) -> RingElement:
         if not (x.ring.same_presentation(self.left) and y.ring.same_presentation(self.right)):
             raise ValueError("components belong to the wrong factors")
-        return self.element(x.coeffs + y.coeffs)
+        return self.element(np.concatenate((x.as_array(), y.as_array())))
 
     def split(self, e: RingElement) -> tuple[RingElement, RingElement]:
         ka = self.left.rank
-        return self.left.element(e.coeffs[:ka]), self.right.element(e.coeffs[ka:])
+        return self.left.element(e.as_array()[:ka]), self.right.element(e.as_array()[ka:])
 
 
 def direct_product(left: StructureRing, right: StructureRing) -> ProductRing:
@@ -552,17 +549,17 @@ class TriangularRing(StructureRing):
             raise ValueError("first component must belong to the left corner ring")
         if not b.ring.same_presentation(self.corner_right):
             raise ValueError("third component must belong to the right corner ring")
-        m_vec = tuple(int(x) % self.modulus for x in m_vec)
-        if len(m_vec) != self.bimodule.rank:
+        m_vec = np.asarray(m_vec, dtype=np.int64)
+        if m_vec.shape != (self.bimodule.rank,):
             raise ValueError("middle component has wrong length")
-        return self.element(a.coeffs + m_vec + b.coeffs)
+        return self.element(np.concatenate((a.as_array(), m_vec, b.as_array())))
 
     def parts(self, e: RingElement) -> tuple[RingElement, tuple[int, ...], RingElement]:
         ka, km = self.corner_left.rank, self.bimodule.rank
         return (
-            self.corner_left.element(e.coeffs[:ka]),
+            self.corner_left.element(e.as_array()[:ka]),
             e.coeffs[ka:ka + km],
-            self.corner_right.element(e.coeffs[ka + km:]),
+            self.corner_right.element(e.as_array()[ka + km:]),
         )
 
 
@@ -589,9 +586,7 @@ class Corner:
     def embed(self, x: RingElement) -> RingElement:
         if not x.ring.same_presentation(self.ring):
             raise ValueError("element does not belong to the corner ring")
-        m = self.parent.modulus
-        vec = (self.embed_matrix @ x.as_array()) % m
-        return self.parent.element(tuple(int(v) for v in vec))
+        return self.parent.element(self.embed_matrix @ x.as_array())
 
     def project(self, x: RingElement) -> RingElement:
         if not x.ring.same_presentation(self.parent):
@@ -599,9 +594,9 @@ class Corner:
         m = self.parent.modulus
         coords = (self.project_matrix @ x.as_array()) % m
         back = (self.embed_matrix @ coords) % m
-        if (back != x.as_array() % m).any():
+        if (back != x.as_array()).any():
             raise ValueError("element lies outside the corner subring eRe")
-        return self.ring.element(tuple(int(v) for v in coords))
+        return self.ring.element(coords)
 
     def compress(self, x: RingElement) -> RingElement:
         """project(e x e) for an arbitrary parent element."""
@@ -625,8 +620,7 @@ def corner_of(parent: StructureRing, e: RingElement) -> Corner:
             "corner subgroup is not free over Z/m: pivots "
             f"{[d for _, d in pivots]} (only unit pivots can be presented)"
         )
-    gens = np.array([g.entries for g in basis.generators], dtype=np.int64)
-    gens = gens.reshape(len(gens), parent.rank)
+    gens = basis.as_array()
     s = len(gens)
     embed = gens.T
     # Coordinate extraction is linear when all pivots are 1: peel generators
@@ -647,5 +641,5 @@ def corner_of(parent: StructureRing, e: RingElement) -> Corner:
     if (((embed @ e_coords) % m) != e_vec).any():
         raise AssertionError("idempotent escaped its own corner")
     labels = [f"g{j}" for j in range(s)]
-    ring = StructureRing(m, constants, unit=tuple(int(x) for x in e_coords), labels=labels)
+    ring = StructureRing(m, constants, unit=e_coords, labels=labels)
     return Corner(ring, parent, e, embed, project)

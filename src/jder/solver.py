@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rings import RingElement, StructureRing
-from .zmodlin import SelfCheckError, SubgroupBasis, ZmMatrix, ZmVector, kernel, subgroup_equal
+from .zmodlin import SelfCheckError, SubgroupBasis, ZmMatrix, kernel, subgroup_equal
 
 __all__ = [
     "DERIVATION",
@@ -63,32 +63,31 @@ _KINDS = (DERIVATION, JORDAN)
 
 @dataclass(frozen=True, eq=False)
 class AdditiveMap:
-    """Additive endomorphism of a ring, column j = coefficients of d(b_j)."""
+    """Additive endomorphism of a ring, column j = coefficients of d(b_j).
+
+    ``matrix`` is held as one read-only (k, k) int64 array reduced mod m;
+    ``entries`` gives it as a tuple of row tuples.
+    """
 
     ring: StructureRing
-    entries: tuple
+    matrix: np.ndarray
 
     def __post_init__(self):
         k = self.ring.rank
-        m = self.ring.modulus
-        rows = tuple(tuple(int(x) % m for x in row) for row in self.entries)
-        if len(rows) != k or any(len(row) != k for row in rows):
+        a = np.asarray(self.matrix, dtype=np.int64) % self.ring.modulus
+        if a.shape != (k, k):
             raise ValueError(f"additive map on a rank-{k} ring needs a {k}x{k} matrix")
-        object.__setattr__(self, "entries", rows)
+        a.setflags(write=False)
+        object.__setattr__(self, "matrix", a)
 
     @classmethod
     def from_array(cls, ring: StructureRing, arr) -> "AdditiveMap":
-        a = np.asarray(arr, dtype=np.int64).reshape(ring.rank, ring.rank)
-        return cls(ring, tuple(map(tuple, a.tolist())))
+        return cls(ring, np.reshape(arr, (ring.rank, ring.rank)))
 
     @classmethod
     def from_flat(cls, ring: StructureRing, flat) -> "AdditiveMap":
         """Decode a length-k^2 vector laid out column by column."""
-        if isinstance(flat, ZmVector):
-            flat = flat.entries
-        k = ring.rank
-        a = np.asarray(flat, dtype=np.int64).reshape(k, k, order="F")
-        return cls.from_array(ring, a)
+        return cls(ring, np.reshape(flat, (ring.rank, ring.rank), order="F"))
 
     @classmethod
     def from_images(cls, ring: StructureRing, images) -> "AdditiveMap":
@@ -96,42 +95,45 @@ class AdditiveMap:
         for elem in images:
             if not elem.ring.same_presentation(ring):
                 raise ValueError("image elements must belong to the ring")
-            cols.append(elem.coeffs)
+            cols.append(elem.as_array())
         return cls.from_array(ring, np.array(cols, dtype=np.int64).T)
 
     @classmethod
     def zero(cls, ring: StructureRing) -> "AdditiveMap":
-        return cls.from_array(ring, np.zeros((ring.rank, ring.rank), dtype=np.int64))
+        return cls(ring, np.zeros((ring.rank, ring.rank), dtype=np.int64))
+
+    @property
+    def entries(self) -> tuple:
+        return tuple(map(tuple, self.matrix.tolist()))
 
     def as_array(self) -> np.ndarray:
-        return np.array(self.entries, dtype=np.int64).reshape(self.ring.rank, self.ring.rank)
+        return self.matrix
 
     def to_flat(self) -> tuple:
-        return tuple(self.as_array().flatten(order="F").tolist())
+        return tuple(self.matrix.flatten(order="F").tolist())
 
     def image(self, j: int) -> RingElement:
         """d(b_j)."""
-        return self.ring.element([row[j] for row in self.entries])
+        return self.ring.element(self.matrix[:, j])
 
     def __call__(self, elem: RingElement) -> RingElement:
         if not elem.ring.same_presentation(self.ring):
             raise ValueError("element belongs to a different ring")
-        out = self.as_array() @ np.array(elem.coeffs, dtype=np.int64)
-        return self.ring.element(out % self.ring.modulus)
+        return self.ring.element(self.matrix @ elem.as_array())
 
     def is_zero(self) -> bool:
-        return not any(any(row) for row in self.entries)
+        return not self.matrix.any()
 
     def __add__(self, other: "AdditiveMap") -> "AdditiveMap":
         self._same_ring(other)
-        return AdditiveMap.from_array(self.ring, self.as_array() + other.as_array())
+        return AdditiveMap(self.ring, self.matrix + other.matrix)
 
     def __sub__(self, other: "AdditiveMap") -> "AdditiveMap":
         self._same_ring(other)
-        return AdditiveMap.from_array(self.ring, self.as_array() - other.as_array())
+        return AdditiveMap(self.ring, self.matrix - other.matrix)
 
     def __neg__(self) -> "AdditiveMap":
-        return AdditiveMap.from_array(self.ring, -self.as_array())
+        return AdditiveMap(self.ring, -self.matrix)
 
     def _same_ring(self, other: "AdditiveMap") -> None:
         if not isinstance(other, AdditiveMap) or not other.ring.same_presentation(self.ring):
@@ -140,10 +142,11 @@ class AdditiveMap:
     def __eq__(self, other):
         if not isinstance(other, AdditiveMap):
             return NotImplemented
-        return self.ring.same_presentation(other.ring) and self.entries == other.entries
+        return (self.ring.same_presentation(other.ring)
+                and self.matrix.tobytes() == other.matrix.tobytes())
 
     def __hash__(self):
-        return hash((self.ring.signature, self.entries))
+        return hash((self.ring.signature, self.matrix.tobytes()))
 
     def __repr__(self):
         return f"AdditiveMap(rank={self.ring.rank}, mod={self.ring.modulus}, {self.entries})"
@@ -282,7 +285,7 @@ class DerivationSpace:
     basis: SubgroupBasis
 
     def generators(self) -> list:
-        return [AdditiveMap.from_flat(self.ring, g) for g in self.basis.generators]
+        return [AdditiveMap.from_flat(self.ring, g) for g in self.basis.as_array()]
 
     def cardinality(self) -> int:
         return self.basis.cardinality()
@@ -290,7 +293,7 @@ class DerivationSpace:
     def contains(self, d: AdditiveMap) -> bool:
         if not d.ring.same_presentation(self.ring):
             raise ValueError("map belongs to a different ring")
-        return self.basis.contains(ZmVector(self.ring.modulus, d.to_flat()))
+        return self.basis.contains(d.matrix.ravel(order="F"))
 
     def __repr__(self):
         return f"DerivationSpace(kind={self.kind!r}, cardinality={self.cardinality()})"

@@ -23,7 +23,6 @@ __all__ = [
     "MAX_MODULUS",
     "DimensionMismatch",
     "SelfCheckError",
-    "ZmVector",
     "ZmMatrix",
     "SubgroupBasis",
     "howell_form",
@@ -47,31 +46,12 @@ def _validate_modulus(m: int) -> None:
         raise ValueError(f"modulus must be an integer in [2, 2^31], got {m!r}")
 
 
-@dataclass(frozen=True)
-class ZmVector:
-    """Residue vector over Z/m; entries are kept reduced to [0, m)."""
-
-    modulus: int
-    entries: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        _validate_modulus(self.modulus)
-        object.__setattr__(
-            self, "entries", tuple(int(e) % self.modulus for e in self.entries)
-        )
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.entries, dtype=np.int64)
-
-
 class ZmMatrix:
     """Rectangular residue matrix over Z/m, held as one read-only int64 array.
 
     Entries are reduced to [0, m).  ``rows`` gives the same matrix as a tuple
-    of int tuples; equality and hashing are those of ``(modulus, rows)``.
+    of int tuples; equality and hashing are those of the modulus, the shape
+    and the entries.
     """
 
     def __init__(self, modulus: int, rows) -> None:
@@ -119,10 +99,13 @@ class ZmMatrix:
     def __eq__(self, other):
         if not isinstance(other, ZmMatrix):
             return NotImplemented
-        return self.modulus == other.modulus and self.rows == other.rows
+        return self._key() == other._key()
 
     def __hash__(self):
-        return hash((self.modulus, self.rows))
+        return hash(self._key())
+
+    def _key(self) -> tuple:
+        return self.modulus, self._array.shape, self._array.tobytes()
 
     def __repr__(self):
         return f"ZmMatrix(modulus={self.modulus}, rows={self.rows})"
@@ -132,31 +115,54 @@ class ZmMatrix:
 class SubgroupBasis:
     """Canonical (Howell-form) generating set of a subgroup of (Z/m)^dim.
 
-    Instances are produced by :func:`howell_form` and :func:`kernel`; equality
-    of two bases is equality of the subgroups they span.
+    The generators are the rows of ``matrix``.  Instances are produced by
+    :func:`howell_form` and :func:`kernel`; equality of two bases is
+    equality of the subgroups they span.
     """
 
-    modulus: int
-    dim: int
-    generators: tuple[ZmVector, ...]
+    matrix: ZmMatrix
 
-    def contains(self, v: ZmVector) -> bool:
-        """Exact membership of v in the subgroup."""
+    def __post_init__(self) -> None:
+        a = self.matrix.as_array()
+        cols = (a != 0).argmax(axis=1) if a.size else np.zeros(0, dtype=np.intp)
+        pivots = zip(cols.tolist(), a[np.arange(len(cols)), cols].tolist())
+        object.__setattr__(self, "_pivots", tuple(pivots))
+
+    @property
+    def modulus(self) -> int:
+        return self.matrix.modulus
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.ncols
+
+    @property
+    def generators(self) -> tuple[tuple[int, ...], ...]:
+        return self.matrix.rows
+
+    def as_array(self) -> np.ndarray:
+        """The generators as the rows of a read-only int64 array."""
+        return self.matrix.as_array()
+
+    def contains(self, v) -> bool:
+        """Exact membership of the vector v (reduced mod m) in the subgroup."""
         return self.coordinates(v) is not None
 
-    def coordinates(self, v: ZmVector) -> tuple[int, ...] | None:
+    def coordinates(self, v) -> tuple[int, ...] | None:
         """Coefficients expressing v over the generators, or None if v is outside.
 
         Greedy reduction against the Howell form: at each pivot column the
         residual entry must be divisible by the pivot; by the Howell property
         this greedy pass is complete.
         """
-        _check_compatible(self, v)
-        cur = v.as_array()
-        coeffs = []
         m = self.modulus
-        for g, (j, d) in zip(self.generators, self.pivots()):
-            row = g.as_array()
+        cur = np.asarray(v, dtype=np.int64) % m
+        if cur.shape != (self.dim,):
+            raise DimensionMismatch(
+                f"dimension mismatch: basis ambient {self.dim}, vector shape {cur.shape}"
+            )
+        coeffs = []
+        for row, (j, d) in zip(self.as_array(), self._pivots):
             r = int(cur[j])
             if r % d != 0:
                 return None
@@ -171,17 +177,13 @@ class SubgroupBasis:
     def cardinality(self) -> int:
         """Number of elements in the subgroup: the product of m/pivot over rows."""
         card = 1
-        for _, d in self.pivots():
+        for _, d in self._pivots:
             card *= self.modulus // d
         return card
 
     def pivots(self) -> tuple[tuple[int, int], ...]:
         """(column, value) of each generator's leading entry."""
-        out = []
-        for g in self.generators:
-            j = next(i for i, e in enumerate(g.entries) if e != 0)
-            out.append((j, g.entries[j]))
-        return tuple(out)
+        return self._pivots
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -277,9 +279,8 @@ def _howell_rows(arr: np.ndarray, m: int) -> list[np.ndarray]:
 def howell_form(matrix: ZmMatrix) -> SubgroupBasis:
     """Canonical basis of the row span of ``matrix`` over Z/m."""
     m = matrix.modulus
-    rows = _howell_rows(matrix.as_array(), m)
-    gens = tuple(ZmVector(m, tuple(int(x) for x in r)) for r in rows)
-    return SubgroupBasis(m, matrix.ncols, gens)
+    rows = np.array(_howell_rows(matrix.as_array(), m), dtype=np.int64)
+    return SubgroupBasis(ZmMatrix.from_array(m, rows.reshape(len(rows), matrix.ncols)))
 
 
 def kernel(matrix: ZmMatrix) -> SubgroupBasis:
@@ -299,18 +300,7 @@ def kernel(matrix: ZmMatrix) -> SubgroupBasis:
     gens = np.array(gens, dtype=np.int64).reshape(len(gens), ncols)
     if ((a @ gens.T) % m).any():
         raise SelfCheckError("kernel generator failed re-multiplication check")
-    return SubgroupBasis(m, ncols, tuple(ZmVector(m, tuple(g)) for g in gens.tolist()))
-
-
-def _check_compatible(basis: SubgroupBasis, v: ZmVector) -> None:
-    if basis.modulus != v.modulus:
-        raise DimensionMismatch(
-            f"modulus mismatch: basis over Z/{basis.modulus}, vector over Z/{v.modulus}"
-        )
-    if basis.dim != len(v):
-        raise DimensionMismatch(
-            f"dimension mismatch: basis ambient {basis.dim}, vector length {len(v)}"
-        )
+    return SubgroupBasis(ZmMatrix.from_array(m, gens))
 
 
 def subgroup_equal(a: SubgroupBasis, b: SubgroupBasis) -> bool:
@@ -320,5 +310,5 @@ def subgroup_equal(a: SubgroupBasis, b: SubgroupBasis) -> bool:
             "subgroups live in different ambient groups: "
             f"(Z/{a.modulus})^{a.dim} vs (Z/{b.modulus})^{b.dim}"
         )
-    return a.generators == b.generators
+    return a.matrix == b.matrix
 

@@ -1,0 +1,74 @@
+"""Public values and exports: read-only arrays, tuple views, hashing, names."""
+
+import importlib
+import pkgutil
+
+import numpy as np
+import pytest
+
+import jder
+from jder.rings import dual_numbers
+from jder.solver import AdditiveMap, solve_jordan_derivations
+from jder.zmodlin import DimensionMismatch, ZmMatrix, howell_form
+
+
+def _values():
+    """One SubgroupBasis, AdditiveMap and RingElement, each built twice."""
+    ring = dual_numbers(4)
+
+    def build():
+        return (
+            howell_form(ZmMatrix(4, ((2, 1),))),
+            solve_jordan_derivations(ring).generators()[0],
+            ring.element((5, -1)),
+        )
+
+    return build(), build()
+
+
+@pytest.mark.parametrize("index", [0, 1, 2], ids=["SubgroupBasis", "AdditiveMap", "RingElement"])
+def test_as_array_is_read_only(index):
+    value = _values()[0][index]
+    array = value.as_array()
+    assert array.dtype == np.int64
+    with pytest.raises(ValueError):
+        array.flat[0] = 1
+
+
+@pytest.mark.parametrize("index", [0, 1, 2], ids=["SubgroupBasis", "AdditiveMap", "RingElement"])
+def test_equal_values_hash_equal(index):
+    first, second = _values()
+    a, b = first[index], second[index]
+    assert a is not b and a == b and hash(a) == hash(b)
+
+
+def test_tuple_views():
+    basis, d, x = _values()[0]
+    assert basis.generators == ((2, 1), (0, 2))
+    assert (basis.modulus, basis.dim) == (4, 2)
+    assert x.coeffs == (1, 3)
+    assert d.entries == tuple(map(tuple, d.as_array().tolist()))
+    assert AdditiveMap.from_flat(d.ring, d.to_flat()) == d
+
+
+def test_contains_reduces_and_checks_length():
+    basis = howell_form(ZmMatrix(4, ((2, 1),)))
+    assert basis.contains((6, 7)) and basis.contains(np.array([2, 3]))
+    assert basis.coordinates((6, 7)) == basis.coordinates((2, 3)) == (1, 1)
+    assert not basis.contains((6, 4))
+    for wrong in ((1,), (1, 1, 0)):
+        with pytest.raises(DimensionMismatch):
+            basis.contains(wrong)
+
+
+def test_every_export_resolves():
+    for name in jder.__all__:
+        assert hasattr(jder, name), name
+    for info in pkgutil.iter_modules(jder.__path__):
+        mod = importlib.import_module(f"jder.{info.name}")
+        for name in mod.__all__:
+            assert hasattr(mod, name), (info.name, name)
+    namespace = {}
+    exec("from jder import *", namespace)
+    namespace.pop("__builtins__")
+    assert sorted(namespace) == sorted(jder.__all__)

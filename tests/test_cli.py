@@ -101,6 +101,22 @@ unit = 1 0
 """
 
 
+# A preorder over Z/2 with zero multiplication, which has no unit.
+NONUNITAL_INCIDENCE_INSTANCE = """
+[instance]
+format_version = 1
+
+[preorder]
+labels = a b
+pairs = a<=b
+
+[ring]
+kind = constants
+modulus = 2
+rank = 1
+"""
+
+
 # FI({a} + {b<=c}, Z/4[e]) with e^2 = 0: the benchmark's identities instance,
 # here in randomized mode.
 ISOLATED_RANDOMIZED_INSTANCE = """
@@ -194,6 +210,10 @@ def test_load_triangular_instance(tmp_path):
         ("bad_mode", "mode"),
         ("nonassociative", "associative"),
         ("missing_ring", "[ring]"),
+        ("zmod_modulus", "[ring]: modulus must be an integer in [2, 2^31], got 1"),
+        ("constants_modulus", "[ring]: modulus must be an integer in [2, 2^31], got 0"),
+        ("base_modulus", "[ring.base]: modulus must be an integer in [2, 2^31], got 99999999999"),
+        ("nonunital_incidence", "[ring]: incidence rings need a unital coefficient ring"),
     ],
 )
 def test_rejections(tmp_path, mutation, fragment):
@@ -207,6 +227,10 @@ def test_rejections(tmp_path, mutation, fragment):
         "bad_mode": MATRIX_INSTANCE + "\n[task]\nmode = psychic\n",
         "nonassociative": "[instance]\nformat_version = 1\n\n[ring]\nkind = constants\nmodulus = 2\nrank = 2\nconstants =\n    0 0 : 0 1\n    1 0 : 1 0\n",
         "missing_ring": "[instance]\nformat_version = 1\n",
+        "zmod_modulus": "[instance]\nformat_version = 1\n\n[ring]\nkind = zmod\nmodulus = 1\n",
+        "constants_modulus": "[instance]\nformat_version = 1\n\n[ring]\nkind = constants\nmodulus = 0\nrank = 1\n",
+        "base_modulus": MATRIX_INSTANCE.replace("modulus = 2", "modulus = 99999999999"),
+        "nonunital_incidence": NONUNITAL_INCIDENCE_INSTANCE,
     }
     with pytest.raises(InstanceError) as err:
         load_instance(write(tmp_path, texts[mutation]))
@@ -421,6 +445,7 @@ def test_associativity_filter_matches_scalar_check(case):
         ("2147483649", "got 2147483649"),
         ("9", f"search limit {_SEARCH_TABLES}"),
         ("7 8", f"search limit {_SEARCH_TABLES}"),
+        ("", "at least one modulus"),
     ],
 )
 def test_search_moduli_rejected_on_load(tmp_path, moduli, fragment):
@@ -441,6 +466,7 @@ def test_search_moduli_rejected_on_load(tmp_path, moduli, fragment):
         ((2.0,), "got 2.0"),
         ((1 << 31,), f"search limit {_SEARCH_TABLES}"),
         ((2, 3, 4, 5, 6, 7, 8), f"search limit {_SEARCH_TABLES}"),
+        ((), "at least one modulus"),
     ],
 )
 def test_search_moduli_rejected_by_run(tmp_path, moduli, fragment):
@@ -533,6 +559,19 @@ def test_main_self_check_exit_code(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error: solver generator violates triple at (0, 2)" in captured.err
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("solve-der", MATRIX_INSTANCE.replace("modulus = 2", "modulus = 99999999999"),
+     "[ring.base]: modulus must be an integer in [2, 2^31], got 99999999999"),
+    ("compare", NONUNITAL_INCIDENCE_INSTANCE,
+     "[ring]: incidence rings need a unital coefficient ring"),
+], ids=["base-modulus", "nonunital-incidence"])
+def test_main_ring_rejection_exit_code(tmp_path, capsys, command, text, message):
+    assert main([command, "--input", write(tmp_path, text)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_main_missing_file_exit_code(tmp_path, capsys):

@@ -23,7 +23,7 @@ from jder.solver import (
     solve_derivations,
     solve_jordan_derivations,
 )
-from jder.zmodlin import SelfCheckError, SubgroupBasis, ZmMatrix, ZmVector, howell_form, kernel
+from jder.zmodlin import SelfCheckError, SubgroupBasis, ZmMatrix, howell_form, kernel
 
 from oracles import brute_force_maps, check_map_scalar, is_derivation_map, is_jordan_map
 
@@ -284,8 +284,7 @@ class TestCompare:
             calls.append(matrix)
             if len(calls) != 2:
                 return real_kernel(matrix)
-            gens = (ZmVector(4, (0,)), ZmVector(4, (0,)), ZmVector(4, (2,)))
-            return SubgroupBasis(4, 1, gens)
+            return SubgroupBasis(ZmMatrix(4, ((0,), (0,), (2,))))
 
         monkeypatch.setattr(solver, "kernel", kernel)
         with pytest.raises(SelfCheckError, match=r"violates product at \(0, 0\)"):

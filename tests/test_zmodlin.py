@@ -11,7 +11,6 @@ from jder.zmodlin import (
     SelfCheckError,
     SubgroupBasis,
     ZmMatrix,
-    ZmVector,
     howell_form,
     kernel,
     subgroup_equal,
@@ -20,7 +19,7 @@ from oracles import all_vectors, kernel_set, span_set
 
 
 def basis_rows(b: SubgroupBasis) -> list[list[int]]:
-    return [list(g.entries) for g in b.generators]
+    return [list(g) for g in b.generators]
 
 
 class TestKnownForms:
@@ -64,23 +63,19 @@ class TestKnownForms:
 
     def test_membership(self):
         b = howell_form(ZmMatrix(4, ((2, 1),)))
-        assert b.contains(ZmVector(4, (2, 3)))
-        assert not b.contains(ZmVector(4, (2, 0)))
+        assert b.contains((2, 3))
+        assert not b.contains((2, 0))
 
     def test_mismatch_rejected(self):
         b = howell_form(ZmMatrix(4, ((2, 1),)))
         with pytest.raises(DimensionMismatch):
-            b.contains(ZmVector(2, (1, 1)))
-        with pytest.raises(DimensionMismatch):
-            b.contains(ZmVector(4, (1, 1, 0)))
+            b.contains((1, 1, 0))
         with pytest.raises(DimensionMismatch):
             subgroup_equal(b, howell_form(ZmMatrix(4, ((1, 0, 0),))))
 
 
 class TestValidation:
     def test_bad_modulus(self):
-        with pytest.raises(ValueError):
-            ZmVector(1, (0,))
         with pytest.raises(ValueError):
             ZmMatrix(0, ((1,),))
 
@@ -89,7 +84,6 @@ class TestValidation:
             ZmMatrix(3, ((1, 2), (1,)))
 
     def test_entries_reduced(self):
-        assert ZmVector(3, (-1, 7)).entries == (2, 1)
         assert ZmMatrix(4, ((5, -2),)).rows == ((1, 2),)
 
     def test_array_and_tuple_construction_agree(self):
@@ -170,7 +164,7 @@ class TestProperties:
         n = len(rows[0])
         if m ** n <= 1296:
             for v in all_vectors(m, n):
-                assert b.contains(ZmVector(m, v)) == (v in expected)
+                assert b.contains(v) == (v in expected)
 
     @settings(max_examples=150, deadline=None)
     @given(small_matrix, st.randoms(use_true_random=False))
@@ -205,7 +199,7 @@ class TestProperties:
     def test_howell_is_idempotent(self, mm):
         m, rows = mm
         b = howell_form(ZmMatrix(m, tuple(tuple(r) for r in rows)))
-        again = howell_form(ZmMatrix(m, tuple(g.entries for g in b.generators) or ((0,) * len(rows[0]),)))
+        again = howell_form(ZmMatrix(m, b.generators or ((0,) * len(rows[0]),)))
         assert b == again
 
     @settings(max_examples=150, deadline=None)
@@ -219,9 +213,9 @@ class TestProperties:
         for idx, (j, d) in enumerate(pivots):
             assert m % d == 0
             for above in b.generators[:idx]:
-                assert above.entries[j] < d
+                assert above[j] < d
             for below in b.generators[idx + 1:]:
-                assert below.entries[j] == 0
+                assert below[j] == 0
 
     @settings(max_examples=120, deadline=None)
     @given(small_matrix)
@@ -244,7 +238,7 @@ class TestProperties:
         n = len(rows[0])
         b = kernel(ZmMatrix(m, tuple(tuple(r) for r in rows)))
         if b.generators:
-            assert howell_form(ZmMatrix(m, tuple(g.entries for g in b.generators))) == b
+            assert howell_form(ZmMatrix(m, b.generators)) == b
         got = span_set(m, basis_rows(b)) if b.generators else {tuple([0] * n)}
         assert got == kernel_set(m, rows)
 
@@ -254,9 +248,9 @@ class TestProperties:
         m, rows = mm
         b = howell_form(ZmMatrix(m, tuple(tuple(r) for r in rows)))
         for v in list(span_set(m, rows))[:20]:
-            coords = b.coordinates(ZmVector(m, v))
+            coords = b.coordinates(v)
             assert coords is not None
             acc = np.zeros(len(v), dtype=np.int64)
             for c, g in zip(coords, b.generators):
-                acc = (acc + c * g.as_array()) % m
+                acc = (acc + c * np.array(g)) % m
             assert tuple(int(x) for x in acc) == v
