@@ -96,7 +96,11 @@ def _parse_vector(section: str, key: str, raw: str, length: int) -> tuple:
     parts = raw.split()
     if len(parts) != length:
         _fail(section, f"key {key!r} needs {length} entries, got {len(parts)}")
-    return tuple(_parse_int(section, key, p) for p in parts)
+    values = tuple(_parse_int(section, key, p) for p in parts)
+    for v in values:
+        if not -2**63 <= v < 2**63:
+            _fail(section, f"key {key!r} entry {v} is outside the int64 range")
+    return values
 
 
 def _parse_table_lines(section: str, key: str, raw: str, shape: tuple) -> np.ndarray:

@@ -299,34 +299,33 @@ class DerivationSpace:
         return f"DerivationSpace(kind={self.kind!r}, cardinality={self.cardinality()})"
 
 
-def _solve_all(rings, kind: str) -> list:
-    """Solve ``kind`` on rings of one modulus and rank; self-check every generator."""
+def _solve_all(rings, kind: str):
+    """Yield (space, generators) of ``kind`` per ring of one modulus and rank, self-checked."""
     if len({(ring.modulus, ring.rank) for ring in rings}) > 1:
         raise ValueError("a batch needs rings of one modulus and rank")
     if not rings:
-        return []
+        return
     c = np.stack([ring.constants for ring in rings])
-    spaces = []
     for ring, matrix in zip(rings, _constraint_matrices(c, rings[0].modulus, kind)):
         space = DerivationSpace(ring, kind, kernel(matrix))
-        for g in space.generators():
+        gens = space.generators()
+        for g in gens:
             result = check_map(ring, g, kind)
             if not result.ok:
                 raise SelfCheckError(
                     f"solver generator violates {result.identity} at {result.indices}"
                 )
-        spaces.append(space)
-    return spaces
+        yield space, gens
 
 
 def solve_derivations(ring: StructureRing) -> DerivationSpace:
     """All additive d with d(rs) = d(r)s + rd(s), as a canonical subgroup."""
-    return _solve_all([ring], DERIVATION)[0]
+    return next(_solve_all([ring], DERIVATION))[0]
 
 
 def solve_jordan_derivations(ring: StructureRing) -> DerivationSpace:
     """All additive d with d(r^2) = d(r)r + rd(r) and d(rsr) = d(r)sr + rd(s)r + rsd(r)."""
-    return _solve_all([ring], JORDAN)[0]
+    return next(_solve_all([ring], JORDAN))[0]
 
 
 def inner_derivation(ring: StructureRing, a: RingElement) -> AdditiveMap:
@@ -371,5 +370,27 @@ def compare_spaces(ring: StructureRing) -> SpaceComparison:
 
 
 def compare_all(rings) -> list:
-    """``compare_spaces`` of each ring; ValueError unless all share one modulus and rank."""
-    return list(map(_compare, _solve_all(rings, DERIVATION), _solve_all(rings, JORDAN)))
+    """``compare_spaces`` of each ring; ValueError unless all share one modulus and rank.
+
+    JDer is solved for the whole batch first.  A ring whose JDer generators
+    all pass ``check_map`` as derivations has Der = JDer with the same
+    canonical basis, so Der is solved, in one more batch, only for the rings
+    with a generator that fails; that generator must be ``_compare``'s witness.
+    """
+    jders, failing = [], {}
+    for n, (jder, gens) in enumerate(_solve_all(rings, JORDAN)):
+        jders.append(jder)
+        bad = next((g for g in gens if not check_map(jder.ring, g, DERIVATION).ok), None)
+        if bad is not None:
+            failing[n] = bad
+    ders = _solve_all([jders[n].ring for n in failing], DERIVATION)
+    out = []
+    for n, jder in enumerate(jders):
+        if n in failing:
+            cmp = _compare(next(ders)[0], jder)
+            if cmp.witness != failing[n]:
+                raise SelfCheckError("Der solve disagrees with the first non-derivation generator")
+        else:
+            cmp = SpaceComparison(True, None, DerivationSpace(jder.ring, DERIVATION, jder.basis), jder)
+        out.append(cmp)
+    return out

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -122,11 +123,12 @@ class SubgroupBasis:
 
     matrix: ZmMatrix
 
-    def __post_init__(self) -> None:
+    @cached_property
+    def _pivots(self) -> tuple[tuple[int, int], ...]:
+        # Found on first use: a kernel whose pivots nobody reads costs no scan.
         a = self.matrix.as_array()
         cols = (a != 0).argmax(axis=1) if a.size else np.zeros(0, dtype=np.intp)
-        pivots = zip(cols.tolist(), a[np.arange(len(cols)), cols].tolist())
-        object.__setattr__(self, "_pivots", tuple(pivots))
+        return tuple(zip(cols.tolist(), a[np.arange(len(cols)), cols].tolist()))
 
     @property
     def modulus(self) -> int:

@@ -17,11 +17,12 @@ from jder.cli import (
     InstanceError,
     _associative,
     _search_batches,
+    _target,
     load_instance,
     main,
     run,
 )
-from jder.solver import DERIVATION, JORDAN, AdditiveMap, CheckResult, check_map
+from jder.solver import DERIVATION, JORDAN, AdditiveMap, CheckResult, check_map, compare_spaces
 
 from oracles import _ASSOC_TERMS, search_tables_reference
 
@@ -214,6 +215,9 @@ def test_load_triangular_instance(tmp_path):
         ("constants_modulus", "[ring]: modulus must be an integer in [2, 2^31], got 0"),
         ("base_modulus", "[ring.base]: modulus must be an integer in [2, 2^31], got 99999999999"),
         ("nonunital_incidence", "[ring]: incidence rings need a unital coefficient ring"),
+        ("constants_int64", "[ring]: key 'constants' entry 99999999999999999999999 is outside the int64 range"),
+        ("unit_int64", "[ring]: key 'unit' entry 9223372036854775808 is outside the int64 range"),
+        ("action_int64", "[ring.module]: key 'left_action' entry -9223372036854775809 is outside the int64 range"),
     ],
 )
 def test_rejections(tmp_path, mutation, fragment):
@@ -231,10 +235,24 @@ def test_rejections(tmp_path, mutation, fragment):
         "constants_modulus": "[instance]\nformat_version = 1\n\n[ring]\nkind = constants\nmodulus = 0\nrank = 1\n",
         "base_modulus": MATRIX_INSTANCE.replace("modulus = 2", "modulus = 99999999999"),
         "nonunital_incidence": NONUNITAL_INCIDENCE_INSTANCE,
+        "constants_int64": CONSTANTS_INSTANCE.replace("0 1 : 0 1", "0 1 : 0 99999999999999999999999"),
+        "unit_int64": CONSTANTS_INSTANCE.replace("unit = 1 0", "unit = 9223372036854775808 0"),
+        "action_int64": TRIANGULAR_INSTANCE.replace("left_action = 0 0 : 1",
+                                                    "left_action = 0 0 : -9223372036854775809"),
     }
     with pytest.raises(InstanceError) as err:
         load_instance(write(tmp_path, texts[mutation]))
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize("constants, unit, product", [
+    ("9223372036854775807", "\nunit = -9223372036854775807", 1),
+    ("-9223372036854775808", "", 0),
+], ids=["max", "min"])
+def test_int64_bounds_are_accepted(tmp_path, constants, unit, product):
+    text = ("[instance]\nformat_version = 1\n\n[ring]\nkind = constants\nmodulus = 2\nrank = 1\n"
+            f"constants = 0 0 : {constants}{unit}\n")
+    assert load_instance(write(tmp_path, text)).ring.constants.tolist() == [[[product]]]
 
 
 def test_nonassociative_error_names_a_triple(tmp_path):
@@ -502,6 +520,31 @@ def test_bench_trace_targets_resolve():
         assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)
 
 
+def test_bench_chain3_solve_contract(monkeypatch):
+    # bench/test_harness.py pins compare on chain3.ini, FI(chain3, Z/4), to
+    # two kernels of 62 (Der) and 98 (JDer) rows, and to one check_map per
+    # kernel generator; a refactor that breaks that contract fails here too.
+    rows, gens, checks = [], [], []
+    real_kernel, real_check = solver.kernel, solver.check_map
+
+    def kernel(matrix):
+        basis = real_kernel(matrix)
+        rows.append(matrix.nrows)
+        gens.append(len(basis.generators))
+        return basis
+
+    def check(ring, d, kind):
+        checks.append(kind)
+        return real_check(ring, d, kind)
+
+    monkeypatch.setattr(solver, "kernel", kernel)
+    monkeypatch.setattr(solver, "check_map", check)
+    ring, _ = _target(load_instance(str(BENCH / "instances" / "chain3.ini")))
+    assert compare_spaces(ring).equal
+    assert rows == [62, 98]
+    assert checks == [DERIVATION] * gens[0] + [JORDAN] * gens[1] and gens[0] > 0
+
+
 # -- entry point ---------------------------------------------------------------
 
 
@@ -566,7 +609,9 @@ def test_main_self_check_exit_code(tmp_path, capsys, monkeypatch):
      "[ring.base]: modulus must be an integer in [2, 2^31], got 99999999999"),
     ("compare", NONUNITAL_INCIDENCE_INSTANCE,
      "[ring]: incidence rings need a unital coefficient ring"),
-], ids=["base-modulus", "nonunital-incidence"])
+    ("compare", CONSTANTS_INSTANCE.replace("0 1 : 0 1", "0 1 : 0 99999999999999999999999"),
+     "[ring]: key 'constants' entry 99999999999999999999999 is outside the int64 range"),
+], ids=["base-modulus", "nonunital-incidence", "int64-overflow"])
 def test_main_ring_rejection_exit_code(tmp_path, capsys, command, text, message):
     assert main([command, "--input", write(tmp_path, text)]) == 2
     captured = capsys.readouterr()

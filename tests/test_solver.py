@@ -1,9 +1,12 @@
 """Solver vs direct axiom checks and exhaustive map enumeration."""
 
+import functools
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jder import solver
 from jder.cli import _search_batches
@@ -221,6 +224,20 @@ class TestExhaustiveAgreement:
         assert solver.cardinality() == len(maps)
 
 
+def assert_batch_matches_one_ring_at_a_time(batch) -> list:
+    """compare_all(batch) against compare_spaces, which solves Der's own rows for every ring."""
+    cmps = compare_all(batch)
+    for ring, cmp in zip(batch, cmps, strict=True):
+        one = compare_spaces(ring)
+        assert (cmp.verdict, cmp.witness) == (one.verdict, one.witness)
+        for got, want in ((cmp.derivations, one.derivations), (cmp.jordan, one.jordan)):
+            assert got.ring is ring and got.kind == want.kind
+            # Equal modulus, shape and bytes of the Howell rows.
+            assert got.basis == want.basis
+            assert got.cardinality() == want.cardinality()
+    return cmps
+
+
 class TestCompare:
     def test_equal_instances(self):
         for r in (matrix_ring(zmod(3), 2), dual_numbers(2), zmod(4), t2(2)):
@@ -255,7 +272,8 @@ class TestCompare:
 
     def test_batch_matches_one_ring_at_a_time(self):
         # Rank-2 search rings over Z/4 in a shuffled order, including the
-        # b1 * b1 = 2 * b1 counterexample, and the rank-1 rings.
+        # b1 * b1 = 2 * b1 counterexample, and the rank-1 rings: the
+        # JDer-first shortcut of compare_all against the Der rows.
         rng = random.Random(2)
         rings = search_rings((4,))
         rank2 = [ring for ring in rings if ring.rank == 2]
@@ -264,20 +282,15 @@ class TestCompare:
         assert any(ring.constants.tolist() == counterexample for ring in rank2)
         verdicts = set()
         for batch in (rank2, [ring for ring in rings if ring.rank == 1]):
-            for ring, cmp in zip(batch, compare_all(batch)):
-                one = compare_spaces(ring)
-                for got, want in ((cmp.derivations, one.derivations), (cmp.jordan, one.jordan)):
-                    assert got.ring is ring and got.basis == want.basis
-                    assert got.cardinality() == want.cardinality()
-                assert (cmp.verdict, cmp.witness) == (one.verdict, one.witness)
+            for ring, cmp in zip(batch, assert_batch_matches_one_ring_at_a_time(batch)):
                 if ring.constants.tolist() == counterexample:
                     assert cmp.verdict == "ProperInclusion"
                 verdicts.add(cmp.verdict)
         assert verdicts == {"Equal", "ProperInclusion"}
 
     def test_every_generator_of_every_ring_is_checked(self, monkeypatch):
-        # d = 2 * id on Z/4 breaks the product rule at (0, 0); hide it behind
-        # two passing generators of the middle ring of a batch.
+        # d = 2 * id on Z/4 breaks the square rule at (0,); hide it behind
+        # two passing generators of the middle ring's JDer solve in a batch.
         real_kernel, calls = solver.kernel, []
 
         def kernel(matrix):
@@ -287,8 +300,52 @@ class TestCompare:
             return SubgroupBasis(ZmMatrix(4, ((0,), (0,), (2,))))
 
         monkeypatch.setattr(solver, "kernel", kernel)
-        with pytest.raises(SelfCheckError, match=r"violates product at \(0, 0\)"):
+        with pytest.raises(SelfCheckError, match=r"violates square at \(0,\)"):
             compare_all([zmod(4)] * 3)
+
+    def inject_der_basis(self, monkeypatch, rows):
+        """Batch [zero, counterexample, zero] over Z/4; the Der solve (4th kernel) returns rows."""
+        real_kernel, calls = solver.kernel, []
+
+        def kernel(matrix):
+            calls.append(matrix)
+            if len(calls) != 4:
+                return real_kernel(matrix)
+            return SubgroupBasis(ZmMatrix.from_array(4, np.array(rows, dtype=np.int64).reshape(-1, 4)))
+
+        monkeypatch.setattr(solver, "kernel", kernel)
+        zero = build_ring(4, np.zeros((2, 2, 2), dtype=np.int64))
+        return [zero, build_ring(4, [[[0, 0], [0, 0]], [[0, 0], [0, 2]]]), zero]
+
+    def test_der_generators_of_a_proper_inclusion_are_checked(self, monkeypatch):
+        # Der is solved only for the middle ring, where b1 * b1 = 2 * b1;
+        # d(b1) = b0 (flat (0, 1, 0, 0)) is a Jordan derivation but breaks
+        # the product rule at (0, 1).  Hide it behind a passing generator.
+        batch = self.inject_der_basis(monkeypatch, [(1, 0, 0, 0), (0, 1, 0, 0)])
+        with pytest.raises(SelfCheckError, match=r"violates product at \(0, 1\)"):
+            compare_all(batch)
+
+    def test_der_solve_must_reject_the_first_failing_generator(self, monkeypatch):
+        # An empty Der basis passes the self-check, but then the witness scan
+        # picks JDer's first generator (flat (1, 0, 0, 0)), a derivation.
+        batch = self.inject_der_basis(monkeypatch, [])
+        with pytest.raises(SelfCheckError, match="first non-derivation generator"):
+            compare_all(batch)
+
+    def test_der_is_solved_only_for_proper_inclusions(self, monkeypatch):
+        # The 616 rank-2 search rings over Z/4: one JDer kernel each, plus
+        # one Der kernel for each of the 90 rings with Der != JDer.
+        rank2 = [ring for ring in search_rings((4,)) if ring.rank == 2]
+        real_kernel, calls = solver.kernel, []
+
+        def kernel(matrix):
+            calls.append(matrix)
+            return real_kernel(matrix)
+
+        monkeypatch.setattr(solver, "kernel", kernel)
+        verdicts = [cmp.verdict for cmp in compare_all(rank2)]
+        assert (len(rank2), verdicts.count("ProperInclusion")) == (616, 90)
+        assert len(calls) == 616 + 90
 
     @pytest.mark.parametrize("batch", [
         [zmod(2), zmod(3)],
@@ -313,6 +370,46 @@ class TestCompare:
         cmp = compare_spaces(build_ring(4, c, unit=(1, 0, 0)))
         assert (cmp.derivations.cardinality(), cmp.jordan.cardinality()) == (64, 256)
         assert not cmp.equal
+
+
+@functools.cache
+def search_pools():
+    """Search rings over Z/2 to Z/5 keyed by (modulus, rank), in search order."""
+    pools = {}
+    for ring in search_rings((2, 3, 4, 5)):
+        pools.setdefault((ring.modulus, ring.rank), []).append(ring)
+    return pools
+
+
+@functools.cache
+def z4_proper_inclusions():
+    """Indices into the Z/4 rank-2 pool where two separate solves give Der != JDer."""
+    return [n for n, ring in enumerate(search_pools()[4, 2]) if not compare_spaces(ring).equal]
+
+
+class TestBatchProperty:
+    """Shuffled sub-batches of search rings: compare_all equals compare_spaces."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_search_sub_batches(self, data):
+        pools = search_pools()
+        pool = pools[data.draw(st.sampled_from(sorted(pools)), label="modulus, rank")]
+        picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=8,
+                                   unique=True), label="picks")
+        assert_batch_matches_one_ring_at_a_time([pool[n] for n in picks])
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_z4_sub_batches_with_a_proper_inclusion(self, data):
+        pool, proper = search_pools()[4, 2], z4_proper_inclusions()
+        assert len(proper) == 90
+        picks = data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=8, unique=True),
+                          label="picks")
+        witness = data.draw(st.sampled_from(proper), label="proper inclusion")
+        if witness not in picks:
+            picks.insert(data.draw(st.integers(0, len(picks)), label="position"), witness)
+        assert_batch_matches_one_ring_at_a_time([pool[n] for n in picks])
 
 
 def random_element(rng, ring):

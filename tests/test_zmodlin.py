@@ -74,6 +74,44 @@ class TestKnownForms:
             subgroup_equal(b, howell_form(ZmMatrix(4, ((1, 0, 0),))))
 
 
+def eager_pivots(b: SubgroupBasis) -> tuple:
+    """(column, value) of each row's first nonzero entry; (0, 0) for a zero row."""
+    return tuple(next(((j, x) for j, x in enumerate(row) if x), (0, 0)) for row in b.generators)
+
+
+class TestLazyPivots:
+    # The bases of TestKnownForms.
+    @pytest.mark.parametrize("basis", [
+        lambda: howell_form(ZmMatrix(2, ((1, 1), (1, 1)))),
+        lambda: howell_form(ZmMatrix(4, ((2,),))),
+        lambda: howell_form(ZmMatrix(5, ((2, 4),))),
+        lambda: howell_form(ZmMatrix(4, ((2, 1),))),
+        lambda: howell_form(ZmMatrix(6, ((0, 0, 0),))),
+        lambda: kernel(ZmMatrix(4, ((1, 0), (0, 1)))),
+        lambda: kernel(ZmMatrix(2, ((1, 1),))),
+        lambda: kernel(ZmMatrix(4, ((2,),))),
+    ])
+    @pytest.mark.parametrize("first_use", ["pivots", "contains", "coordinates", "cardinality"])
+    def test_found_on_first_use_with_the_eager_values(self, basis, first_use):
+        b = basis()
+        assert "_pivots" not in vars(b)
+        args = ((0,) * b.dim,) if first_use in ("contains", "coordinates") else ()
+        getattr(b, first_use)(*args)
+        assert "_pivots" in vars(b)
+        assert b.pivots() == eager_pivots(b)
+
+    def test_zero_rows_do_not_fail(self):
+        # Not a Howell basis, but solver tests build such bases by hand.
+        assert SubgroupBasis(ZmMatrix(4, ((0,), (0,), (2,)))).pivots() == ((0, 0), (0, 0), (0, 2))
+
+    def test_equality_hash_and_immutability_ignore_them(self):
+        a, b = howell_form(ZmMatrix(4, ((2, 1),))), howell_form(ZmMatrix(4, ((2, 1),)))
+        a.pivots()
+        assert a == b and hash(a) == hash(b)
+        with pytest.raises(AttributeError):
+            b.matrix = a.matrix
+
+
 class TestValidation:
     def test_bad_modulus(self):
         with pytest.raises(ValueError):
