@@ -23,7 +23,7 @@ from .solver import (
     check_map,
     compare_spaces,
 )
-from .zmodlin import ZmMatrix, kernel
+from .zmodlin import ZmMatrix, einsum_mod, kernel
 
 __all__ = [
     "ALL_JORDAN_ARE_DERIVATIONS",
@@ -93,13 +93,6 @@ def restrict_to_class(fi: IncidenceRing, d: AdditiveMap, ci: int) -> AdditiveMap
     return AdditiveMap.from_images(mr, images)
 
 
-# -- whole-array map application ----------------------------------------------
-
-def _dmap(ring: StructureRing, D: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The map with matrix D applied to coefficient arrays of shape (..., k)."""
-    return x @ D.T % ring.modulus
-
-
 # -- d' reconstruction ---------------------------------------------------------
 
 def construct_dprime(ring: StructureRing, family, d: AdditiveMap) -> AdditiveMap:
@@ -116,15 +109,16 @@ def construct_dprime(ring: StructureRing, family, d: AdditiveMap) -> AdditiveMap
         total = total + e
     if not ring.is_unital or total != ring.one():
         raise ValueError("the idempotent family must sum to the unit")
-    D = d.as_array()
+    D, m = d.as_array(), ring.modulus
     idempotents = np.array([e.as_array() for e in family])
     e, f = idempotents[:, None, None], idempotents[None, :, None]
     b = np.eye(ring.rank, dtype=np.int64)
     mul = ring.mul
-    blocks = (mul(e, _dmap(ring, D, mul(e, b, f)), f)
-              - mul(e, _dmap(ring, D, e), b, f)
-              - mul(e, b, _dmap(ring, D, f), f))
-    return AdditiveMap.from_array(ring, blocks.sum(axis=(0, 1)).T % ring.modulus)
+    spec = "...j,ij->...i"  # d applied to coefficient arrays of shape (..., k)
+    blocks = (mul(e, einsum_mod(spec, mul(e, b, f), D, m), f)
+              - mul(e, einsum_mod(spec, e, D, m), b, f)
+              - mul(e, b, einsum_mod(spec, f, D, m), f))
+    return AdditiveMap.from_array(ring, blocks.sum(axis=(0, 1)).T % m)
 
 
 # -- isolated-point extension --------------------------------------------------
@@ -351,7 +345,7 @@ def identity_suite(ring: StructureRing, family, d: AdditiveMap,
     mul = ring.mul
 
     def dm(x):
-        return _dmap(ring, D, x)
+        return einsum_mod("...j,ij->...i", x, D, m)
 
     def differ(lhs, rhs):
         return ((lhs - rhs) % m).any(axis=-1)
@@ -407,14 +401,14 @@ def identity_suite(ring: StructureRing, family, d: AdditiveMap,
 
     def polarized_product(r, s):
         dr, ds = dm(r), dm(s)
-        return differ(dm(mul(r, s) + mul(s, r)),
+        return differ(dm((mul(r, s) + mul(s, r)) % m),
                       mul(dr, s) + mul(r, ds) + mul(ds, r) + mul(s, dr))
 
     run("polarized-product", True, [()], 2, polarized_product)
 
     def herstein(r, s, t):
         dr, ds, dt = dm(r), dm(s), dm(t)
-        return differ(dm(mul(r, s, t) + mul(t, s, r)),
+        return differ(dm((mul(r, s, t) + mul(t, s, r)) % m),
                       mul(dr, s, t) + mul(r, ds, t) + mul(r, s, dt)
                       + mul(dt, s, r) + mul(t, ds, r) + mul(t, s, dr))
 

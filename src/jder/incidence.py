@@ -236,19 +236,14 @@ def verify_family_conditions(
     cover enough of the ring.
     """
     family = _validate_family(ring, family, allow_empty=True)
-    checked = 0
-    failures = []
-    basis = ring.basis()
-    for ei, e in enumerate(family):
-        for fi, f in enumerate(family):
-            for i, r in enumerate(basis):
-                er = e * r
-                for j, s in enumerate(basis):
-                    lhs = er * s * f
-                    acc = ring.zero()
-                    for g in family:
-                        acc = acc + er * g * s * f
-                    checked += 1
-                    if lhs != acc:
-                        failures.append((ei, fi, i, j))
-    return FamilyConditionsReport(not failures, checked, tuple(failures))
+    k = ring.rank
+    E = np.array([e.as_array() for e in family], dtype=np.int64).reshape(len(family), k)
+    eye = np.eye(k, dtype=np.int64)
+    # Axes (g, e, f, i, j) with r = b_i and s = b_j; e r and s f are shared by every g.
+    er = ring.mul(E[:, None], eye)[:, None, :, None]
+    sf = ring.mul(eye, E[:, None, None])
+    lhs = ring.mul(er, sf)
+    rhs = ring.mul(er, E[:, None, None, None, None], sf).sum(axis=0) % ring.modulus
+    bad = (lhs != rhs).any(axis=-1)
+    failures = tuple(map(tuple, np.argwhere(bad).tolist()))
+    return FamilyConditionsReport(not failures, bad.size, failures)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .zmodlin import ZmMatrix, _validate_modulus, howell_form
+from .zmodlin import ZmMatrix, _validate_modulus, einsum_mod, howell_form
 
 __all__ = [
     "RingConstructionError",
@@ -99,21 +99,18 @@ class StructureRing:
 
     def _validate(self) -> None:
         c, m = self.constants, self.modulus
-        if self.rank:
-            lhs = np.einsum("ijs,slt->ijlt", c, c) % m
-            rhs = np.einsum("jls,ist->ijlt", c, c) % m
-            bad = np.argwhere((lhs != rhs).any(axis=3))
-            if bad.size:
-                raise AssociativityError(tuple(int(x) for x in bad[0]))
-        if self.unit is not None and self.rank:
+        if not self.rank:
+            return
+        bad = np.argwhere((einsum_mod("ijs,slt->ijlt", c, c, m)
+                           != einsum_mod("jls,ist->ijlt", c, c, m)).any(axis=3))
+        if bad.size:
+            raise AssociativityError(tuple(int(x) for x in bad[0]))
+        if self.unit is not None:
             u = np.array(self.unit, dtype=np.int64)
-            ident = np.eye(self.rank, dtype=np.int64)
-            left = np.einsum("i,ijt->jt", u, c) % m
-            if (left != ident).any():
-                raise UnitLawError(int(np.argwhere((left != ident).any(axis=1))[0][0]), "left")
-            right = np.einsum("j,ijt->it", u, c) % m
-            if (right != ident).any():
-                raise UnitLawError(int(np.argwhere((right != ident).any(axis=1))[0][0]), "right")
+            for side, spec in (("left", "i,ijt->jt"), ("right", "j,ijt->it")):
+                bad = (einsum_mod(spec, u, c, m) != np.eye(self.rank, dtype=np.int64)).any(axis=1)
+                if bad.any():
+                    raise UnitLawError(int(bad.argmax()), side)
 
     # -- identity of presentations ------------------------------------------
 
@@ -164,16 +161,13 @@ class StructureRing:
         """Product of reduced coefficient arrays of shape (..., k), folded left.
 
         The factors broadcast against each other.  Each step contracts x with
-        the structure constants and then with y, reducing mod m after both,
-        so no entry ever holds a three-factor product.
+        the structure constants and then with y, both through ``einsum_mod``.
         """
         m, c = self.modulus, self.constants
         x = np.asarray(factors[0], dtype=np.int64)
         for y in factors[1:]:
-            x = np.einsum("...i,ijt->...jt", x, c)
-            x %= m
-            x = np.einsum("...j,...jt->...t", np.asarray(y, dtype=np.int64), x)
-            x %= m
+            x = einsum_mod("...j,...jt->...t", np.asarray(y, dtype=np.int64),
+                           einsum_mod("...i,ijt->...jt", x, c, m), m)
         return x
 
     def multiplication_table(self) -> tuple:
@@ -445,39 +439,27 @@ class Bimodule:
         m = self.left.modulus
         la, ra = self.left_action, self.right_action
         ca, cb = self.left.constants, self.right.constants
-        # (a a') m = a (a' m)
-        lhs = np.einsum("xys,sjt->xyjt", ca, la) % m
-        rhs = np.einsum("yju,xut->xyjt", la, la) % m
-        bad = np.argwhere((lhs != rhs).any(axis=3))
-        if bad.size:
-            raise RingConstructionError(
-                f"left action is not associative on basis triple {tuple(int(v) for v in bad[0])}"
-            )
-        # m (b b') = (m b) b'
-        lhs = np.einsum("xys,jst->jxyt", cb, ra) % m
-        rhs = np.einsum("jxu,uyt->jxyt", ra, ra) % m
-        bad = np.argwhere((lhs != rhs).any(axis=3))
-        if bad.size:
-            raise RingConstructionError(
-                f"right action is not associative on basis triple {tuple(int(v) for v in bad[0])}"
-            )
-        # (a m) b = a (m b)
-        lhs = np.einsum("iju,uyt->ijyt", la, ra) % m
-        rhs = np.einsum("jyu,iut->ijyt", ra, la) % m
-        bad = np.argwhere((lhs != rhs).any(axis=3))
-        if bad.size:
-            raise RingConstructionError(
-                f"actions do not commute on basis triple {tuple(int(v) for v in bad[0])}"
-            )
+        laws = (("left action is not associative",  # (a a') m = a (a' m)
+                 ("xys,sjt->xyjt", ca, la), ("yju,xut->xyjt", la, la)),
+                ("right action is not associative",  # m (b b') = (m b) b'
+                 ("xys,jst->jxyt", cb, ra), ("jxu,uyt->jxyt", ra, ra)),
+                ("actions do not commute",  # (a m) b = a (m b)
+                 ("iju,uyt->ijyt", la, ra), ("jyu,iut->ijyt", ra, la)))
+        for failure, lhs, rhs in laws:
+            bad = np.argwhere((einsum_mod(*lhs, m) != einsum_mod(*rhs, m)).any(axis=3))
+            if bad.size:
+                raise RingConstructionError(
+                    f"{failure} on basis triple {tuple(int(v) for v in bad[0])}"
+                )
+        if not self.rank:
+            return
         ident = np.eye(self.rank, dtype=np.int64)
-        if self.left.unit is not None and self.rank:
-            u = np.array(self.left.unit, dtype=np.int64)
-            if ((np.einsum("i,ijt->jt", u, la) % m) != ident).any():
-                raise RingConstructionError("left unit does not act as identity")
-        if self.right.unit is not None and self.rank:
-            u = np.array(self.right.unit, dtype=np.int64)
-            if ((np.einsum("i,jit->jt", u, ra) % m) != ident).any():
-                raise RingConstructionError("right unit does not act as identity")
+        for side, ring, spec, action in (("left", self.left, "i,ijt->jt", la),
+                                         ("right", self.right, "i,jit->jt", ra)):
+            if ring.unit is not None:
+                u = np.array(ring.unit, dtype=np.int64)
+                if (einsum_mod(spec, u, action, m) != ident).any():
+                    raise RingConstructionError(f"{side} unit does not act as identity")
 
     @property
     def modulus(self) -> int:
@@ -586,15 +568,15 @@ class Corner:
     def embed(self, x: RingElement) -> RingElement:
         if not x.ring.same_presentation(self.ring):
             raise ValueError("element does not belong to the corner ring")
-        return self.parent.element(self.embed_matrix @ x.as_array())
+        m = self.parent.modulus
+        return self.parent.element(einsum_mod("ij,j->i", self.embed_matrix, x.as_array(), m))
 
     def project(self, x: RingElement) -> RingElement:
         if not x.ring.same_presentation(self.parent):
             raise ValueError("element does not belong to the parent ring")
         m = self.parent.modulus
-        coords = (self.project_matrix @ x.as_array()) % m
-        back = (self.embed_matrix @ coords) % m
-        if (back != x.as_array()).any():
+        coords = einsum_mod("ij,j->i", self.project_matrix, x.as_array(), m)
+        if (einsum_mod("ij,j->i", self.embed_matrix, coords, m) != x.as_array()).any():
             raise ValueError("element lies outside the corner subring eRe")
         return self.ring.element(coords)
 
@@ -631,14 +613,14 @@ def corner_of(parent: StructureRing, e: RingElement) -> Corner:
         p = int(np.nonzero(g)[0][0])
         project[j] = residual[p]
         residual = (residual - np.outer(g, residual[p])) % m
-    if s and ((project @ embed) % m != np.eye(s, dtype=np.int64)).any():
+    if s and (einsum_mod("ij,jk->ik", project, embed, m) != np.eye(s, dtype=np.int64)).any():
         raise AssertionError("corner projection failed to invert the embedding")
     prods = parent.mul(gens[:, None], gens[None, :])
-    constants = prods @ project.T % m
-    if ((constants @ gens % m) != prods).any():
+    constants = einsum_mod("...j,ij->...i", prods, project, m)
+    if (einsum_mod("...j,jt->...t", constants, gens, m) != prods).any():
         raise CornerNotFreeError("corner subgroup is not closed under products")
-    e_coords = (project @ e_vec) % m
-    if (((embed @ e_coords) % m) != e_vec).any():
+    e_coords = einsum_mod("ij,j->i", project, e_vec, m)
+    if (einsum_mod("ij,j->i", embed, e_coords, m) != e_vec).any():
         raise AssertionError("idempotent escaped its own corner")
     labels = [f"g{j}" for j in range(s)]
     ring = StructureRing(m, constants, unit=e_coords, labels=labels)

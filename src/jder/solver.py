@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rings import RingElement, StructureRing
-from .zmodlin import SelfCheckError, SubgroupBasis, ZmMatrix, kernel, subgroup_equal
+from .zmodlin import SelfCheckError, SubgroupBasis, ZmMatrix, einsum_mod, kernel, subgroup_equal
 
 __all__ = [
     "DERIVATION",
@@ -119,7 +119,8 @@ class AdditiveMap:
     def __call__(self, elem: RingElement) -> RingElement:
         if not elem.ring.same_presentation(self.ring):
             raise ValueError("element belongs to a different ring")
-        return self.ring.element(self.matrix @ elem.as_array())
+        return self.ring.element(
+            einsum_mod("ij,j->i", self.matrix, elem.as_array(), self.ring.modulus))
 
     def is_zero(self) -> bool:
         return not self.matrix.any()
@@ -183,17 +184,14 @@ def check_map(ring: StructureRing, d: AdditiveMap, kind: str) -> CheckResult:
     if not d.ring.same_presentation(ring):
         raise ValueError("map belongs to a different ring")
     k, m, c, D = ring.rank, ring.modulus, ring.constants, d.as_array()
-
-    def ein(spec, *operands):
-        return np.einsum(spec, *operands) % m
-
-    P = (ein("ijt,at->ija", c, D) - ein("si,sjt->ijt", D, c) - ein("sj,ist->ijt", D, c)) % m
+    P = (einsum_mod("ijt,at->ija", c, D, m) - einsum_mod("si,sjt->ijt", D, c, m)
+         - einsum_mod("sj,ist->ijt", D, c, m)) % m
     if kind == DERIVATION:
         checks = [("product", P.any(-1))]
     else:
-        c3 = ein("ijs,slt->ijlt", c, c)
-        T = (ein("ijls,as->ijla", c3, D) - ein("si,sjlt->ijlt", D, c3)
-             - ein("sj,islt->ijlt", D, c3) - ein("sl,ijst->ijlt", D, c3)) % m
+        c3 = einsum_mod("ijs,slt->ijlt", c, c, m)
+        T = (einsum_mod("ijls,as->ijla", c3, D, m) - einsum_mod("si,sjlt->ijlt", D, c3, m)
+             - einsum_mod("sj,islt->ijlt", D, c3, m) - einsum_mod("sl,ijst->ijlt", D, c3, m)) % m
         ar = np.arange(k)
         upper = ar[:, None] < ar
         checks = [
@@ -245,7 +243,7 @@ def _constraint_rows(c: np.ndarray, m: int, kind: str) -> np.ndarray:
     else:
         ar = np.arange(k)
         # b_i b_j b_l, with the sums and reductions of StructureRing.mul.
-        triple = np.einsum("nijs,nslt->nijlt", c, c) % m
+        triple = einsum_mod("nijs,nslt->nijlt", c, c, m)
         iu, lu = np.triu_indices(k, 1)
         pi, pl, pj = np.repeat(iu, k), np.repeat(lu, k), np.tile(ar, len(iu))
         families = [

@@ -8,8 +8,10 @@ additionally contains "annihilator" rows that make membership testing and
 span comparison exact (a row with pivot d also contributes (m/d) times
 itself, whose leading entry vanishes mod m).
 
-All arithmetic is exact on 64-bit integers.  Moduli up to 2^31 are accepted;
-every product is reduced mod m before it can overflow.
+All arithmetic is exact on 64-bit integers.  Moduli up to 2^31 are accepted.
+Every contraction over Z/m in this package goes through :func:`einsum_mod`.
+Its operands must be int64 arrays reduced to [0, m), and every summed index
+must appear in both operands; it then keeps each sum exact in int64.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ __all__ = [
     "SelfCheckError",
     "ZmMatrix",
     "SubgroupBasis",
+    "einsum_mod",
     "howell_form",
     "kernel",
     "subgroup_equal",
@@ -45,6 +48,27 @@ class SelfCheckError(AssertionError):
 def _validate_modulus(m: int) -> None:
     if not isinstance(m, int) or isinstance(m, bool) or not 2 <= m <= MAX_MODULUS:
         raise ValueError(f"modulus must be an integer in [2, 2^31], got {m!r}")
+
+
+def einsum_mod(spec: str, a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
+    """``np.einsum(spec, a, b) % m``, exact for every modulus up to 2^31.
+
+    a and b are int64 arrays reduced to [0, m), and every summed index
+    appears in both, so a sum has at most min(a.size, b.size) terms, each
+    at most (m - 1)^2.  Sums that fit in int64 are contracted directly; larger
+    ones split both operands into 16-bit halves, whose four partial sums stay
+    below 2^63 for summed lengths below 2^31, and are recombined mod m.
+    """
+    if (a.size if a.size < b.size else b.size) * (m - 1) ** 2 < 1 << 63:
+        out = np.einsum(spec, a, b)
+        out %= m
+        return out
+    a_hi, a_lo, b_hi, b_lo = a >> 16, a & 0xFFFF, b >> 16, b & 0xFFFF
+    out = np.einsum(spec, a_hi, b_hi) % m
+    for part in (np.einsum(spec, a_hi, b_lo) + np.einsum(spec, a_lo, b_hi),
+                 np.einsum(spec, a_lo, b_lo)):
+        out = ((out << 16) % m + part % m) % m
+    return out
 
 
 class ZmMatrix:
@@ -127,6 +151,9 @@ class SubgroupBasis:
     def _pivots(self) -> tuple[tuple[int, int], ...]:
         # Found on first use: a kernel whose pivots nobody reads costs no scan.
         a = self.matrix.as_array()
+        zero = ~a.any(axis=1)
+        if zero.any():
+            raise ValueError(f"basis row {int(zero.argmax())} is zero and has no pivot")
         cols = (a != 0).argmax(axis=1) if a.size else np.zeros(0, dtype=np.intp)
         return tuple(zip(cols.tolist(), a[np.arange(len(cols)), cols].tolist()))
 
@@ -300,7 +327,7 @@ def kernel(matrix: ZmMatrix) -> SubgroupBasis:
     aug = np.concatenate([a.T, np.eye(ncols, dtype=np.int64)], axis=1)
     gens = [row[nrows:] for row in _howell_rows(aug, m) if not row[:nrows].any()]
     gens = np.array(gens, dtype=np.int64).reshape(len(gens), ncols)
-    if ((a @ gens.T) % m).any():
+    if einsum_mod("ij,kj->ik", a, gens, m).any():
         raise SelfCheckError("kernel generator failed re-multiplication check")
     return SubgroupBasis(ZmMatrix.from_array(m, gens))
 

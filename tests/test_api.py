@@ -1,6 +1,8 @@
 """Public values and exports: read-only arrays, tuple views, hashing, names."""
 
+import ast
 import importlib
+import pathlib
 import pkgutil
 
 import numpy as np
@@ -72,3 +74,38 @@ def test_every_export_resolves():
     exec("from jder import *", namespace)
     namespace.pop("__builtins__")
     assert sorted(namespace) == sorted(jder.__all__)
+
+
+# The functions that may contract arrays, each with its reason.
+CONTRACTION_ALLOWLIST = {
+    ("zmodlin", "einsum_mod"): "the one exact contraction over Z/m",
+    ("preorders", "_close"): "boolean reachability: path counts compared with > 0, not over Z/m",
+}
+CONTRACTIONS = {"einsum", "matmul", "dot", "vdot", "inner", "tensordot"}
+
+
+def _contractions(tree: ast.AST):
+    """(enclosing function, line) of every contraction call or @ in a module."""
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        hit = (isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+               or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+               and node.func.attr in CONTRACTIONS)
+        if hit:
+            yield function, node.lineno
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, function)
+
+    yield from visit(tree, None)
+
+
+def test_every_contraction_goes_through_einsum_mod():
+    found = set()
+    for path in sorted(pathlib.Path(jder.__file__).parent.glob("*.py")):
+        for function, line in _contractions(ast.parse(path.read_text(encoding="utf-8"))):
+            found.add((path.stem, function))
+            where = f"{path.name}:{line} in {function}"
+            assert (path.stem, function) in CONTRACTION_ALLOWLIST, where
+    assert found == set(CONTRACTION_ALLOWLIST)

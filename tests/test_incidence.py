@@ -201,6 +201,36 @@ class TestFamilyConditions:
         rhs = e * r.basis_element(i) * e * r.basis_element(j) * e
         assert lhs != rhs
 
+    def test_matches_element_loop(self):
+        # The element-by-element definition, (ei, fi, i, j) in loop order,
+        # on covering, partial and empty families, with and without failures.
+        def by_loop(ring, family):
+            failures, basis = [], ring.basis()
+            for ei, e in enumerate(family):
+                for fi_, f in enumerate(family):
+                    for i, r in enumerate(basis):
+                        for j, s in enumerate(basis):
+                            acc = ring.zero()
+                            for g in family:
+                                acc = acc + e * r * g * s * f
+                            if e * r * s * f != acc:
+                                failures.append((ei, fi_, i, j))
+            return tuple(failures)
+
+        fi = fi_ring(chain(3), zmod(4))
+        cases = [(fi.ring, fi.class_idempotents()[:n]) for n in (0, 1, 2, 3)]
+        for mr in (matrix_ring(dual_numbers(2), 2), matrix_ring(zmod(6), 3)):
+            units = [mr.matrix_unit(i, i) for i in range(mr.size)]
+            cases += [(mr, units[:1]), (mr, units[1:]), (mr, units), (mr, [mr.one()])]
+        failing = 0
+        for ring, family in cases:
+            report = verify_family_conditions(ring, family)
+            assert report.failures == by_loop(ring, family)
+            assert report.checked == len(family) ** 2 * ring.rank ** 2
+            assert report.ok == (not report.failures)
+            failing += bool(report.failures)
+        assert failing >= 3
+
     def test_non_orthogonal_family_rejected(self):
         r = matrix_ring(zmod(2), 2)
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Solver vs direct axiom checks and exhaustive map enumeration."""
 
 import functools
+import math
 import random
 
 import numpy as np
@@ -38,6 +39,36 @@ def search_rings(moduli):
 def t2(m):
     z = zmod(m)
     return triangular_ring(z, regular_bimodule(z), z)
+
+
+def random_basis_change(ring, seed):
+    """Constants and unit of ``ring`` in the seeded basis b'_i = sum_a P[a, i] b_a.
+
+    P is a product of transvections and unit scalings, so it is invertible
+    mod m and its inverse Q is the reversed product of their inverses.  All
+    arithmetic is on Python ints.
+    """
+    rng, m, k = random.Random(seed), ring.modulus, ring.rank
+    P = np.eye(k, dtype=np.int64).astype(object)
+    Q = P.copy()
+    for _ in range(3 * k):
+        i, j = rng.sample(range(k), 2)
+        t = rng.randrange(m)
+        P[:, j] += t * P[:, i]
+        Q[i] -= t * Q[j]
+    for i in range(k):
+        u = rng.randrange(1, m)
+        while math.gcd(u, m) != 1:
+            u = rng.randrange(1, m)
+        P[:, i] *= u
+        Q[i] *= pow(u, -1, m)
+    P, Q = P % m, Q % m
+    assert not ((Q.dot(P) - np.eye(k, dtype=np.int64)) % m).any()
+    c = ring.constants.astype(object)
+    products = np.einsum("bj,abt->ajt", P, np.einsum("ai,abt->ibt", P, c))
+    constants = np.einsum("sa,ija->ijs", Q, products) % m
+    unit = Q.dot(np.array(ring.unit, dtype=object)) % m
+    return constants.astype(np.int64), unit.tolist()
 
 
 class TestAdditiveMap:
@@ -257,6 +288,17 @@ class TestCompare:
         # derivations, m^4 / m of them; the self-check must accept every
         # generator, which an overflowing check once refused at 2^31 - 1.
         cmp = compare_spaces(matrix_ring(build_ring(m, [[[m - 1]]], unit=(m - 1,)), 2))
+        assert cmp.equal
+        assert cmp.derivations.cardinality() == cmp.jordan.cardinality() == m ** 3
+
+    @pytest.mark.parametrize("m", [2**31 - 1, 2**31])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_dense_presentation_exact_at_largest_moduli(self, m, seed):
+        # M_2(Z/m) in a random basis: dense constants, so every product sums
+        # k = 4 terms of size up to (m - 1)^2, past int64.  Same answer as
+        # the standard presentation.
+        constants, unit = random_basis_change(matrix_ring(zmod(m), 2), seed)
+        cmp = compare_spaces(build_ring(m, constants, unit=unit))
         assert cmp.equal
         assert cmp.derivations.cardinality() == cmp.jordan.cardinality() == m ** 3
 

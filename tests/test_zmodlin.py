@@ -1,5 +1,9 @@
 """Howell forms, kernels and subgroup arithmetic against enumeration oracles."""
 
+import ast
+import pathlib
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -100,9 +104,13 @@ class TestLazyPivots:
         assert "_pivots" in vars(b)
         assert b.pivots() == eager_pivots(b)
 
-    def test_zero_rows_do_not_fail(self):
-        # Not a Howell basis, but solver tests build such bases by hand.
-        assert SubgroupBasis(ZmMatrix(4, ((0,), (0,), (2,)))).pivots() == ((0, 0), (0, 0), (0, 2))
+    @pytest.mark.parametrize("use", ["contains", "coordinates", "cardinality", "pivots"])
+    def test_zero_row_is_refused_by_name(self, use):
+        # Not a Howell basis: row 0 has no pivot to divide by.
+        b = SubgroupBasis(ZmMatrix(4, ((0,), (2,))))
+        args = ([2],) if use in ("contains", "coordinates") else ()
+        with pytest.raises(ValueError, match="basis row 0 is zero"):
+            getattr(b, use)(*args)
 
     def test_equality_hash_and_immutability_ignore_them(self):
         a, b = howell_form(ZmMatrix(4, ((2, 1),))), howell_form(ZmMatrix(4, ((2, 1),)))
@@ -292,3 +300,60 @@ class TestProperties:
             for c, g in zip(coords, b.generators):
                 acc = (acc + c * np.array(g)) % m
             assert tuple(int(x) for x in acc) == v
+
+
+def _source_specs() -> list:
+    """Every einsum spec written as a string constant in a jder module."""
+    spec = re.compile(r"^[a-z.]*(,[a-z.]*)+->[a-z.]*$")
+    found = set()
+    for path in sorted(pathlib.Path(zmodlin.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if spec.match(node.value):
+                    found.add(node.value)
+    return sorted(found)
+
+
+SOURCE_SPECS = _source_specs()
+LARGE_MODULI = (2**31 - 19, 2**31 - 1, 2**31)
+
+
+@st.composite
+def contractions(draw):
+    """(spec, a, b, m) with shapes fitting a source spec and entries in [0, m)."""
+    spec = draw(st.sampled_from(SOURCE_SPECS))
+    m = draw(st.one_of(st.integers(2, 12), st.sampled_from(LARGE_MODULI)))
+    dims = {label: draw(st.integers(0, 4)) for label in set(spec) - set(",->.")}
+    batch = draw(st.lists(st.integers(0, 3), max_size=2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    largest = draw(st.booleans())
+    operands = []
+    for term in spec.split("->")[0].split(","):
+        shape = [dims[label] for label in term.replace("...", "")]
+        if term.startswith("..."):
+            # Each batch axis either has the full length or broadcasts as 1.
+            shape = [n if draw(st.booleans()) else 1 for n in batch] + shape
+        if largest:
+            operands.append(np.full(shape, m - 1, dtype=np.int64))
+        else:
+            operands.append(rng.integers(0, m, size=shape, dtype=np.int64))
+    return spec, operands[0], operands[1], m
+
+
+class TestEinsumMod:
+    def test_specs_are_found(self):
+        assert {"...i,ijt->...jt", "nijs,nslt->nijlt", "ij,kj->ik"} <= set(SOURCE_SPECS)
+
+    @settings(max_examples=300, deadline=None)
+    @given(contractions())
+    def test_matches_python_integers(self, case):
+        spec, a, b, m = case
+        got = np.asarray(zmodlin.einsum_mod(spec, a, b, m))
+        want = np.asarray(np.einsum(spec, a.astype(object), b.astype(object)) % m)
+        assert got.dtype == np.int64 and got.shape == want.shape
+        assert (got == want).all()
+
+    @pytest.mark.parametrize("m", LARGE_MODULI)
+    def test_long_sum_of_largest_terms(self, m):
+        a = np.full(200_000, m - 1, dtype=np.int64)
+        assert int(zmodlin.einsum_mod("i,i->", a, a, m)) == 200_000 * (m - 1) ** 2 % m
