@@ -28,12 +28,10 @@ from .rings import (
     RingConstructionError,
     RingElement,
     StructureRing,
-    are_orthogonal,
     build_ring,
     corner_of,
     direct_product,
     dual_numbers,
-    is_idempotent,
     matrix_bimodule,
     matrix_ring,
     regular_bimodule,
@@ -50,7 +48,7 @@ from .solver import (
     solve_derivations,
     solve_jordan_derivations,
 )
-from .zmodlin import SubgroupBasis, ZmMatrix, howell_form, kernel
+from .zmodlin import SubgroupBasis, ZmMatrix
 
 __version__ = "0.1.0"
 
@@ -73,7 +71,6 @@ __all__ = [
     "StructureRing",
     "SubgroupBasis",
     "ZmMatrix",
-    "are_orthogonal",
     "bimodule_faithful",
     "build_ring",
     "check_map",
@@ -85,11 +82,8 @@ __all__ = [
     "dual_numbers",
     "extend_isolated",
     "fi_ring",
-    "howell_form",
     "identity_suite",
     "inner_derivation",
-    "is_idempotent",
-    "kernel",
     "matrix_bimodule",
     "matrix_ring",
     "regular_bimodule",

@@ -78,19 +78,15 @@ def restrict_to_class(fi: IncidenceRing, d: AdditiveMap, ci: int) -> AdditiveMap
     """d_x on the class matrix ring, read directly off the (x, x) block.
 
     This is restrict_corner along e_x transported through the isomorphism
-    e_x FI e_x = M_{|x|}(R), but computed independently by block
-    extraction rather than through the corner presentation.
+    e_x FI e_x = M_{|x|}(R), but computed independently as the (x, x) block
+    of the map's matrix rather than through the corner presentation.
     """
     if not d.ring.same_presentation(fi.ring):
         raise ValueError("map does not live on the incidence ring")
     if not 0 <= ci < fi.quotient.size:
         raise ValueError(f"no class with index {ci}")
-    mr = fi.class_matrix_ring(ci)
-    members = fi.quotient.classes[ci]
-    basis = [fi.ring.basis_element(fi.basis_index(p, q, t))
-             for p in members for q in members for t in range(fi.coefficients.rank)]
-    images = [mr.from_entries(fi.extract_block(d(alpha), ci, ci)) for alpha in basis]
-    return AdditiveMap.from_images(mr, images)
+    block = fi.block_indices(ci, ci)
+    return AdditiveMap.from_array(fi.class_matrix_ring(ci), d.as_array()[np.ix_(block, block)])
 
 
 # -- d' reconstruction ---------------------------------------------------------
@@ -141,11 +137,9 @@ def extend_isolated(fi: IncidenceRing, ci: int, d_x: AdditiveMap) -> AdditiveMap
         raise ValueError(f"class {q.class_label(ci)} is not a singleton")
     if not d_x.ring.same_presentation(fi.coefficients):
         raise ValueError("the map must act on the coefficient ring")
-    p = q.classes[ci][0]
-    k_r = fi.coefficients.rank
-    base = fi.basis_index(p, p, 0)
+    block = fi.block_indices(ci, ci)
     mat = np.zeros((fi.rank, fi.rank), dtype=np.int64)
-    mat[base:base + k_r, base:base + k_r] = d_x.as_array()
+    mat[np.ix_(block, block)] = d_x.as_array()
     return AdditiveMap.from_array(fi.ring, mat)
 
 
@@ -447,9 +441,8 @@ def identity_suite(ring: StructureRing, family, d: AdditiveMap,
 
     blocks = []  # (x, y, basis indices of Mor(x, y)) for comparable classes x <= y
     if fi is not None:
-        quotient, k_r = fi.quotient, fi.coefficients.rank
-        blocks = [(x, y, [fi.basis_index(p, q, t) for p in quotient.classes[x]
-                          for q in quotient.classes[y] for t in range(k_r)])
+        quotient = fi.quotient
+        blocks = [(x, y, fi.block_indices(x, y))
                   for x in range(quotient.size) for y in range(quotient.size)
                   if quotient.leq(x, y)]
 

@@ -24,6 +24,7 @@ from .rings import (
     MatrixRing,
     RingElement,
     StructureRing,
+    _pair_constants,
     are_orthogonal,
     is_idempotent,
     matrix_ring,
@@ -41,7 +42,6 @@ class IncidenceRing:
         self.preorder = preorder
         self.quotient: QuotientPoset = preorder.quotient()
         self.coefficients = coefficients
-        k_r = coefficients.rank
         cls = {
             i: self.quotient.class_of(lbl) for i, lbl in enumerate(preorder.labels)
         }
@@ -52,30 +52,11 @@ class IncidenceRing:
         self.pairs = tuple(pairs)
         self._pair_pos = {pq: n for n, pq in enumerate(pairs)}
         self._leq = preorder.as_array()
-        k = len(pairs) * k_r
-        m = coefficients.modulus
-        c = np.zeros((k, k, k), dtype=np.int64)
-        for n1, (p, q) in enumerate(pairs):
-            for n2, (q2, q3) in enumerate(pairs):
-                if q2 != q:
-                    continue
-                n3 = self._pair_pos[(p, q3)]
-                for t in range(k_r):
-                    for s in range(k_r):
-                        c[n1 * k_r + t, n2 * k_r + s, n3 * k_r:(n3 + 1) * k_r] += \
-                            coefficients.constants[t, s]
-        c %= m
-        unit = np.zeros(k, dtype=np.int64)
-        for i in range(preorder.size):
-            n = self._pair_pos[(i, i)]
-            unit[n * k_r:(n + 1) * k_r] = coefficients.unit
-        labels = []
-        for (p, q) in pairs:
-            lp, lq = preorder.labels[p], preorder.labels[q]
-            for t in range(k_r):
-                suffix = "" if k_r == 1 else f"*{coefficients.labels[t]}"
-                labels.append(f"[{lp},{lq}]{suffix}")
-        self.ring = StructureRing(m, c, unit=unit, labels=labels)
+        c, unit = _pair_constants(pairs, coefficients)
+        suffixes = [""] if coefficients.rank == 1 else [f"*{lab}" for lab in coefficients.labels]
+        labels = [f"[{preorder.labels[p]},{preorder.labels[q]}]{suffix}"
+                  for p, q in pairs for suffix in suffixes]
+        self.ring = StructureRing(coefficients.modulus, c, unit=unit, labels=labels)
         self._class_rings: dict[int, MatrixRing] = {}
 
     # -- basis bookkeeping --------------------------------------------------
@@ -112,12 +93,18 @@ class IncidenceRing:
         return self.coefficients.element(elem.as_array()[n:n + self.coefficients.rank])
 
     def support(self, elem: RingElement) -> list[tuple[str, str]]:
-        out = []
-        k_r = self.coefficients.rank
-        for n, (p, q) in enumerate(self.pairs):
-            if elem.as_array()[n * k_r:(n + 1) * k_r].any():
-                out.append((self.preorder.labels[p], self.preorder.labels[q]))
-        return out
+        nonzero = elem.as_array().reshape(len(self.pairs), self.coefficients.rank).any(axis=1)
+        labels = self.preorder.labels
+        return [(labels[p], labels[q]) for (p, q), hit in zip(self.pairs, nonzero) if hit]
+
+    def block_indices(self, ci: int, cj: int) -> list[int]:
+        """Basis indices of the block Mor(x, y) of classes x <= y, in (p, q, t) order.
+
+        This is the basis order of the class matrix ring when ci == cj.
+        """
+        classes, k_r = self.quotient.classes, self.coefficients.rank
+        return [self.basis_index(p, q, t)
+                for p in classes[ci] for q in classes[cj] for t in range(k_r)]
 
     # -- convolution ----------------------------------------------------------
 

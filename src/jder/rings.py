@@ -13,6 +13,7 @@ built from a bimodule, and corner rings eRe cut out by an idempotent.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,7 +73,7 @@ class CornerNotFreeError(RingConstructionError):
 class StructureRing:
     """Finite ring on (Z/m)^k with explicit structure constants."""
 
-    def __init__(self, modulus, constants, unit=None, labels=None, validate=True):
+    def __init__(self, modulus, constants, unit=None, labels=None):
         _validate_modulus(modulus)
         c = np.asarray(constants, dtype=np.int64)
         if c.ndim != 3 or not (c.shape[0] == c.shape[1] == c.shape[2]):
@@ -94,8 +95,7 @@ class StructureRing:
         )
         if self.unit is not None and len(self.unit) != self.rank:
             raise RingConstructionError("unit vector length must equal the rank")
-        if validate:
-            self._validate()
+        self._validate()
 
     def _validate(self) -> None:
         c, m = self.constants, self.modulus
@@ -286,6 +286,26 @@ def dual_numbers(m: int) -> StructureRing:
     return StructureRing(m, c, unit=(1, 0), labels=("1", "x"))
 
 
+def _pair_constants(pairs, base: StructureRing) -> tuple[np.ndarray, np.ndarray | None]:
+    """Structure constants and unit of the ring spanned by index pairs over base.
+
+    ``pairs`` must be closed under composition: (p, q) and (q, r) listed
+    means (p, r) is listed.  Basis element n * k_R + t is b_t at pairs[n],
+    and (p, q; b_t)(q, r; b_s) = (p, r; b_t b_s), so the constants are the
+    Kronecker product of the 0/1 composition pattern with base's.  The unit
+    is base's unit on every (p, p), or None when base has no unit.
+    """
+    pairs = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+    n = len(pairs)
+    position = np.zeros((pairs.max(initial=-1) + 1,) * 2, dtype=np.intp)
+    position[pairs[:, 0], pairs[:, 1]] = np.arange(n)
+    first, second = np.nonzero(pairs[:, 1, None] == pairs[None, :, 0])
+    pattern = np.zeros((n, n, n), dtype=np.int64)
+    pattern[first, second, position[pairs[first, 0], pairs[second, 1]]] = 1
+    unit = None if base.unit is None else np.kron(pairs[:, 0] == pairs[:, 1], base.unit)
+    return np.kron(pattern, base.constants), unit
+
+
 class MatrixRing(StructureRing):
     """M_n(R) for a structure ring R, with matrix-unit accessors.
 
@@ -298,34 +318,10 @@ class MatrixRing(StructureRing):
             raise RingConstructionError("matrix size must be at least 1")
         self.base = base
         self.size = size
-        k_r = base.rank
-        k = size * size * k_r
-        c = np.zeros((k, k, k), dtype=np.int64)
-        for i in range(size):
-            for j in range(size):
-                for q in range(size):
-                    for t in range(k_r):
-                        for s in range(k_r):
-                            u = (i * size + j) * k_r + t
-                            v = (j * size + q) * k_r + s
-                            w0 = (i * size + q) * k_r
-                            c[u, v, w0:w0 + k_r] = base.constants[t, s]
-        unit = None
-        if base.unit is not None:
-            uv = np.zeros(k, dtype=np.int64)
-            for i in range(size):
-                w0 = (i * size + i) * k_r
-                uv[w0:w0 + k_r] = base.unit
-            unit = uv
-        if k_r == 1:
-            labels = [f"e[{i},{j}]" for i in range(size) for j in range(size)]
-        else:
-            labels = [
-                f"e[{i},{j}]*{base.labels[t]}"
-                for i in range(size)
-                for j in range(size)
-                for t in range(k_r)
-            ]
+        pairs = list(itertools.product(range(size), repeat=2))
+        c, unit = _pair_constants(pairs, base)
+        suffixes = [""] if base.rank == 1 else [f"*{lab}" for lab in base.labels]
+        labels = [f"e[{i},{j}]{suffix}" for i, j in pairs for suffix in suffixes]
         super().__init__(base.modulus, c, unit=unit, labels=labels)
 
     def flat_index(self, i: int, j: int, t: int = 0) -> int:
@@ -475,29 +471,14 @@ def matrix_bimodule(base: StructureRing, n: int, p: int) -> Bimodule:
     """n x p matrices over R as an (M_n(R), M_p(R))-bimodule."""
     left = matrix_ring(base, n)
     right = matrix_ring(base, p)
-    k_r = base.rank
-    rank = n * p * k_r
-
-    def midx(i, j, t):
-        return (i * p + j) * k_r + t
-
-    la = np.zeros((left.rank, rank, rank), dtype=np.int64)
-    for a in range(n):
-        for b in range(n):
-            for u in range(k_r):
-                for j in range(p):
-                    for t in range(k_r):
-                        la[left.flat_index(a, b, u), midx(b, j, t),
-                           midx(a, j, 0):midx(a, j, 0) + k_r] = base.constants[u, t]
-    ra = np.zeros((rank, right.rank, rank), dtype=np.int64)
-    for i in range(n):
-        for j in range(p):
-            for t in range(k_r):
-                for d in range(p):
-                    for v in range(k_r):
-                        ra[midx(i, j, t), right.flat_index(j, d, v),
-                           midx(i, d, 0):midx(i, d, 0) + k_r] = base.constants[t, v]
-    return Bimodule(left, right, rank, la, ra)
+    # The pair ring on two classes A = {0..n-1} <= B = {n..n+p-1}, blocks AA, AB, BB.
+    a, b = range(n), range(n, n + p)
+    pairs = [*itertools.product(a, a), *itertools.product(a, b), *itertools.product(b, b)]
+    c, _ = _pair_constants(pairs, base)
+    rank = n * p * base.rank
+    end = left.rank + rank
+    A, M, B = slice(0, left.rank), slice(left.rank, end), slice(end, None)
+    return Bimodule(left, right, rank, c[A, M, M], c[M, B, M])
 
 
 class TriangularRing(StructureRing):

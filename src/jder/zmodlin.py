@@ -155,7 +155,13 @@ class SubgroupBasis:
         if zero.any():
             raise ValueError(f"basis row {int(zero.argmax())} is zero and has no pivot")
         cols = (a != 0).argmax(axis=1) if a.size else np.zeros(0, dtype=np.intp)
-        return tuple(zip(cols.tolist(), a[np.arange(len(cols)), cols].tolist()))
+        values = a[np.arange(len(cols)), cols]
+        bad = self.modulus % values != 0
+        if bad.any():
+            row = int(bad.argmax())
+            raise ValueError(f"basis row {row} has pivot {values[row]}, "
+                             f"which does not divide {self.modulus}")
+        return tuple(zip(cols.tolist(), values.tolist()))
 
     @property
     def modulus(self) -> int:

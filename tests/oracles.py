@@ -48,6 +48,50 @@ def kernel_set(m: int, matrix) -> set[tuple[int, ...]]:
 
 
 # ---------------------------------------------------------------------------
+# Inputs shared by several test modules.
+# ---------------------------------------------------------------------------
+
+def r3():
+    """R3: a unit adjoined to b1 * b1 = 2 * b1 (other products zero) over Z/4.
+
+    Rank 3 with |Der| = 64 < |JDer| = 256, so it is a unital coefficient
+    ring on which Der = JDer fails.
+    """
+    from jder.rings import build_ring
+
+    c = np.zeros((3, 3, 3), dtype=np.int64)
+    for i in range(3):
+        c[0, i, i] = c[i, 0, i] = 1
+    c[2, 2] = (0, 0, 2)
+    return build_ring(4, c, unit=(1, 0, 0))
+
+
+def preorders_up_to_isomorphism(n: int) -> list:
+    """One preorder per isomorphism class on n points (OEIS A001930: 1, 3, 9 for n = 1, 2, 3).
+
+    Every relation on n points that contains the diagonal is tested for
+    transitivity pair by pair; the representative of a class is its first
+    relation whose relabelling-minimal pair list has not been seen.
+    """
+    from jder.preorders import Preorder
+
+    labels = "abcdefgh"[:n]
+    off_diagonal = [(i, j) for i in range(n) for j in range(n) if i != j]
+    seen, out = set(), []
+    for bits in itertools.product((False, True), repeat=len(off_diagonal)):
+        rel = {(i, i) for i in range(n)} | {pq for pq, bit in zip(off_diagonal, bits) if bit}
+        if any((i, l) not in rel for i, j in rel for k, l in rel if j == k):
+            continue
+        key = min(tuple(sorted((perm[i], perm[j]) for i, j in rel))
+                  for perm in itertools.permutations(range(n)))
+        if key not in seen:
+            seen.add(key)
+            out.append(Preorder.from_pairs(
+                labels, [(labels[i], labels[j]) for i, j in sorted(rel)], auto_close=False))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Ring-level helpers: evaluate products and the derivation / Jordan axioms
 # directly from structure constants.
 # ---------------------------------------------------------------------------

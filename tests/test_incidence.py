@@ -17,6 +17,8 @@ from jder.rings import (
     zmod,
 )
 
+from oracles import preorders_up_to_isomorphism, r3
+
 
 def chain(n):
     labels = [chr(ord("a") + i) for i in range(n)]
@@ -26,6 +28,7 @@ def chain(n):
 TWO_CYCLE = Preorder.from_pairs("ab", [("a", "b"), ("b", "a")])
 ANTICHAIN2 = Preorder.from_pairs("ab", [])
 V_SHAPE = Preorder.from_pairs("abc", [("a", "c"), ("b", "c")])
+SMALL_PREORDERS = [p for n in (1, 2, 3) for p in preorders_up_to_isomorphism(n)]
 
 
 class TestAssembly:
@@ -92,6 +95,21 @@ class TestConvolution:
                 a = fi.ring.element([rng.randrange(r.modulus) for _ in range(fi.rank)])
                 b = fi.ring.element([rng.randrange(r.modulus) for _ in range(fi.rank)])
                 assert fi.convolve(a, b) == a * b
+
+    def test_preorder_enumeration_counts(self):
+        assert [len(preorders_up_to_isomorphism(n)) for n in (1, 2, 3)] == [1, 3, 9]
+
+    @pytest.mark.parametrize("coefficients", [zmod(4), dual_numbers(2), r3()],
+                             ids=["Z4", "dual2", "R3"])
+    @pytest.mark.parametrize("preorder", SMALL_PREORDERS,
+                             ids=[" ".join(f"{i}{j}" for i, j in p.comparable_pairs())
+                                  for p in SMALL_PREORDERS])
+    def test_basis_products_match_convolution(self, preorder, coefficients):
+        fi = fi_ring(preorder, coefficients)
+        basis = fi.ring.basis()
+        for a in basis:
+            for b in basis:
+                assert a * b == fi.convolve(a, b)
 
 
 class TestKnownIsomorphisms:

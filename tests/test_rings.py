@@ -1,5 +1,7 @@
 """Structure-ring constructors, validation, and corner transports."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,19 @@ from jder.rings import (
     triangular_ring,
     zmod,
 )
+
+from oracles import r3
+
+
+def grid_of(mr, x):
+    """The entries of a matrix-ring element as a grid of base-ring elements."""
+    return [[mr.entry(x, i, j) for j in range(mr.size)] for i in range(mr.size)]
+
+
+def grid_product(base, a, b):
+    """Matrix product of two grids of base-ring elements, entry by entry."""
+    return [[sum((a[i][z] * b[z][j] for z in range(len(b))), base.zero())
+             for j in range(len(b[0]))] for i in range(len(a))]
 
 
 class TestConstruction:
@@ -143,6 +158,13 @@ class TestMatrixRing:
         for i in range(2):
             for j in range(2):
                 assert mr.entry(prod, i, j).coeffs == (int(cm[i, j]),)
+        # M_3(R3) against sums of base-ring products of the entries.
+        base, rng = r3(), random.Random(5)
+        mr = matrix_ring(base, 3)
+        for _ in range(5):
+            a, b = (mr.element([rng.randrange(4) for _ in range(mr.rank)]) for _ in range(2))
+            ga, gb = (grid_of(mr, x) for x in (a, b))
+            assert grid_of(mr, a * b) == grid_product(base, ga, gb)
 
 
 class TestProductRing:
@@ -190,6 +212,25 @@ class TestBimodule:
         e10 = tri.triple(left.zero(), (0, 0), right.matrix_unit(1, 0))
         assert tri.parts(m01 * e10)[1] == (1, 0)
         assert tri.parts(tri.triple(left.one(), (0, 0), right.zero()) * m01)[1] == (0, 1)
+
+    @pytest.mark.parametrize("n, p", [(1, 2), (2, 1), (2, 2)])
+    @pytest.mark.parametrize("base", [zmod(4), dual_numbers(2), r3()], ids=["Z4", "dual2", "R3"])
+    def test_matrix_bimodule_matches_entrywise_products(self, base, n, p):
+        bim = matrix_bimodule(base, n, p)
+
+        def module_grid(vec):
+            vec = vec.reshape(n, p, base.rank)
+            return [[base.element(vec[i, j]) for j in range(p)] for i in range(n)]
+
+        basis = np.eye(bim.rank, dtype=np.int64)
+        for u, a in enumerate(bim.left.basis()):
+            for j in range(bim.rank):
+                assert module_grid(bim.left_action[u, j]) == grid_product(
+                    base, grid_of(bim.left, a), module_grid(basis[j]))
+        for v, b in enumerate(bim.right.basis()):
+            for j in range(bim.rank):
+                assert module_grid(bim.right_action[j, v]) == grid_product(
+                    base, module_grid(basis[j]), grid_of(bim.right, b))
 
     def test_shape_rejected(self):
         with pytest.raises(RingConstructionError):

@@ -29,7 +29,7 @@ from jder.solver import (
 )
 from jder.zmodlin import SelfCheckError, SubgroupBasis, ZmMatrix, howell_form, kernel
 
-from oracles import brute_force_maps, check_map_scalar, is_derivation_map, is_jordan_map
+from oracles import brute_force_maps, check_map_scalar, is_derivation_map, is_jordan_map, r3
 
 
 def search_rings(moduli):
@@ -401,15 +401,11 @@ class TestCompare:
         assert compare_all([]) == []
 
     def test_unitization_of_proper_inclusion_keeps_it(self):
-        # Adjoin a unit to b0 * b0 = b0 * b1 = 0, b1 * b1 = 2 * b1 over Z/4.
+        # R3 adjoins a unit to b0 * b0 = b0 * b1 = 0, b1 * b1 = 2 * b1 over Z/4.
         # Triple products through the unit are nonzero, so the polarized
         # triple rows matter here.  Both counts agree with
         # oracles.brute_force_maps (4^9 maps, too slow to run every time).
-        c = np.zeros((3, 3, 3), dtype=np.int64)
-        for i in range(3):
-            c[0, i, i] = c[i, 0, i] = 1
-        c[2, 2] = (0, 0, 2)
-        cmp = compare_spaces(build_ring(4, c, unit=(1, 0, 0)))
+        cmp = compare_spaces(r3())
         assert (cmp.derivations.cardinality(), cmp.jordan.cardinality()) == (64, 256)
         assert not cmp.equal
 

@@ -106,11 +106,13 @@ class TestLazyPivots:
 
     @pytest.mark.parametrize("use", ["contains", "coordinates", "cardinality", "pivots"])
     def test_zero_row_is_refused_by_name(self, use):
-        # Not a Howell basis: row 0 has no pivot to divide by.
-        b = SubgroupBasis(ZmMatrix(4, ((0,), (2,))))
+        # Not Howell bases: row 0 has no pivot to divide by, or a pivot
+        # that does not divide m (the span of (3) is all of Z/4).
         args = ([2],) if use in ("contains", "coordinates") else ()
-        with pytest.raises(ValueError, match="basis row 0 is zero"):
-            getattr(b, use)(*args)
+        for rows, message in ((((0,), (2,)), "basis row 0 is zero"),
+                              (((3,),), "basis row 0 has pivot 3, which does not divide 4")):
+            with pytest.raises(ValueError, match=message):
+                getattr(SubgroupBasis(ZmMatrix(4, rows)), use)(*args)
 
     def test_equality_hash_and_immutability_ignore_them(self):
         a, b = howell_form(ZmMatrix(4, ((2, 1),))), howell_form(ZmMatrix(4, ((2, 1),)))
