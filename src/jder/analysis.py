@@ -303,6 +303,10 @@ class IdentitySuiteReport:
         raise KeyError(name)
 
 
+# Bytes of (tuples) x (samples) x k x k int64 in one chunk of identity_suite's family tuples.
+_TUPLE_CHUNK_BYTES = 1 << 25
+
+
 def identity_suite(ring: StructureRing, family, d: AdditiveMap,
                    mode: str = "basis", seed: int = 0, trials: int = 200,
                    fi: IncidenceRing | None = None) -> IdentitySuiteReport:
@@ -314,8 +318,9 @@ def identity_suite(ring: StructureRing, family, d: AdditiveMap,
     one identity holds for derivations only and is skipped otherwise, and
     the blockwise identity needs the incidence presentation ``fi``.
 
-    Each identity is one whole-array expression per family tuple, over all
-    sample tuples at once; the witness is the first failing (family tuple,
+    Each identity is a few contractions over a chunk of its family tuples
+    at once, on a leading tuple axis, with k x k multiplication operators
+    built once per call.  The witness is the first failing (family tuple,
     sample tuple) in row-major order.
     """
     if mode not in ("basis", "randomized"):
@@ -332,45 +337,52 @@ def identity_suite(ring: StructureRing, family, d: AdditiveMap,
     if fi is not None and not fi.ring.same_presentation(ring):
         raise ValueError("incidence presentation does not match the ring")
 
-    k, m, D = ring.rank, ring.modulus, d.as_array()
+    k, m, c, D = ring.rank, ring.modulus, ring.constants, d.as_array()
     rng = random.Random(seed) if mode == "randomized" else None
-    eye = np.eye(k, dtype=np.int64)
     outcomes = []
     mul = ring.mul
 
+    # Operators act on coefficient rows, y -> y @ op, with any stack axes in front.
     def dm(x):
         return einsum_mod("...j,ij->...i", x, D, m)
 
-    def differ(lhs, rhs):
-        return ((lhs - rhs) % m).any(axis=-1)
+    def left_op(x):  # y -> x y
+        return einsum_mod("...i,ijt->...jt", x, c, m)
 
-    def draw(arity):
-        """One batch of sample tuples, as arrays that broadcast to the check shape.
+    def right_op(x):  # y -> y x
+        return einsum_mod("...j,ijt->...it", x, c, m)
 
-        Basis mode puts the basis on one axis per variable; randomized mode
-        draws ``trials`` tuples coefficient by coefficient, in tuple order.
-        """
+    def then(a, b):  # y -> b(a(y))
+        return einsum_mod("...ij,...jt->...it", a, b, m)
+
+    def app(x, op):  # op[..., n, :, :] at the samples x[n, ..., :] of family tuple n
+        op = op.reshape(op.shape[:-2] + (1,) * (x.ndim - 2) + op.shape[-2:])
+        return einsum_mod("...i,...it->...t", x, op, m)
+
+    def draw(count, arity):
+        """Samples for ``count`` family tuples: the basis on one axis per variable, or
+        ``trials`` seeded tuples per family tuple, drawn coefficient by coefficient."""
         if rng is None:
-            return tuple(eye.reshape((1,) * a + (k,) + (1,) * (arity - a - 1) + (k,))
-                         for a in range(arity))
-        draws = [rng.randrange(m) for _ in range(trials * arity * k)]
-        draws = np.array(draws, dtype=np.int64).reshape(trials, arity, k)
-        return tuple(draws[:, a] for a in range(arity))
+            return tuple(np.eye(k, dtype=np.int64).reshape(
+                (1,) * (a + 1) + (k,) + (1,) * (arity - a - 1) + (k,)) for a in range(arity))
+        draws = [rng.randrange(m) for _ in range(count * trials * arity * k)]
+        draws = np.array(draws, dtype=np.int64).reshape(count, trials, arity, k)
+        return tuple(draws[:, :, a] for a in range(arity))
 
     def run(name, applicable, tuples, arity, mismatch, witness=None):
-        """Check one identity, one sample batch per family tuple.
-
-        ``mismatch(*family arrays, *sample arrays)`` is a mask whose row-major
-        order is the order of the checks, sample index first when randomized.
-        """
+        """Check one identity on chunks of family index tuples; ``mismatch(*indices, *samples)``
+        masks a chunk in check order, tuples first and then samples."""
         if not applicable:
             outcomes.append(IdentityOutcome(name, False, True, 0))
             return
+        tuples = np.array(tuples, dtype=np.intp)
+        step = max(1, _TUPLE_CHUNK_BYTES // (8 * (k ** arity if rng is None else trials) * k * k))
         checks = 0
-        for tup in tuples:
+        for start in range(0, len(tuples), step):
+            chunk = tuples[start:start + step]
             state = rng.getstate() if rng is not None else None
-            xs = draw(arity)
-            bad = mismatch(*(e.as_array() for e in tup), *xs)
+            xs = draw(len(chunk), arity)
+            bad = mismatch(*chunk.T, *xs)
             if bad.any():
                 first = int(bad.argmax())
                 index = np.unravel_index(first, bad.shape)
@@ -378,87 +390,107 @@ def identity_suite(ring: StructureRing, family, d: AdditiveMap,
                     # Leave the stream where drawing tuple by tuple stops:
                     # right after the failing sample.
                     rng.setstate(state)
-                    for _ in range((index[0] + 1) * arity * k):
+                    for _ in range((index[0] * trials + index[1] + 1) * arity * k):
                         rng.randrange(m)
-                if witness is None:
-                    found = tuple(e.coeffs for e in tup) + tuple(
-                        tuple(np.broadcast_to(x, bad.shape + (k,))[index].tolist())
-                        for x in xs)
-                else:
-                    found = witness(xs, index)
+                found = witness(xs, index) if witness else tuple(
+                    family[i].coeffs for i in chunk[index[0]]) + tuple(
+                    tuple(np.broadcast_to(x, bad.shape + (k,))[index].tolist()) for x in xs)
                 outcomes.append(IdentityOutcome(name, True, False, checks + first + 1, found))
                 return
             checks += bad.size
         outcomes.append(IdentityOutcome(name, True, True, checks))
 
-    pairs = [(e, f) for e in family for f in family if e != f]
+    def product_rule(x, around, rule):  # where d(around(x)) - around(d(x)) - rule(x) != 0
+        delta = (then(around, D.T) - then(D.T, around) - rule) % m
+        return einsum_mod("...i,...it->...t", x, delta, m).any(-1)
 
-    def polarized_product(r, s):
-        dr, ds = dm(r), dm(s)
-        return differ(dm((mul(r, s) + mul(s, r)) % m),
-                      mul(dr, s) + mul(r, ds) + mul(ds, r) + mul(s, dr))
+    def polarized_product(r, s):  # s -> r s + s r, and the rule's terms without d(s)
+        dr = dm(r)
+        return product_rule(s, (left_op(r) + right_op(r)) % m, (left_op(dr) + right_op(dr)) % m)
 
     run("polarized-product", True, [()], 2, polarized_product)
 
-    def herstein(r, s, t):
-        dr, ds, dt = dm(r), dm(s), dm(t)
-        return differ(dm((mul(r, s, t) + mul(t, s, r)) % m),
-                      mul(dr, s, t) + mul(r, ds, t) + mul(r, s, dt)
-                      + mul(dt, s, r) + mul(t, ds, r) + mul(t, s, dr))
+    def herstein(r, s, t):  # t -> r s t + t s r, and the rule's terms without d(t)
+        dr, ds = dm(r), dm(s)
+        around = (left_op(mul(r, s)) + right_op(mul(s, r))) % m
+        return product_rule(t, around, (left_op((mul(dr, s) + mul(r, ds)) % m)
+                                        + right_op((mul(ds, r) + mul(s, dr)) % m)) % m)
 
     run("herstein", True, [()], 3, herstein)
 
-    def orthogonal_sandwich(e, f, r):
-        return differ(mul(e, dm(r), f),
-                      mul(e, dm(mul(e, r, f)), f) - mul(e, dm(e), r, f)
-                      - mul(e, r, dm(f), f) + mul(e, dm(mul(f, r, e)), f))
+    # Operators of the family, indexed by positions e, g, f in it.
+    n, diagonal = len(family), np.arange(len(family))
+    E = np.array([e.as_array() for e in family])
+    dE = dm(E)
+    left, right = left_op(E), right_op(E)
+    sandwich = then(left[:, None], right[None])  # [e, f]: r -> e r f
+    d_sandwich = then(D.T, sandwich)             # [e, f]: r -> e d(r) f
+    ed = einsum_mod("fi,eit->eft", dE, left, m)  # [e, f]: e d(f)
+    # [e, f]: r -> e d(e r f) f and e d(f r e) f
+    inner, swapped = then(np.stack([sandwich, sandwich.transpose(1, 0, 2, 3)]), d_sandwich)
+    # [e, f]: r -> e d(r) f - e d'(r) f, with e d'(r) f = e d(e r f) f - e d(e) r f - e r d(f) f
+    undone = (d_sandwich - inner + einsum_mod(
+        "xeij,xfjt->efit", np.stack([left_op(ed[diagonal, diagonal]), left]),
+        np.stack([right, right_op(einsum_mod("fi,fit->ft", dE, right, m))]), m)) % m
+    pairs = [(e, f) for e in range(n) for f in range(n) if family[e] != family[f]]
 
-    run("orthogonal-sandwich", True, pairs, 1, orthogonal_sandwich)
+    run("orthogonal-sandwich", True, pairs, 1,
+        lambda e, f, r: app(r, (undone[e, f] - swapped[e, f]) % m).any(-1))
 
-    def same_idempotent_sandwich(e, r):
-        return differ(mul(e, dm(r), e),
-                      mul(e, dm(mul(e, r, e)), e) - mul(e, dm(e), r, e) - mul(e, r, dm(e), e))
+    run("same-idempotent-sandwich", True, [(e,) for e in range(n)], 1,
+        lambda e, r: app(r, undone[e, e]).any(-1))
 
-    run("same-idempotent-sandwich", True, [(e,) for e in family], 1, same_idempotent_sandwich)
+    corner = then(sandwich[diagonal, diagonal][None], d_sandwich[diagonal, diagonal][:, None])
+    run("orthogonal-corner-vanishing", True, pairs, 1,  # [e, f]: r -> e d(f r f) e
+        lambda e, f, r: app(r, corner[e, f]).any(-1))
 
-    run("orthogonal-corner-vanishing", True, pairs, 1,
-        lambda e, f, r: differ(mul(e, dm(mul(f, r, f)), e), 0))
+    pairing = einsum_mod("efi,fit->eft", (ed[diagonal, diagonal][:, None] + ed) % m, right, m)
+    run("idempotent-image-pairing", True, [(e, f) for e in range(n) for f in range(n)], 0,
+        lambda e, f: pairing[e, f].any(-1))  # [e, f]: e d(e) f + e d(f) f
 
-    run("idempotent-image-pairing", True, [(e, f) for e in family for f in family], 0,
-        lambda e, f: differ(mul(e, dm(e), f) + mul(e, dm(f), f), 0))
+    # [0 or 1, e, g]: r -> e r g or e d(e r g); [0 or 2, g, f]: s -> g s f or d(g s f) f.
+    ends = np.stack([sandwich, then(sandwich, then(D.T, left)[:, None]),
+                     then(sandwich, then(D.T, right)[None])])
+    # Every term vanishes where e b_r g = 0 or g b_s f = 0, so basis mode only
+    # evaluates the basis rows of each (e, g) support, padded with the zero row k.
+    support, one_hot = sandwich.any(-1), np.eye(k + 1, k, dtype=np.int64)
+    rows = np.sort(np.where(support, np.arange(k), k), axis=-1)[..., :max(1, support.sum(-1).max())]
 
     def triple_composition(e, g, f, r, s):
-        erg, gsf = mul(e, r, g), mul(g, s, f)
-        return differ(mul(e, dm(mul(erg, gsf)), f),
-                      mul(e, dm(erg), gsf) + mul(erg, dm(gsf), f))
+        if rng is None:
+            r, s = one_hot[rows[e, g]][:, :, None], one_hot[rows[g, f]][:, None]
+        erg, gsf = app(r, ends[[0, 1]][:, e, g]), app(s, ends[[0, 2]][:, g, f])
+        products = mul(erg, gsf[0])  # erg gsf and e d(erg) gsf
+        bad = ((app(products[0], d_sandwich[e, f]) - products[1] - mul(erg[0], gsf[1])) % m).any(-1)
+        if rng is None:
+            full = np.zeros((len(e), k + 1, k + 1), dtype=bool)
+            full[np.arange(len(e))[:, None, None], rows[e, g][:, :, None], rows[g, f][:, None]] = bad
+            bad = full[:, :k, :k]
+        return bad
 
-    triples = [(e, g, f) for e in family for g in family for f in family
-               if not e == g == f]
+    triples = [(e, g, f) for e in range(n) for g in range(n) for f in range(n)
+               if not family[e] == family[g] == family[f]]
     run("triple-composition", True, triples, 2, triple_composition)
 
     run("derivation-remark", check_map(ring, d, DERIVATION).ok, pairs, 1,
-        lambda e, f, r: differ(mul(e, dm(mul(f, r, e)), f), 0))
+        lambda e, f, r: app(r, swapped[e, f]).any(-1))
 
-    blocks = []  # (x, y, basis indices of Mor(x, y)) for comparable classes x <= y
-    if fi is not None:
-        quotient = fi.quotient
-        blocks = [(x, y, fi.block_indices(x, y))
-                  for x in range(quotient.size) for y in range(quotient.size)
-                  if quotient.leq(x, y)]
+    # (x, y, basis indices of Mor(x, y)) for comparable classes x <= y
+    blocks = [] if fi is None else [(x, y, fi.block_indices(x, y)) for x, y in
+                                    np.ndindex(fi.quotient.size, fi.quotient.size)
+                                    if fi.quotient.leq(x, y)]
 
     def incidence_block(alpha):
-        d_alpha = dm(alpha)
-        d_ex = [dm(e.as_array()) for e in fi.class_idempotents()]
-        bad = np.zeros(alpha.shape[:-1] + (len(blocks),), dtype=bool)
-        for n, (x, y, cols) in enumerate(blocks):
-            alpha_xy = np.zeros_like(alpha)
-            alpha_xy[..., cols] = alpha[..., cols]
-            rhs = dm(alpha_xy) - mul(d_ex[x], alpha) - mul(alpha, d_ex[y])
-            bad[..., n] = differ(d_alpha[..., cols], rhs[..., cols])
-        return bad
+        # Per block (x, y): alpha -> d(alpha) - d(alpha_xy) + d(e_x) alpha + alpha d(e_y),
+        # read on the coefficients of Mor(x, y).
+        d_ex = dm(np.array([e.as_array() for e in fi.class_idempotents()]))
+        inside = np.array([np.isin(np.arange(k), cols) for _, _, cols in blocks], dtype=np.int64)
+        x, y = np.array([block[:2] for block in blocks]).T
+        delta = ((1 - inside)[:, :, None] * D.T + left_op(d_ex)[x] + right_op(d_ex)[y]) % m
+        return einsum_mod("...i,bit->...bt", alpha, delta * inside[:, None], m).any(-1)
 
     run("incidence-block", fi is not None, [()], 1, incidence_block,
-        lambda xs, index: (tuple(xs[0][index[0]].tolist()),) + blocks[index[1]][:2])
+        lambda xs, index: (tuple(xs[0][index[:2]].tolist()),) + blocks[index[2]][:2])
 
     ok = all(entry.passed for entry in outcomes)
     return IdentitySuiteReport(ok, tuple(outcomes))

@@ -406,6 +406,10 @@ def _associative(c: np.ndarray, m: int) -> np.ndarray:
     """The associative tables among c[i, j, t, n] (b_i b_j's coefficient t), in order;
     each equation (b_i b_j) b_l = b_i (b_j b_l) at t drops the tables that fail it."""
     for i, j, l, t in itertools.product(range(2), repeat=4):
+        # Its residual A has sum_j A(i, j, l, j) = 0 (swap j and s in the second sum),
+        # so (i, 1, l, 1) follows from the earlier (i, 0, l, 0) and is skipped.
+        if j == t == 1:
+            continue
         residual = (c[i, j, 0] * c[0, l, t] + c[i, j, 1] * c[1, l, t]
                     - c[j, l, 0] * c[i, 0, t] - c[j, l, 1] * c[i, 1, t])
         c = c[..., residual % m == 0]

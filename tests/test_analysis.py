@@ -1,11 +1,12 @@
 """Corner restrictions, d' reconstruction, extensions, verdicts, identity suite."""
 
 import random
+import sys
 
 import numpy as np
 import pytest
 
-from jder import analysis
+from jder import analysis, zmodlin
 from jder.analysis import (
     ALL_JORDAN_ARE_DERIVATIONS,
     CONDITIONAL_ON_COEFFICIENT_RING,
@@ -52,6 +53,7 @@ ANTICHAIN2 = Preorder.from_pairs("ab", [])
 TWO_CYCLE = Preorder.from_pairs("ab", [("a", "b"), ("b", "a")])
 V_SHAPE = Preorder.from_pairs("abc", [("a", "c"), ("b", "c")])
 POINT_PLUS_CHAIN = Preorder.from_pairs("abc", [("b", "c")])
+CHERRY_PLUS_POINT = Preorder.from_pairs("abcd", [("a", "b"), ("a", "c")])
 
 
 def random_element(rng, ring):
@@ -93,6 +95,7 @@ ORACLE_CASES = {
     "dual_numbers(2)": _dual_case,
     "FI(chain3,Z2)": lambda: _incidence_case(chain(3), zmod(2)),
     "FI(a+b<=c,Z4[e])": lambda: _incidence_case(POINT_PLUS_CHAIN, Z4_DUAL),
+    "FI(a<=b,a<=c,d,Z4)": lambda: _incidence_case(CHERRY_PLUS_POINT, zmod(4)),
 }
 
 
@@ -427,3 +430,73 @@ class TestIdentitySuiteOracle:
         # A randomized failure in mid-batch followed by a later failing
         # identity: the later witness holds samples drawn after the rewind.
         assert rewound > 0
+
+    def test_forced_failures_match_scalar_reference_one_tuple_per_chunk(self, monkeypatch):
+        # One family tuple per chunk: witnesses found in later chunks, and the
+        # randomized stream rewound inside them, must match the scalar route.
+        monkeypatch.setattr(analysis, "check_map", lambda ring, d, kind: CheckResult(True))
+        monkeypatch.setattr(analysis, "_TUPLE_CHUNK_BYTES", 1)
+        arity = {"orthogonal-sandwich": 1, "same-idempotent-sandwich": 1,
+                 "orthogonal-corner-vanishing": 1, "idempotent-image-pairing": 0,
+                 "triple-composition": 2, "derivation-remark": 1}
+        late = {"basis": 0, "randomized": 0}
+        rewound = 0
+        for case in sorted(ORACLE_CASES):
+            ring, family, fi = ORACLE_CASES[case]()
+            rng = random.Random(case)
+            for seed in range(3):
+                d = sparse_map(rng, ring, 0.1)
+                for mode in ("basis", "randomized"):
+                    kwargs = dict(mode=mode, seed=seed, trials=9, fi=fi)
+                    report = identity_suite(ring, family, d, **kwargs)
+                    assert report == identity_suite_scalar(ring, family, d, **kwargs), (case, seed)
+                    failed = [o for o in report.outcomes if not o.passed]
+                    for n, o in enumerate(failed):
+                        if o.name not in arity:
+                            continue
+                        per_tuple = ring.rank ** arity[o.name] if mode == "basis" else 9
+                        if o.checks > (per_tuple if arity[o.name] else 1):
+                            late[mode] += 1  # failed past the first family tuple
+                            if mode == "randomized" and arity[o.name] and n + 1 < len(failed):
+                                rewound += 1
+        assert late["basis"] > 0 and late["randomized"] > 0
+        # A later identity drew its samples after a rewind inside a later chunk.
+        assert rewound > 0
+
+
+EINSUM_MOD = zmodlin.einsum_mod
+
+
+def count_einsum_calls(monkeypatch, call):
+    """How many einsum_mod calls ``call()`` makes, through every jder module."""
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return EINSUM_MOD(*args)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("jder") and hasattr(module, "einsum_mod"):
+            monkeypatch.setattr(module, "einsum_mod", counted)
+    call()
+    return calls
+
+
+class TestIdentitySuiteCost:
+    """Structural guards: contraction counts, not timings."""
+
+    def test_einsum_calls_do_not_grow_with_the_family(self, monkeypatch):
+        ring = matrix_ring(zmod(2), 4)
+        units = [ring.matrix_unit(i, i) for i in range(4)]
+        d = inner_derivation(ring, ring.matrix_unit(0, 1))
+        counts = [count_einsum_calls(monkeypatch, lambda: identity_suite(ring, family, d))
+                  for family in ([units[0] + units[1], units[2] + units[3]], units)]
+        assert counts[0] == counts[1]
+
+    def test_einsum_calls_on_the_benchmark_instance(self, monkeypatch):
+        fi = fi_ring(POINT_PLUS_CHAIN, Z4_DUAL)
+        d = solve_jordan_derivations(fi.ring).generators()[0]
+        calls = count_einsum_calls(
+            monkeypatch, lambda: identity_suite(fi.ring, fi.class_idempotents(), d, fi=fi))
+        assert calls <= 200

@@ -146,6 +146,24 @@ seed = 3
 trials = 25
 """
 
+# FI(a<=b<=c<=d<=e, Z/4): rank 15, five class idempotents.
+CHAIN5_IDENTITIES_INSTANCE = """
+[instance]
+format_version = 1
+
+[preorder]
+labels = a b c d e
+pairs = a<=b b<=c c<=d d<=e
+
+[ring]
+kind = zmod
+modulus = 4
+
+[task]
+command = identities
+mode = basis
+"""
+
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
@@ -365,6 +383,15 @@ def test_identities_randomized_report_is_pinned(tmp_path):
     assert main(["identities", "--input", path, "--out", str(out)]) == 0
     # Digest of this report as produced by the element-at-a-time suite.
     assert sha256_of(out) == "0dc4371983665a59d856720c0f0f425eb18f817b9ddb784ba9af9890e2ea71d3"
+
+
+def test_identities_rank15_report_is_pinned(tmp_path):
+    out = tmp_path / "report.json"
+    path = write(tmp_path, CHAIN5_IDENTITIES_INSTANCE)
+    assert main(["identities", "--input", path, "--out", str(out)]) == 0
+    # Digest of this report as produced by the suite that evaluated one
+    # family tuple at a time with ring products, before the operator form.
+    assert sha256_of(out) == "133a1bf4c8a2670cd68e706b10330705e7cb51326fa97424876aced5a5331a47"
 
 
 def test_command_must_match_declared(tmp_path):

@@ -29,7 +29,7 @@ from jder.solver import (
 )
 from jder.zmodlin import SelfCheckError, SubgroupBasis, ZmMatrix, howell_form, kernel
 
-from oracles import brute_force_maps, check_map_scalar, is_derivation_map, is_jordan_map, r3
+from oracles import brute_force_maps, check_map_scalar, is_derivation_map, is_jordan_map, r3, r9
 
 
 def search_rings(moduli):
@@ -495,3 +495,24 @@ class TestPolarizationCompleteness:
             d = AdditiveMap.from_array(ring, mat)
             assert der.contains(d) == is_derivation_map(ring.constants, 2, mat, vecs)
             assert jder.contains(d) == is_jordan_map(ring.constants, 2, mat, vecs)
+
+
+class TestTriplePolDecides:
+    """On R9 (tests/oracles.py) the triple-pol rows cut the Jordan kernel down."""
+
+    def test_r9_needs_the_triple_pol_rows(self):
+        ring = r9()
+        k, m = ring.rank, ring.modulus
+        assert solve_derivations(ring).cardinality() == 1024
+        jder = solve_jordan_derivations(ring)
+        assert jder.cardinality() == 4096
+        # _constraint_rows orders its row blocks square, square-pol, triple,
+        # triple-pol, with k rows per block; keep all but the last family.
+        rows = _constraint_rows(ring.constants[None], m, JORDAN)[0]
+        without = kernel(ZmMatrix.from_array(m, rows[:(k + k * (k - 1) // 2 + k * k) * k]))
+        assert without.cardinality() == 8192
+        outside = [g for g in without.as_array() if not jder.basis.contains(g)]
+        assert outside
+        for g in outside:
+            result = check_map_scalar(ring, AdditiveMap.from_flat(ring, g), JORDAN)
+            assert not result.ok and result.identity == "triple-pol"
