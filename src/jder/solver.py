@@ -170,28 +170,34 @@ def _validate_kind(kind: str) -> None:
         raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
 
 
+def _product_residuals(c: np.ndarray, D: np.ndarray, m: int) -> np.ndarray:
+    """P[n, i, j] = d(b_i b_j) - d(b_i) b_j - b_i d(b_j) for ring c[n] and map D[n]."""
+    return (einsum_mod("nijt,nat->nija", c, D, m) - einsum_mod("nsi,nsjt->nijt", D, c, m)
+            - einsum_mod("nsj,nist->nijt", D, c, m)) % m
+
+
 def check_map(ring: StructureRing, d: AdditiveMap, kind: str) -> CheckResult:
     """Evaluate the basis-level constraints of ``kind`` directly on elements.
 
-    This deliberately avoids the assembled constraint matrix: the residuals
-    P[i, j] = d(b_i b_j) - d(b_i) b_j - b_i d(b_j) and its three-factor
-    analogue T[i, j, l] are recomputed from the structure constants and D
-    over all basis tuples, giving an independent oracle for the solver's
-    kernels.  Returns the first violated identity by name with the
-    offending basis indices.
+    This deliberately avoids the assembled constraint matrix: the residual
+    P[i, j] = d(b_i b_j) - d(b_i) b_j - b_i d(b_j) is recomputed from the
+    structure constants and D, an independent oracle for the solver's
+    kernels.  P = 0 means d is a derivation, so every identity holds.
+    Otherwise the residual T[i, j, l] of (b_i b_j) b_l is P(b_i b_j, b_l) +
+    P(b_i, b_j) b_l by bilinearity alone (no associativity).  Returns the
+    first violated identity by name with the offending basis indices.
     """
     _validate_kind(kind)
     if not d.ring.same_presentation(ring):
         raise ValueError("map belongs to a different ring")
-    k, m, c, D = ring.rank, ring.modulus, ring.constants, d.as_array()
-    P = (einsum_mod("ijt,at->ija", c, D, m) - einsum_mod("si,sjt->ijt", D, c, m)
-         - einsum_mod("sj,ist->ijt", D, c, m)) % m
+    k, m, c = ring.rank, ring.modulus, ring.constants
+    P = _product_residuals(c[None], d.as_array()[None], m)[0]
+    if not P.any():
+        return CheckResult(True)
     if kind == DERIVATION:
         checks = [("product", P.any(-1))]
     else:
-        c3 = einsum_mod("ijs,slt->ijlt", c, c, m)
-        T = (einsum_mod("ijls,as->ijla", c3, D, m) - einsum_mod("si,sjlt->ijlt", D, c3, m)
-             - einsum_mod("sj,islt->ijlt", D, c3, m) - einsum_mod("sl,ijst->ijlt", D, c3, m)) % m
+        T = (einsum_mod("ijs,slt->ijlt", c, P, m) + einsum_mod("ijs,slt->ijlt", P, c, m)) % m
         ar = np.arange(k)
         upper = ar[:, None] < ar
         checks = [
@@ -298,7 +304,7 @@ class DerivationSpace:
 
 
 def _solve_all(rings, kind: str):
-    """Yield (space, generators) of ``kind`` per ring of one modulus and rank, self-checked."""
+    """Yield the space of ``kind`` per ring of one modulus and rank, self-checked."""
     if len({(ring.modulus, ring.rank) for ring in rings}) > 1:
         raise ValueError("a batch needs rings of one modulus and rank")
     if not rings:
@@ -306,24 +312,23 @@ def _solve_all(rings, kind: str):
     c = np.stack([ring.constants for ring in rings])
     for ring, matrix in zip(rings, _constraint_matrices(c, rings[0].modulus, kind)):
         space = DerivationSpace(ring, kind, kernel(matrix))
-        gens = space.generators()
-        for g in gens:
+        for g in space.generators():
             result = check_map(ring, g, kind)
             if not result.ok:
                 raise SelfCheckError(
                     f"solver generator violates {result.identity} at {result.indices}"
                 )
-        yield space, gens
+        yield space
 
 
 def solve_derivations(ring: StructureRing) -> DerivationSpace:
     """All additive d with d(rs) = d(r)s + rd(s), as a canonical subgroup."""
-    return next(_solve_all([ring], DERIVATION))[0]
+    return next(_solve_all([ring], DERIVATION))
 
 
 def solve_jordan_derivations(ring: StructureRing) -> DerivationSpace:
     """All additive d with d(r^2) = d(r)r + rd(r) and d(rsr) = d(r)sr + rd(s)r + rsd(r)."""
-    return next(_solve_all([ring], JORDAN))[0]
+    return next(_solve_all([ring], JORDAN))
 
 
 def inner_derivation(ring: StructureRing, a: RingElement) -> AdditiveMap:
@@ -370,22 +375,30 @@ def compare_spaces(ring: StructureRing) -> SpaceComparison:
 def compare_all(rings) -> list:
     """``compare_spaces`` of each ring; ValueError unless all share one modulus and rank.
 
-    JDer is solved for the whole batch first.  A ring whose JDer generators
-    all pass ``check_map`` as derivations has Der = JDer with the same
+    JDer is solved for the whole batch first.  The product residual P of
+    every JDer generator of every ring is then computed in one stacked step.
+    A ring whose generators all have P = 0 has Der = JDer with the same
     canonical basis, so Der is solved, in one more batch, only for the rings
-    with a generator that fails; that generator must be ``_compare``'s witness.
+    with a generator of nonzero P; the first one must be ``_compare``'s witness.
     """
-    jders, failing = [], {}
-    for n, (jder, gens) in enumerate(_solve_all(rings, JORDAN)):
-        jders.append(jder)
-        bad = next((g for g in gens if not check_map(jder.ring, g, DERIVATION).ok), None)
-        if bad is not None:
-            failing[n] = bad
+    jders, failing = list(_solve_all(rings, JORDAN)), {}
+    if jders:
+        k, m = rings[0].rank, rings[0].modulus
+        flats = [jder.basis.as_array() for jder in jders]
+        owner = np.repeat(np.arange(len(flats)), [len(f) for f in flats])
+        stack = np.concatenate(flats)
+        c = np.stack([ring.constants for ring in rings])[owner]
+        # Row g of the stack is D laid out column by column (AdditiveMap.from_flat).
+        bad = np.flatnonzero(_product_residuals(c, stack.reshape(-1, k, k).transpose(0, 2, 1), m)
+                             .any(axis=(1, 2, 3)))
+        rings_bad, first = np.unique(owner[bad], return_index=True)
+        for n, g in zip(rings_bad.tolist(), bad[first].tolist()):
+            failing[n] = AdditiveMap.from_flat(jders[n].ring, stack[g])
     ders = _solve_all([jders[n].ring for n in failing], DERIVATION)
     out = []
     for n, jder in enumerate(jders):
         if n in failing:
-            cmp = _compare(next(ders)[0], jder)
+            cmp = _compare(next(ders), jder)
             if cmp.witness != failing[n]:
                 raise SelfCheckError("Der solve disagrees with the first non-derivation generator")
         else:

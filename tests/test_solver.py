@@ -6,7 +6,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from jder import solver
@@ -39,6 +39,40 @@ def search_rings(moduli):
 def t2(m):
     z = zmod(m)
     return triangular_ring(z, regular_bimodule(z), z)
+
+
+JORDAN_FAMILIES = ("square", "square-pol", "triple", "triple-pol")
+
+
+def kernel_without(ring, kind, family):
+    """Kernel of the raw ``kind`` rows of ``ring`` with one family's rows sliced out.
+
+    _constraint_rows orders its row blocks by family, with k rows per block:
+    k^2 product blocks; or k square, k(k-1)/2 square-pol, k^2 triple and
+    k^2(k-1)/2 triple-pol blocks.
+    """
+    k, m = ring.rank, ring.modulus
+    rows = _constraint_rows(ring.constants[None], m, kind)[0]
+    if kind == DERIVATION:
+        blocks = {"product": k * k}
+    else:
+        blocks = dict(zip(JORDAN_FAMILIES, (k, k * (k - 1) // 2, k * k, k * k * (k - 1) // 2)))
+    stops = k * np.cumsum(list(blocks.values()))
+    assert stops[-1] == len(rows)
+    n = list(blocks).index(family)
+    start = stops[n - 1] if n else 0
+    return kernel(ZmMatrix.from_array(m, np.delete(rows, np.s_[start:stops[n]], axis=0)))
+
+
+@functools.cache
+def r9_outside_jder():
+    """R9, and the generators outside JDer of its Jordan kernel without the triple-pol rows."""
+    ring = r9()
+    jder = solve_jordan_derivations(ring)
+    without = kernel_without(ring, JORDAN, "triple-pol")
+    assert (jder.cardinality(), without.cardinality()) == (4096, 8192)
+    return ring, [AdditiveMap.from_flat(ring, g) for g in without.as_array()
+                  if not jder.basis.contains(g)]
 
 
 def random_basis_change(ring, seed):
@@ -122,6 +156,13 @@ class TestCheckMap:
             build_ring(3, np.zeros((0, 0, 0), dtype=np.int64)),
         ]
         seen = set()
+
+        def compare(ring, d):
+            for kind in (DERIVATION, JORDAN):
+                result = check_map(ring, d, kind)
+                assert result == check_map_scalar(ring, d, kind), (ring.constants, d, kind)
+                seen.add(result.identity)
+
         for ring in rings:
             k, m = ring.rank, ring.modulus
             maps = solve_derivations(ring).generators()
@@ -139,13 +180,12 @@ class TestCheckMap:
             maps += [AdditiveMap.from_flat(ring, g)
                      for g in kernel(ZmMatrix.from_array(m, square_rows)).generators]
             for d in maps:
-                for kind in (DERIVATION, JORDAN):
-                    result = check_map(ring, d, kind)
-                    assert result == check_map_scalar(ring, d, kind), (ring.constants, d, kind)
-                    seen.add(result.identity)
-        # No map found so far passes triple but fails triple-pol, so that
-        # branch is compared on passing maps only.
-        assert seen == {"", "product", "square", "square-pol", "triple"}
+                compare(ring, d)
+        # R9's maps that pass every Jordan family but triple-pol.
+        ring, outside = r9_outside_jder()
+        for d in outside:
+            compare(ring, d)
+        assert seen == {"", "product", "square", "square-pol", "triple", "triple-pol"}
 
 
 class TestConstraintMatrix:
@@ -237,6 +277,41 @@ BRUTE_RINGS = [
     build_ring(4, [[[0, 0], [0, 0]], [[0, 0], [0, 2]]]),
     build_ring(3, [[[1, 0], [0, 1]], [[0, 0], [0, 0]]]),
 ]
+
+
+def associative(c: np.ndarray, m: int) -> bool:
+    return not ((np.einsum("ijs,slt->ijlt", c, c) - np.einsum("jls,ist->ijlt", c, c)) % m).any()
+
+
+class TestBruteForceProperty:
+    """Both solvers against oracles.brute_force_maps on random associative tables.
+
+    Rank 1 runs over m in [2, 12] and rank 2 over m in [2, 6]: the oracle
+    re-checks every surviving map at each of the m^4 rank-2 element pairs,
+    and with rank 2 up to m = 12, 20 examples took 3 to 25 s.  The zero
+    table, where every map survives, is covered by the zero-multiplication
+    tests of TestSolveSpaces and TestCompare.
+    """
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.data())
+    def test_solvers_match_enumeration(self, data):
+        k = data.draw(st.integers(1, 2), label="rank")
+        m = data.draw(st.integers(2, 12 if k == 1 else 6), label="modulus")
+        # Sparse tables: a dense random table is rarely associative.
+        support = data.draw(st.sets(st.integers(0, k ** 3 - 1), min_size=1), label="support")
+        c = np.zeros(k ** 3, dtype=np.int64)
+        c[sorted(support)] = data.draw(st.lists(st.integers(1, m - 1), min_size=len(support),
+                                                max_size=len(support)), label="entries")
+        c = c.reshape(k, k, k)
+        assume(associative(c, m))
+        ring = build_ring(m, c)
+        for kind, solve in ((DERIVATION, solve_derivations), (JORDAN, solve_jordan_derivations)):
+            maps = brute_force_maps(c, m, kind)
+            flats = np.array([d.flatten(order="F") for d in maps])
+            space = solve(ring)
+            assert space.basis.generators == howell_form(ZmMatrix.from_array(m, flats)).generators
+            assert space.cardinality() == len(maps)
 
 
 def ring_id(ring):
@@ -450,6 +525,55 @@ class TestBatchProperty:
         assert_batch_matches_one_ring_at_a_time([pool[n] for n in picks])
 
 
+class TestBatchedDerPass:
+    """compare_all's stacked product residual against check_map, generator by generator."""
+
+    @staticmethod
+    def record_residuals(monkeypatch):
+        real, calls = solver._product_residuals, []
+
+        def recording(c, D, m):
+            P = real(c, D, m)
+            calls.append((D, P))
+            return P
+
+        monkeypatch.setattr(solver, "_product_residuals", recording)
+        return calls
+
+    def test_every_search_generator_agrees_with_check_map(self, monkeypatch):
+        calls = self.record_residuals(monkeypatch)
+        for pool in search_pools().values():
+            calls.clear()
+            cmps = compare_all(pool)
+            gens = [(cmp.jordan.ring, g) for cmp in cmps for g in cmp.jordan.generators()]
+            # One check_map self-check per JDer generator, then the stacked pass.
+            D, P = calls[len(gens)]
+            assert D.tolist() == [g.matrix.tolist() for _, g in gens]
+            assert (P.any(axis=(1, 2, 3)).tolist()
+                    == [not check_map(ring, g, DERIVATION).ok for ring, g in gens])
+            for cmp in cmps:
+                ring = cmp.jordan.ring
+                first = next((g for g in cmp.jordan.generators()
+                              if not check_map(ring, g, DERIVATION).ok), None)
+                assert cmp.witness == first
+
+    def test_batch_without_generators(self, monkeypatch):
+        # JDer(Z/3) = 0: the stacked residual is empty and no Der kernel is solved.
+        calls = self.record_residuals(monkeypatch)
+        real_kernel, kernels = solver.kernel, []
+
+        def kernel(matrix):
+            kernels.append(matrix)
+            return real_kernel(matrix)
+
+        monkeypatch.setattr(solver, "kernel", kernel)
+        cmps = compare_all([zmod(3)] * 3)
+        assert ([(cmp.equal, cmp.witness, cmp.jordan.cardinality()) for cmp in cmps]
+                == [(True, None, 1)] * 3)
+        assert len(kernels) == 3
+        assert [(D.shape, P.shape) for D, P in calls] == [((0, 1, 1), (0, 1, 1, 1))]
+
+
 def random_element(rng, ring):
     return ring.element([rng.randrange(ring.modulus) for _ in range(ring.rank)])
 
@@ -501,18 +625,27 @@ class TestTriplePolDecides:
     """On R9 (tests/oracles.py) the triple-pol rows cut the Jordan kernel down."""
 
     def test_r9_needs_the_triple_pol_rows(self):
-        ring = r9()
-        k, m = ring.rank, ring.modulus
+        ring, outside = r9_outside_jder()
         assert solve_derivations(ring).cardinality() == 1024
-        jder = solve_jordan_derivations(ring)
-        assert jder.cardinality() == 4096
-        # _constraint_rows orders its row blocks square, square-pol, triple,
-        # triple-pol, with k rows per block; keep all but the last family.
-        rows = _constraint_rows(ring.constants[None], m, JORDAN)[0]
-        without = kernel(ZmMatrix.from_array(m, rows[:(k + k * (k - 1) // 2 + k * k) * k]))
-        assert without.cardinality() == 8192
-        outside = [g for g in without.as_array() if not jder.basis.contains(g)]
         assert outside
-        for g in outside:
-            result = check_map_scalar(ring, AdditiveMap.from_flat(ring, g), JORDAN)
+        for d in outside:
+            result = check_map_scalar(ring, d, JORDAN)
             assert not result.ok and result.identity == "triple-pol"
+            assert check_map(ring, d, JORDAN) == result
+
+
+class TestEveryFamilyDecides:
+    """Slicing any one family out of the raw rows strictly enlarges the kernel on some ring."""
+
+    @pytest.mark.parametrize("kind, family, ring, sizes", [
+        (DERIVATION, "product", zmod(4), (1, 4)),
+        (JORDAN, "square", zmod(4), (1, 2)),
+        # b1 * b0 = 2 * b1 over Z/4, other products zero.
+        (JORDAN, "square-pol", build_ring(4, [[[0, 0], [0, 0]], [[0, 2], [0, 0]]]), (32, 64)),
+        # b0 * b0 = b0 over Z/2, other products zero.
+        (JORDAN, "triple", build_ring(2, [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]), (2, 4)),
+        (JORDAN, "triple-pol", r9(), (4096, 8192)),
+    ], ids=("product",) + JORDAN_FAMILIES)
+    def test_dropping_the_family_enlarges_the_kernel(self, kind, family, ring, sizes):
+        solve = solve_derivations if kind == DERIVATION else solve_jordan_derivations
+        assert (solve(ring).cardinality(), kernel_without(ring, kind, family).cardinality()) == sizes
