@@ -501,7 +501,7 @@ def run(command: str, instance: Instance, seed: int = 0, trials: int = 1000,
         result = {
             "rank": fi.rank,
             "pairs": [
-                [fi.preorder.labels[p], fi.preorder.labels[q]] for (p, q) in fi.pairs
+                [fi.preorder.labels[p], fi.preorder.labels[q]] for (p, q) in fi.ring.pairs
             ],
             "classes": [list(quotient.members(ci)) for ci in range(quotient.size)],
             "isolated_classes": list(quotient.isolated_classes()),

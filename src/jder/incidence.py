@@ -20,19 +20,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .preorders import Preorder, QuotientPoset
-from .rings import (
-    MatrixRing,
-    RingElement,
-    StructureRing,
-    _pair_constants,
-    matrix_ring,
-)
+from .rings import MatrixRing, PairRing, RingElement, StructureRing, matrix_ring
 
 __all__ = ["IncidenceRing", "fi_ring", "FamilyConditionsReport", "verify_family_conditions"]
 
 
 class IncidenceRing:
-    """FI(P, R): the incidence ring of a finite preorder over a finite ring."""
+    """FI(P, R): the incidence ring of a finite preorder over a finite ring.
+
+    ``ring`` is the PairRing on the comparable pairs; the accessors here
+    take element labels and class indices and call onto it.
+    """
 
     def __init__(self, preorder: Preorder, coefficients: StructureRing):
         if not coefficients.is_unital:
@@ -47,14 +45,8 @@ class IncidenceRing:
             preorder.comparable_pairs(),
             key=lambda pq: (cls[pq[0]], cls[pq[1]], pq[0], pq[1]),
         )
-        self.pairs = tuple(pairs)
-        self._pair_pos = {pq: n for n, pq in enumerate(pairs)}
-        self._leq = preorder.as_array()
-        c, unit = _pair_constants(pairs, coefficients)
-        suffixes = [""] if coefficients.rank == 1 else [f"*{lab}" for lab in coefficients.labels]
-        labels = [f"[{preorder.labels[p]},{preorder.labels[q]}]{suffix}"
-                  for p, q in pairs for suffix in suffixes]
-        self.ring = StructureRing(coefficients.modulus, c, unit=unit, labels=labels)
+        labels = preorder.labels
+        self.ring = PairRing(pairs, coefficients, [f"[{labels[p]},{labels[q]}]" for p, q in pairs])
         self._class_rings: dict[int, MatrixRing] = {}
 
     # -- basis bookkeeping --------------------------------------------------
@@ -63,46 +55,23 @@ class IncidenceRing:
     def rank(self) -> int:
         return self.ring.rank
 
-    def basis_index(self, p: int, q: int, t: int = 0) -> int:
-        if (p, q) not in self._pair_pos:
-            raise KeyError(
-                f"({self.preorder.labels[p]}, {self.preorder.labels[q]}) is not comparable"
-            )
-        return self._pair_pos[(p, q)] * self.coefficients.rank + t
-
     def element(self, entries: dict) -> RingElement:
         """Build an element from {(p_label, q_label): R-element} support."""
-        coeffs = np.zeros(self.rank, dtype=np.int64)
-        k_r = self.coefficients.rank
-        for (pl, ql), val in entries.items():
-            p, q = self.preorder.index(pl), self.preorder.index(ql)
-            if not val.ring.same_presentation(self.coefficients):
-                raise ValueError("entry values must belong to the coefficient ring")
-            n = self.basis_index(p, q, 0)
-            coeffs[n:n + k_r] = val.as_array()
-        return self.ring.element(coeffs)
+        index = self.preorder.index
+        return self.ring.from_entries({(index(pl), index(ql)): val
+                                       for (pl, ql), val in entries.items()})
 
     def entry(self, elem: RingElement, pl: str, ql: str) -> RingElement:
         """The R-coefficient of an element at an element pair (zero if incomparable)."""
-        p, q = self.preorder.index(pl), self.preorder.index(ql)
-        if (p, q) not in self._pair_pos:
-            return self.coefficients.zero()
-        n = self.basis_index(p, q, 0)
-        return self.coefficients.element(elem.as_array()[n:n + self.coefficients.rank])
-
-    def support(self, elem: RingElement) -> list[tuple[str, str]]:
-        nonzero = elem.as_array().reshape(len(self.pairs), self.coefficients.rank).any(axis=1)
-        labels = self.preorder.labels
-        return [(labels[p], labels[q]) for (p, q), hit in zip(self.pairs, nonzero) if hit]
+        return self.ring.entry(elem, self.preorder.index(pl), self.preorder.index(ql))
 
     def block_indices(self, ci: int, cj: int) -> list[int]:
         """Basis indices of the block Mor(x, y) of classes x <= y, in (p, q, t) order.
 
         This is the basis order of the class matrix ring when ci == cj.
         """
-        classes, k_r = self.quotient.classes, self.coefficients.rank
-        return [self.basis_index(p, q, t)
-                for p in classes[ci] for q in classes[cj] for t in range(k_r)]
+        classes = self.quotient.classes
+        return self.ring.block(classes[ci], classes[cj])
 
     # -- convolution ----------------------------------------------------------
 
@@ -113,29 +82,19 @@ class IncidenceRing:
         assembled structure constants, only R's multiplication, and must
         agree with ``a * b``.
         """
-        labels = self.preorder.labels
-        out = {}
-        for (p, q) in self.pairs:
-            acc = self.coefficients.zero()
-            for z in range(self.preorder.size):
-                if self._leq[p, z] and self._leq[z, q]:
-                    acc = acc + self.entry(a, labels[p], labels[z]) * self.entry(
-                        b, labels[z], labels[q]
-                    )
-            if not acc.is_zero():
-                out[(labels[p], labels[q])] = acc
-        return self.element(out)
+        ring, leq = self.ring, self.preorder.as_array()
+        return ring.from_entries({
+            (p, q): sum((ring.entry(a, p, z) * ring.entry(b, z, q)
+                         for z in range(self.preorder.size) if leq[p, z] and leq[z, q]),
+                        self.coefficients.zero())
+            for p, q in ring.pairs})
 
     # -- classes and corners ---------------------------------------------------
 
     def class_idempotent(self, ci: int) -> RingElement:
         """e_x: the identity concentrated on the diagonal of one class."""
-        coeffs = np.zeros(self.rank, dtype=np.int64)
-        k_r = self.coefficients.rank
-        for i in self.quotient.classes[ci]:
-            n = self.basis_index(i, i, 0)
-            coeffs[n:n + k_r] = self.coefficients.unit
-        return self.ring.element(coeffs)
+        one = self.coefficients.one()
+        return self.ring.from_entries({(i, i): one for i in self.quotient.classes[ci]})
 
     def class_idempotents(self) -> list[RingElement]:
         return [self.class_idempotent(ci) for ci in range(self.quotient.size)]
@@ -153,27 +112,15 @@ class IncidenceRing:
 
         Incomparable class pairs yield the zero block of the right shape.
         """
-        rows = self.quotient.classes[ci]
-        cols = self.quotient.classes[cj]
-        labels = self.preorder.labels
-        if not self.quotient.leq(ci, cj):
-            zero = self.coefficients.zero()
-            return [[zero for _ in cols] for _ in rows]
-        return [
-            [self.entry(elem, labels[p], labels[q]) for q in cols] for p in rows
-        ]
+        classes = self.quotient.classes
+        return [[self.ring.entry(elem, p, q) for q in classes[cj]] for p in classes[ci]]
 
     def block_element(self, ci: int, cj: int, grid) -> RingElement:
         """Embed a grid of R-entries as an element supported on one block."""
-        rows = self.quotient.classes[ci]
-        cols = self.quotient.classes[cj]
-        labels = self.preorder.labels
-        entries = {}
-        for a, p in enumerate(rows):
-            for b, q in enumerate(cols):
-                if not grid[a][b].is_zero():
-                    entries[(labels[p], labels[q])] = grid[a][b]
-        return self.element(entries)
+        classes = self.quotient.classes
+        return self.ring.from_entries({
+            (p, q): cell for p, row in zip(classes[ci], grid) for q, cell in zip(classes[cj], row)
+            if not cell.is_zero()})
 
 
 def fi_ring(preorder: Preorder, coefficients: StructureRing) -> IncidenceRing:

@@ -27,6 +27,7 @@ __all__ = [
     "CornerNotFreeError",
     "StructureRing",
     "RingElement",
+    "PairRing",
     "MatrixRing",
     "ProductRing",
     "TriangularRing",
@@ -170,10 +171,6 @@ class StructureRing:
                            einsum_mod("...i,ijt->...jt", x, c, m), m)
         return x
 
-    def multiplication_table(self) -> tuple:
-        """Basis-by-basis product table, for presentation comparisons."""
-        return tuple(tuple(map(tuple, plane)) for plane in self.constants.tolist())
-
     def __repr__(self) -> str:
         unital = "unital " if self.is_unital else ""
         return f"<{unital}ring of rank {self.rank} over Z/{self.modulus}>"
@@ -306,56 +303,66 @@ def _pair_constants(pairs, base: StructureRing) -> tuple[np.ndarray, np.ndarray 
     return np.kron(pattern, base.constants), unit
 
 
-class MatrixRing(StructureRing):
-    """M_n(R) for a structure ring R, with matrix-unit accessors.
+class PairRing(StructureRing):
+    """The ring spanned by index pairs over a base ring R (see ``_pair_constants``).
 
-    Basis elements are triples (i, j, t): the matrix with R-basis element t
-    in entry (i, j).  Basis order is lexicographic in (i, j, t).
+    Basis element n * k_R + t is b_t at pairs[n], labelled names[n] with a
+    ``*label_t`` suffix when R has rank above 1.  This class is the one
+    place that knows that layout.
     """
+
+    def __init__(self, pairs, base: StructureRing, names):
+        self.base = base
+        self.pairs = tuple(map(tuple, pairs))
+        self._position = {pq: n for n, pq in enumerate(self.pairs)}
+        c, unit = _pair_constants(self.pairs, base)
+        suffixes = [""] if base.rank == 1 else [f"*{lab}" for lab in base.labels]
+        labels = [f"{name}{suffix}" for name in names for suffix in suffixes]
+        super().__init__(base.modulus, c, unit=unit, labels=labels)
+
+    def index(self, p: int, q: int, t: int = 0) -> int:
+        """The basis index of b_t at the pair (p, q); KeyError if (p, q) is not listed."""
+        if (p, q) not in self._position:
+            raise KeyError(f"the pair ({p}, {q}) is not listed")
+        if not 0 <= t < self.base.rank:
+            raise IndexError(f"base-ring index {t} out of range")
+        return self._position[(p, q)] * self.base.rank + t
+
+    def entry(self, elem: RingElement, p: int, q: int) -> RingElement:
+        """The base-ring coefficient of an element at (p, q), zero if the pair is not listed."""
+        if (p, q) not in self._position:
+            return self.base.zero()
+        n = self.index(p, q)
+        return self.base.element(elem.as_array()[n:n + self.base.rank])
+
+    def from_entries(self, entries: dict) -> RingElement:
+        """Build an element from {(p, q): base-ring element}."""
+        coeffs = np.zeros(self.rank, dtype=np.int64)
+        for (p, q), value in entries.items():
+            if not value.ring.same_presentation(self.base):
+                raise ValueError("entries must belong to the base ring")
+            n = self.index(p, q)
+            coeffs[n:n + self.base.rank] = value.as_array()
+        return self.element(coeffs)
+
+    def block(self, rows, cols) -> list[int]:
+        """Basis indices of the pairs rows x cols, in (p, q, t) order."""
+        return [self.index(p, q, t) for p in rows for q in cols for t in range(self.base.rank)]
+
+
+class MatrixRing(PairRing):
+    """M_n(R): the pair ring on all (i, j), with basis order lexicographic in (i, j, t)."""
 
     def __init__(self, base: StructureRing, size: int):
         if size < 1:
             raise RingConstructionError("matrix size must be at least 1")
-        self.base = base
         self.size = size
         pairs = list(itertools.product(range(size), repeat=2))
-        c, unit = _pair_constants(pairs, base)
-        suffixes = [""] if base.rank == 1 else [f"*{lab}" for lab in base.labels]
-        labels = [f"e[{i},{j}]{suffix}" for i, j in pairs for suffix in suffixes]
-        super().__init__(base.modulus, c, unit=unit, labels=labels)
-
-    def flat_index(self, i: int, j: int, t: int = 0) -> int:
-        if not (0 <= i < self.size and 0 <= j < self.size and 0 <= t < self.base.rank):
-            raise IndexError("matrix-unit index out of range")
-        return (i * self.size + j) * self.base.rank + t
+        super().__init__(pairs, base, [f"e[{i},{j}]" for i, j in pairs])
 
     def matrix_unit(self, i: int, j: int, scalar: RingElement | None = None) -> RingElement:
         """The matrix with the given R-scalar (default 1_R) in entry (i, j)."""
-        if scalar is None:
-            scalar = self.base.one()
-        elif not scalar.ring.same_presentation(self.base):
-            raise ValueError("scalar must belong to the base ring")
-        coeffs = np.zeros(self.rank, dtype=np.int64)
-        w0 = self.flat_index(i, j, 0)
-        coeffs[w0:w0 + self.base.rank] = scalar.as_array()
-        return self.element(coeffs)
-
-    def entry(self, elem: RingElement, i: int, j: int) -> RingElement:
-        """The (i, j) entry of a matrix-ring element, as a base-ring element."""
-        w0 = self.flat_index(i, j, 0)
-        return self.base.element(elem.as_array()[w0:w0 + self.base.rank])
-
-    def from_entries(self, grid) -> RingElement:
-        """Build an element from an n x n grid of base-ring elements."""
-        coeffs = np.zeros(self.rank, dtype=np.int64)
-        for i in range(self.size):
-            for j in range(self.size):
-                cell = grid[i][j]
-                if not cell.ring.same_presentation(self.base):
-                    raise ValueError("grid entries must belong to the base ring")
-                w0 = self.flat_index(i, j, 0)
-                coeffs[w0:w0 + self.base.rank] = cell.as_array()
-        return self.element(coeffs)
+        return self.from_entries({(i, j): self.base.one() if scalar is None else scalar})
 
 
 def matrix_ring(base: StructureRing, size: int) -> MatrixRing:

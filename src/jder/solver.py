@@ -112,10 +112,6 @@ class AdditiveMap:
     def to_flat(self) -> tuple:
         return tuple(self.matrix.flatten(order="F").tolist())
 
-    def image(self, j: int) -> RingElement:
-        """d(b_j)."""
-        return self.ring.element(self.matrix[:, j])
-
     def __call__(self, elem: RingElement) -> RingElement:
         if not elem.ring.same_presentation(self.ring):
             raise ValueError("element belongs to a different ring")

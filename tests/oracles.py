@@ -66,24 +66,27 @@ def r3():
     return build_ring(4, c, unit=(1, 0, 0))
 
 
-def r9():
+def r9(unital: bool = True):
     """R9 = F_2<x, y> / (x^2, y^2, all words of length >= 5) over Z/2.
 
     Basis 1, x, y, xy, yx, xyx, yxy, xyxy, yxyx: the words alternating in x
     and y of length <= 4, multiplied by concatenation (zero when the result
     repeats a letter or is too long).  Unital of rank 9 with |Der| = 1024 <
     |JDer| = 4096, and the Jordan rows without their triple-pol block cut
-    out 8192 maps, so the triple-pol rows decide something here.
+    out 8192 maps, so the triple-pol rows decide something here.  With
+    ``unital=False`` the empty word is left out: the non-unital rank-8 form,
+    with the same three cardinalities.
     """
     from jder.rings import build_ring
 
-    words = ["", "x", "y", "xy", "yx", "xyx", "yxy", "xyxy", "yxyx"]
-    c = np.zeros((9, 9, 9), dtype=np.int64)
+    words = ["", "x", "y", "xy", "yx", "xyx", "yxy", "xyxy", "yxyx"][0 if unital else 1:]
+    k = len(words)
+    c = np.zeros((k, k, k), dtype=np.int64)
     for i, u in enumerate(words):
         for j, v in enumerate(words):
             if u + v in words:
                 c[i, j, words.index(u + v)] = 1
-    return build_ring(2, c, unit=(1,) + (0,) * 8)
+    return build_ring(2, c, unit=(1,) + (0,) * 8 if unital else None)
 
 
 def preorders_up_to_isomorphism(n: int) -> list:

@@ -231,8 +231,8 @@ class TestExtendIsolated:
         ext = extend_isolated(fi, 0, d_x)
         back = restrict_to_class(fi, ext, 0)
         assert back.entries == d_x.entries
-        u = fi.basis_index(fi.preorder.index("b"), fi.preorder.index("c"))
-        assert ext.image(u).is_zero()
+        u = fi.ring.index(fi.preorder.index("b"), fi.preorder.index("c"))
+        assert ext(fi.ring.basis_element(u)).is_zero()
 
     def test_status_transfers_both_ways(self):
         r = dual_numbers(2)

@@ -4,6 +4,7 @@ import ast
 import importlib
 import pathlib
 import pkgutil
+import re
 
 import numpy as np
 import pytest
@@ -109,3 +110,27 @@ def test_every_contraction_goes_through_einsum_mod():
             where = f"{path.name}:{line} in {function}"
             assert (path.stem, function) in CONTRACTION_ALLOWLIST, where
     assert found == set(CONTRACTION_ALLOWLIST)
+
+
+def test_every_public_method_is_used_or_documented():
+    """No undocumented public surface: each public method or property of a class in
+    src/jder is used as ``.name`` in src/jder or bench/, or named in backticks in README."""
+    package = pathlib.Path(jder.__file__).parent
+    root = package.parent.parent
+    sources = sorted(package.glob("*.py"))
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sources + sorted((root / "bench").glob("*.py"))}
+    known = {node.attr for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)}
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    known |= {word for quoted in re.findall(r"`([^`]*)`", readme)
+              for word in re.findall(r"[A-Za-z_]\w*", quoted)}
+    undocumented = [
+        f"{path.name}: {node.name}.{item.name}"
+        for path in sources for node in ast.walk(trees[path])
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not item.name.startswith("_") and item.name not in known
+    ]
+    assert undocumented == []

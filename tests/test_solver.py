@@ -65,9 +65,10 @@ def kernel_without(ring, kind, family):
 
 
 @functools.cache
-def r9_outside_jder():
-    """R9, and the generators outside JDer of its Jordan kernel without the triple-pol rows."""
-    ring = r9()
+def r9_outside_jder(unital=True):
+    """R9 (or its rank-8 form), and the generators outside JDer of its Jordan kernel
+    without the triple-pol rows."""
+    ring = r9(unital)
     jder = solve_jordan_derivations(ring)
     without = kernel_without(ring, JORDAN, "triple-pol")
     assert (jder.cardinality(), without.cardinality()) == (4096, 8192)
@@ -119,7 +120,7 @@ class TestAdditiveMap:
         r = dual_numbers(2)
         one, x = r.basis()
         d = AdditiveMap.from_images(r, [r.zero(), one + x])
-        assert d.image(1) == one + x
+        assert d(x) == one + x
         assert d(one + x) == one + x
         assert (d + d).is_zero()
 
@@ -622,16 +623,17 @@ class TestPolarizationCompleteness:
 
 
 class TestTriplePolDecides:
-    """On R9 (tests/oracles.py) the triple-pol rows cut the Jordan kernel down."""
+    """On R9 (tests/oracles.py) and its rank-8 form the triple-pol rows cut the Jordan kernel down."""
 
     def test_r9_needs_the_triple_pol_rows(self):
-        ring, outside = r9_outside_jder()
-        assert solve_derivations(ring).cardinality() == 1024
-        assert outside
-        for d in outside:
-            result = check_map_scalar(ring, d, JORDAN)
-            assert not result.ok and result.identity == "triple-pol"
-            assert check_map(ring, d, JORDAN) == result
+        for unital in (True, False):
+            ring, outside = r9_outside_jder(unital)
+            assert solve_derivations(ring).cardinality() == 1024, unital
+            assert outside, unital
+            for d in outside:
+                result = check_map_scalar(ring, d, JORDAN)
+                assert not result.ok and result.identity == "triple-pol"
+                assert check_map(ring, d, JORDAN) == result
 
 
 class TestEveryFamilyDecides:
@@ -645,7 +647,8 @@ class TestEveryFamilyDecides:
         # b0 * b0 = b0 over Z/2, other products zero.
         (JORDAN, "triple", build_ring(2, [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]), (2, 4)),
         (JORDAN, "triple-pol", r9(), (4096, 8192)),
-    ], ids=("product",) + JORDAN_FAMILIES)
+        (JORDAN, "triple-pol", r9(unital=False), (4096, 8192)),
+    ], ids=("product",) + JORDAN_FAMILIES + ("triple-pol-rank8",))
     def test_dropping_the_family_enlarges_the_kernel(self, kind, family, ring, sizes):
         solve = solve_derivations if kind == DERIVATION else solve_jordan_derivations
         assert (solve(ring).cardinality(), kernel_without(ring, kind, family).cardinality()) == sizes
