@@ -81,7 +81,7 @@ def restrict_to_class(fi: IncidenceRing, d: AdditiveMap, ci: int) -> AdditiveMap
     e_x FI e_x = M_{|x|}(R), but computed independently as the (x, x) block
     of the map's matrix rather than through the corner presentation.
     """
-    if not d.ring.same_presentation(fi.ring):
+    if not d.ring.same_presentation(fi):
         raise ValueError("map does not live on the incidence ring")
     if not 0 <= ci < fi.quotient.size:
         raise ValueError(f"no class with index {ci}")
@@ -135,12 +135,12 @@ def extend_isolated(fi: IncidenceRing, ci: int, d_x: AdditiveMap) -> AdditiveMap
         raise ValueError(f"class {q.class_label(ci)} is not isolated")
     if len(q.classes[ci]) != 1:
         raise ValueError(f"class {q.class_label(ci)} is not a singleton")
-    if not d_x.ring.same_presentation(fi.coefficients):
+    if not d_x.ring.same_presentation(fi.base):
         raise ValueError("the map must act on the coefficient ring")
     block = fi.block_indices(ci, ci)
     mat = np.zeros((fi.rank, fi.rank), dtype=np.int64)
     mat[np.ix_(block, block)] = d_x.as_array()
-    return AdditiveMap.from_array(fi.ring, mat)
+    return AdditiveMap.from_array(fi, mat)
 
 
 # -- bimodule faithfulness -----------------------------------------------------
@@ -265,11 +265,12 @@ def cross_check(preorder: Preorder, coefficients: StructureRing,
     so consistency there means Equal on FI; in the conditional case it
     means the two Equal answers coincide.
     """
+    rank = len(preorder.comparable_pairs()) * coefficients.rank
+    if rank > budget:  # refused before FI(P, R) is built
+        raise SizeBudgetError(rank, budget)
     fi = fi_ring(preorder, coefficients)
-    if fi.rank > budget:
-        raise SizeBudgetError(fi.rank, budget)
     verdict = theorem_verdict(preorder, coefficients)
-    fi_cmp = compare_spaces(fi.ring)
+    fi_cmp = compare_spaces(fi)
     ring_cmp = compare_spaces(coefficients)
     if verdict.outcome == ALL_JORDAN_ARE_DERIVATIONS:
         consistent = fi_cmp.equal
@@ -308,15 +309,14 @@ _TUPLE_CHUNK_BYTES = 1 << 25
 
 
 def identity_suite(ring: StructureRing, family, d: AdditiveMap,
-                   mode: str = "basis", seed: int = 0, trials: int = 200,
-                   fi: IncidenceRing | None = None) -> IdentitySuiteReport:
+                   mode: str = "basis", seed: int = 0, trials: int = 200) -> IdentitySuiteReport:
     """Evaluate the orthogonal-idempotent identities satisfied by Jordan derivations.
 
     mode "basis" quantifies free ring variables over all basis tuples;
     mode "randomized" draws ``trials`` seeded coefficient tuples instead.
     The map must be a Jordan derivation (the identities presuppose it);
     one identity holds for derivations only and is skipped otherwise, and
-    the blockwise identity needs the incidence presentation ``fi``.
+    the blockwise identity applies only when ``ring`` is an IncidenceRing.
 
     Each identity is a few contractions over a chunk of its family tuples
     at once, on a leading tuple axis, with k x k multiplication operators
@@ -336,8 +336,6 @@ def identity_suite(ring: StructureRing, family, d: AdditiveMap,
                 f"at {verdict.indices})"
             )
     family = _validate_family(ring, family)
-    if fi is not None and not fi.ring.same_presentation(ring):
-        raise ValueError("incidence presentation does not match the ring")
 
     k, m, c, D = ring.rank, ring.modulus, ring.constants, d.as_array()
     rng = random.Random(seed) if mode == "randomized" else None
@@ -478,20 +476,21 @@ def identity_suite(ring: StructureRing, family, d: AdditiveMap,
         lambda e, f, r: app(r, swapped[e, f]).any(-1))
 
     # (x, y, basis indices of Mor(x, y)) for comparable classes x <= y
-    blocks = [] if fi is None else [(x, y, fi.block_indices(x, y)) for x, y in
-                                    np.ndindex(fi.quotient.size, fi.quotient.size)
-                                    if fi.quotient.leq(x, y)]
+    incidence = isinstance(ring, IncidenceRing)
+    blocks = [(x, y, ring.block_indices(x, y)) for x, y in
+              np.ndindex(ring.quotient.size, ring.quotient.size)
+              if ring.quotient.leq(x, y)] if incidence else []
 
     def incidence_block(alpha):
         # Per block (x, y): alpha -> d(alpha) - d(alpha_xy) + d(e_x) alpha + alpha d(e_y),
         # read on the coefficients of Mor(x, y).
-        d_ex = dm(np.array([e.as_array() for e in fi.class_idempotents()]))
+        d_ex = dm(np.array([e.as_array() for e in ring.class_idempotents()]))
         inside = np.array([np.isin(np.arange(k), cols) for _, _, cols in blocks], dtype=np.int64)
         x, y = np.array([block[:2] for block in blocks]).T
         delta = ((1 - inside)[:, :, None] * D.T + left_op(d_ex)[x] + right_op(d_ex)[y]) % m
         return einsum_mod("...i,bit->...bt", alpha, delta * inside[:, None], m).any(-1)
 
-    run("incidence-block", fi is not None, [()], 1, incidence_block,
+    run("incidence-block", incidence, [()], 1, incidence_block,
         lambda xs, index: (tuple(xs[0][index[:2]].tolist()),) + blocks[index[2]][:2])
 
     ok = all(entry.passed for entry in outcomes)

@@ -25,19 +25,19 @@ from .rings import MatrixRing, PairRing, RingElement, StructureRing, matrix_ring
 __all__ = ["IncidenceRing", "fi_ring", "FamilyConditionsReport", "verify_family_conditions"]
 
 
-class IncidenceRing:
+class IncidenceRing(PairRing):
     """FI(P, R): the incidence ring of a finite preorder over a finite ring.
 
-    ``ring`` is the PairRing on the comparable pairs; the accessors here
-    take element labels and class indices and call onto it.
+    The PairRing on the comparable pairs (p, q) sorted by (class of p,
+    class of q, p, q), labelled ``[p,q]``; the accessors here take class
+    indices.
     """
 
-    def __init__(self, preorder: Preorder, coefficients: StructureRing):
-        if not coefficients.is_unital:
+    def __init__(self, preorder: Preorder, base: StructureRing):
+        if not base.is_unital:
             raise ValueError("incidence rings need a unital coefficient ring")
         self.preorder = preorder
         self.quotient: QuotientPoset = preorder.quotient()
-        self.coefficients = coefficients
         cls = {
             i: self.quotient.class_of(lbl) for i, lbl in enumerate(preorder.labels)
         }
@@ -46,24 +46,8 @@ class IncidenceRing:
             key=lambda pq: (cls[pq[0]], cls[pq[1]], pq[0], pq[1]),
         )
         labels = preorder.labels
-        self.ring = PairRing(pairs, coefficients, [f"[{labels[p]},{labels[q]}]" for p, q in pairs])
+        super().__init__(pairs, base, [f"[{labels[p]},{labels[q]}]" for p, q in pairs])
         self._class_rings: dict[int, MatrixRing] = {}
-
-    # -- basis bookkeeping --------------------------------------------------
-
-    @property
-    def rank(self) -> int:
-        return self.ring.rank
-
-    def element(self, entries: dict) -> RingElement:
-        """Build an element from {(p_label, q_label): R-element} support."""
-        index = self.preorder.index
-        return self.ring.from_entries({(index(pl), index(ql)): val
-                                       for (pl, ql), val in entries.items()})
-
-    def entry(self, elem: RingElement, pl: str, ql: str) -> RingElement:
-        """The R-coefficient of an element at an element pair (zero if incomparable)."""
-        return self.ring.entry(elem, self.preorder.index(pl), self.preorder.index(ql))
 
     def block_indices(self, ci: int, cj: int) -> list[int]:
         """Basis indices of the block Mor(x, y) of classes x <= y, in (p, q, t) order.
@@ -71,7 +55,7 @@ class IncidenceRing:
         This is the basis order of the class matrix ring when ci == cj.
         """
         classes = self.quotient.classes
-        return self.ring.block(classes[ci], classes[cj])
+        return self.block(classes[ci], classes[cj])
 
     # -- convolution ----------------------------------------------------------
 
@@ -82,19 +66,19 @@ class IncidenceRing:
         assembled structure constants, only R's multiplication, and must
         agree with ``a * b``.
         """
-        ring, leq = self.ring, self.preorder.as_array()
-        return ring.from_entries({
-            (p, q): sum((ring.entry(a, p, z) * ring.entry(b, z, q)
+        leq = self.preorder.as_array()
+        return self.from_entries({
+            (p, q): sum((self.entry(a, p, z) * self.entry(b, z, q)
                          for z in range(self.preorder.size) if leq[p, z] and leq[z, q]),
-                        self.coefficients.zero())
-            for p, q in ring.pairs})
+                        self.base.zero())
+            for p, q in self.pairs})
 
     # -- classes and corners ---------------------------------------------------
 
     def class_idempotent(self, ci: int) -> RingElement:
         """e_x: the identity concentrated on the diagonal of one class."""
-        one = self.coefficients.one()
-        return self.ring.from_entries({(i, i): one for i in self.quotient.classes[ci]})
+        one = self.base.one()
+        return self.from_entries({(i, i): one for i in self.quotient.classes[ci]})
 
     def class_idempotents(self) -> list[RingElement]:
         return [self.class_idempotent(ci) for ci in range(self.quotient.size)]
@@ -102,9 +86,7 @@ class IncidenceRing:
     def class_matrix_ring(self, ci: int) -> MatrixRing:
         """Mor(x, x) presented as a matrix ring over R (cached)."""
         if ci not in self._class_rings:
-            self._class_rings[ci] = matrix_ring(
-                self.coefficients, len(self.quotient.classes[ci])
-            )
+            self._class_rings[ci] = matrix_ring(self.base, len(self.quotient.classes[ci]))
         return self._class_rings[ci]
 
     def extract_block(self, elem: RingElement, ci: int, cj: int) -> list[list[RingElement]]:
@@ -113,12 +95,12 @@ class IncidenceRing:
         Incomparable class pairs yield the zero block of the right shape.
         """
         classes = self.quotient.classes
-        return [[self.ring.entry(elem, p, q) for q in classes[cj]] for p in classes[ci]]
+        return [[self.entry(elem, p, q) for q in classes[cj]] for p in classes[ci]]
 
     def block_element(self, ci: int, cj: int, grid) -> RingElement:
         """Embed a grid of R-entries as an element supported on one block."""
         classes = self.quotient.classes
-        return self.ring.from_entries({
+        return self.from_entries({
             (p, q): cell for p, row in zip(classes[ci], grid) for q, cell in zip(classes[cj], row)
             if not cell.is_zero()})
 

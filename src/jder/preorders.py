@@ -90,17 +90,9 @@ class Preorder:
         ]
 
     def isolated_elements(self) -> tuple[str, ...]:
-        """Points comparable to nothing but themselves."""
-        out = []
-        for i in range(self.size):
-            alone = all(
-                not (self.matrix[i][j] or self.matrix[j][i])
-                for j in range(self.size)
-                if j != i
-            )
-            if alone:
-                out.append(self.labels[i])
-        return tuple(out)
+        """Points comparable to nothing but themselves: the isolated singleton classes."""
+        q = self.quotient()
+        return tuple(q.members(ci)[0] for ci in q.isolated_classes() if len(q.classes[ci]) == 1)
 
     def quotient(self) -> "QuotientPoset":
         """Collapse mutual comparability into a partial order on classes."""

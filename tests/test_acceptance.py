@@ -86,7 +86,7 @@ def incidence_instances():
     out = []
     for name, p, r in EQUAL_BRANCH + CONDITIONAL_BRANCH:
         fi = fi_ring(p, r)
-        gens = solve_jordan_derivations(fi.ring).generators()
+        gens = solve_jordan_derivations(fi).generators()
         out.append((f"{name}/Z{r.modulus}r{r.rank}", fi, gens))
     return out
 
@@ -144,7 +144,7 @@ def test_criterion_03_incidence_rings_without_isolated_elements():
     cases = 0
     for name, p, r in EQUAL_BRANCH:
         started = time.perf_counter()
-        comparison = compare_spaces(fi_ring(p, r).ring)
+        comparison = compare_spaces(fi_ring(p, r))
         outcome = theorem_verdict(p, r).outcome
         elapsed = time.perf_counter() - started
         cases += 1
@@ -174,7 +174,7 @@ def test_criterion_05_dprime_reconstruction_fixes_every_jordan_generator():
         family = fi.class_idempotents()
         for d in gens:
             generators += 1
-            ok = ok and construct_dprime(fi.ring, family, d) == d
+            ok = ok and construct_dprime(fi, family, d) == d
     verdict(5, ok and generators > 0, f"construct_dprime(d) = d entrywise for all "
                                       f"{generators} Jordan generators of the "
                                       "criterion 3-4 instances")
@@ -187,7 +187,7 @@ def test_criterion_06_identity_suite_passes_in_basis_mode():
         family = fi.class_idempotents()
         for d in gens:
             generators += 1
-            report = identity_suite(fi.ring, family, d, mode="basis", fi=fi)
+            report = identity_suite(fi, family, d, mode="basis")
             ok = ok and report.ok
             ok = ok and report.outcome("idempotent-image-pairing").passed
             ok = ok and report.outcome("triple-composition").passed
@@ -213,8 +213,7 @@ def _random_tuples(ring, count: int, seed: int) -> tuple:
 def test_criterion_07_quantified_axioms_hold_on_random_elements():
     failures = 0
     checked = 0
-    for index, (name, fi, gens) in enumerate(incidence_instances()):
-        ring = fi.ring
+    for index, (name, ring, gens) in enumerate(incidence_instances()):
         m = ring.modulus
         r, s, t = _random_tuples(ring, 1000, seed=1000 + index)
         rr = _batch_mul(ring, r, r)
@@ -292,7 +291,7 @@ def test_criterion_09_isolated_extension_round_trip_and_status_transfer():
                 ok = ok and restrict_to_class(fi, extended, ci).entries == d_x.entries
                 for kind in (DERIVATION, JORDAN):
                     ok = ok and (
-                        check_map(fi.ring, extended, kind).ok
+                        check_map(fi, extended, kind).ok
                         == check_map(r, d_x, kind).ok
                     )
     verdict(9, ok and maps_checked == 18,

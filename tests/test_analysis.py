@@ -71,24 +71,23 @@ def sparse_map(rng, ring, density):
 
 def _matrix_case(m):
     r = matrix_ring(zmod(m), 2)
-    return r, [r.matrix_unit(0, 0), r.matrix_unit(1, 1)], None
+    return r, [r.matrix_unit(0, 0), r.matrix_unit(1, 1)]
 
 
 def _dual_case():
     r = dual_numbers(2)
-    return r, [r.one()], None
+    return r, [r.one()]
 
 
 def _incidence_case(preorder, coefficients):
     fi = fi_ring(preorder, coefficients)
-    return fi.ring, fi.class_idempotents(), fi
+    return fi, fi.class_idempotents()
 
 
 # Z/4[e] with e^2 = 0, presented by structure constants.
 Z4_DUAL = build_ring(4, [[[1, 0], [0, 1]], [[0, 1], [0, 0]]], unit=(1, 0))
 
-# (ring, family, incidence presentation or None) on which the whole-array
-# identity suite is held to the scalar reference.
+# (ring, family) on which the whole-array identity suite is held to the scalar reference.
 ORACLE_CASES = {
     "M2(Z3)": lambda: _matrix_case(3),
     "M2(Z4)": lambda: _matrix_case(4),
@@ -114,10 +113,11 @@ class TestRestrictCorner:
 
     def test_nested_restriction_matches_direct(self):
         fi = fi_ring(chain(3), zmod(2))
-        d = inner_derivation(fi.ring, fi.element({("a", "b"): zmod(2).one()}))
+        index = fi.preorder.index
+        d = inner_derivation(fi, fi.from_entries({(index("a"), index("b")): zmod(2).one()}))
         f = fi.class_idempotent(0) + fi.class_idempotent(1)
         e = fi.class_idempotent(0)
-        outer = corner_of(fi.ring, f)
+        outer = corner_of(fi, f)
         nested = restrict_corner(restrict_corner(d, f), outer.compress(e))
         assert nested == restrict_corner(d, e)
 
@@ -138,7 +138,8 @@ class TestRestrictCorner:
 class TestRestrictToClass:
     def test_inner_by_strict_interval_element_vanishes(self):
         fi = fi_ring(chain(2), zmod(2))
-        d = inner_derivation(fi.ring, fi.element({("a", "b"): zmod(2).one()}))
+        index = fi.preorder.index
+        d = inner_derivation(fi, fi.from_entries({(index("a"), index("b")): zmod(2).one()}))
         assert restrict_to_class(fi, d, 0).is_zero()
         assert restrict_to_class(fi, d, 1).is_zero()
 
@@ -148,7 +149,7 @@ class TestRestrictToClass:
         )
         fi = fi_ring(p, zmod(2))
         rng = random.Random(11)
-        d = inner_derivation(fi.ring, random_element(rng, fi.ring))
+        d = inner_derivation(fi, random_element(rng, fi))
         for ci in range(fi.quotient.size):
             direct = restrict_to_class(fi, d, ci)
             corner = restrict_corner(d, fi.class_idempotent(ci))
@@ -157,7 +158,7 @@ class TestRestrictToClass:
 
     def test_jordan_status_descends_per_class(self):
         fi = fi_ring(V_SHAPE, zmod(4))
-        for d in solve_jordan_derivations(fi.ring).generators():
+        for d in solve_jordan_derivations(fi).generators():
             for ci in range(fi.quotient.size):
                 d_x = restrict_to_class(fi, d, ci)
                 assert check_map(d_x.ring, d_x, JORDAN).ok
@@ -165,8 +166,8 @@ class TestRestrictToClass:
     def test_derivation_iff_all_class_restrictions_are(self):
         for p, m in [(chain(2), 4), (V_SHAPE, 2), (TWO_CYCLE, 3)]:
             fi = fi_ring(p, zmod(m))
-            for d in solve_jordan_derivations(fi.ring).generators():
-                whole = check_map(fi.ring, d, DERIVATION).ok
+            for d in solve_jordan_derivations(fi).generators():
+                whole = check_map(fi, d, DERIVATION).ok
                 per_class = all(
                     check_map(
                         fi.class_matrix_ring(ci),
@@ -180,7 +181,7 @@ class TestRestrictToClass:
     def test_unknown_class_rejected(self):
         fi = fi_ring(chain(2), zmod(2))
         with pytest.raises(ValueError):
-            restrict_to_class(fi, AdditiveMap.zero(fi.ring), 2)
+            restrict_to_class(fi, AdditiveMap.zero(fi), 2)
 
 
 class TestConstructDprime:
@@ -201,14 +202,14 @@ class TestConstructDprime:
         for p, m in [(chain(2), 4), (V_SHAPE, 2)]:
             fi = fi_ring(p, zmod(m))
             family = fi.class_idempotents()
-            for d in solve_jordan_derivations(fi.ring).generators():
-                dprime = construct_dprime(fi.ring, family, d)
+            for d in solve_jordan_derivations(fi).generators():
+                dprime = construct_dprime(fi, family, d)
                 assert dprime == d
-                assert construct_dprime(fi.ring, family, dprime) == dprime
+                assert construct_dprime(fi, family, dprime) == dprime
 
     def test_arbitrary_maps_match_scalar_reference(self):
         rng = random.Random(4)
-        for ring, family, _ in (_incidence_case(chain(3), zmod(4)), _matrix_case(6)):
+        for ring, family in (_incidence_case(chain(3), zmod(4)), _matrix_case(6)):
             for _ in range(5):
                 d = sparse_map(rng, ring, density=0.3)
                 assert construct_dprime(ring, family, d) == construct_dprime_scalar(ring, family, d)
@@ -231,8 +232,8 @@ class TestExtendIsolated:
         ext = extend_isolated(fi, 0, d_x)
         back = restrict_to_class(fi, ext, 0)
         assert back.entries == d_x.entries
-        u = fi.ring.index(fi.preorder.index("b"), fi.preorder.index("c"))
-        assert ext(fi.ring.basis_element(u)).is_zero()
+        u = fi.index(fi.preorder.index("b"), fi.preorder.index("c"))
+        assert ext(fi.basis_element(u)).is_zero()
 
     def test_status_transfers_both_ways(self):
         r = dual_numbers(2)
@@ -241,7 +242,7 @@ class TestExtendIsolated:
             d_x = AdditiveMap.from_array(r, np.array(flat).reshape(2, 2))
             ext = extend_isolated(fi, 0, d_x)
             for kind in (DERIVATION, JORDAN):
-                assert check_map(fi.ring, ext, kind).ok == check_map(r, d_x, kind).ok
+                assert check_map(fi, ext, kind).ok == check_map(r, d_x, kind).ok
 
     def test_rejections(self):
         fi = fi_ring(chain(2), zmod(2))
@@ -337,7 +338,8 @@ class TestCrossCheck:
             assert report.verdict.outcome == CONDITIONAL_ON_COEFFICIENT_RING
             assert report.fi_comparison.equal == report.ring_comparison.equal
 
-    def test_budget_refusal_names_required_rank(self):
+    def test_budget_refusal_names_required_rank(self, monkeypatch):
+        monkeypatch.setattr(analysis, "fi_ring", None)  # refused before FI(P, R) is built
         with pytest.raises(SizeBudgetError) as exc:
             cross_check(chain(3), dual_numbers(2), budget=5)
         assert exc.value.required_rank == 12
@@ -356,9 +358,9 @@ class TestIdentitySuite:
 
     def test_jordan_generators_on_incidence_ring(self):
         fi = fi_ring(chain(3), zmod(2))
-        for d in solve_jordan_derivations(fi.ring).generators():
+        for d in solve_jordan_derivations(fi).generators():
             report = identity_suite(
-                fi.ring, fi.class_idempotents(), d, mode="basis", fi=fi
+                fi, fi.class_idempotents(), d, mode="basis"
             )
             assert report.ok
             assert report.outcome("incidence-block").applicable
@@ -396,13 +398,13 @@ class TestIdentitySuiteOracle:
     @pytest.mark.parametrize("mode", ["basis", "randomized"])
     @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
     def test_jordan_derivations_match_scalar_reference(self, case, mode):
-        ring, family, fi = ORACLE_CASES[case]()
+        ring, family = ORACLE_CASES[case]()
         gens = [g.as_array() for g in solve_jordan_derivations(ring).generators()]
         rng = random.Random(case)
         for _ in range(2):
             # A random element of JDer(R): a combination of all generators.
             d = AdditiveMap.from_array(ring, sum(rng.randrange(ring.modulus) * g for g in gens))
-            kwargs = dict(mode=mode, seed=7, trials=15, fi=fi)
+            kwargs = dict(mode=mode, seed=7, trials=15)
             report = identity_suite(ring, family, d, **kwargs)
             assert report == identity_suite_scalar(ring, family, d, **kwargs)
             assert report.ok
@@ -414,12 +416,12 @@ class TestIdentitySuiteOracle:
         failures = {"basis": 0, "randomized": 0}
         rewound = 0
         for case in sorted(ORACLE_CASES):
-            ring, family, fi = ORACLE_CASES[case]()
+            ring, family = ORACLE_CASES[case]()
             rng = random.Random(case)
             for seed in range(4):
                 d = sparse_map(rng, ring, 0.1)
                 for mode in ("basis", "randomized"):
-                    kwargs = dict(mode=mode, seed=seed, trials=9, fi=fi)
+                    kwargs = dict(mode=mode, seed=seed, trials=9)
                     report = identity_suite(ring, family, d, **kwargs)
                     assert report == identity_suite_scalar(ring, family, d, **kwargs), (case, seed)
                     failed = [o for o in report.outcomes if not o.passed]
@@ -442,12 +444,12 @@ class TestIdentitySuiteOracle:
         late = {"basis": 0, "randomized": 0}
         rewound = 0
         for case in sorted(ORACLE_CASES):
-            ring, family, fi = ORACLE_CASES[case]()
+            ring, family = ORACLE_CASES[case]()
             rng = random.Random(case)
             for seed in range(3):
                 d = sparse_map(rng, ring, 0.1)
                 for mode in ("basis", "randomized"):
-                    kwargs = dict(mode=mode, seed=seed, trials=9, fi=fi)
+                    kwargs = dict(mode=mode, seed=seed, trials=9)
                     report = identity_suite(ring, family, d, **kwargs)
                     assert report == identity_suite_scalar(ring, family, d, **kwargs), (case, seed)
                     failed = [o for o in report.outcomes if not o.passed]
@@ -496,7 +498,7 @@ class TestIdentitySuiteCost:
 
     def test_einsum_calls_on_the_benchmark_instance(self, monkeypatch):
         fi = fi_ring(POINT_PLUS_CHAIN, Z4_DUAL)
-        d = solve_jordan_derivations(fi.ring).generators()[0]
+        d = solve_jordan_derivations(fi).generators()[0]
         calls = count_einsum_calls(
-            monkeypatch, lambda: identity_suite(fi.ring, fi.class_idempotents(), d, fi=fi))
+            monkeypatch, lambda: identity_suite(fi, fi.class_idempotents(), d))
         assert calls <= 200

@@ -134,3 +134,41 @@ def test_every_public_method_is_used_or_documented():
         and not item.name.startswith("_") and item.name not in known
     ]
     assert undocumented == []
+
+
+def _parameter_names(function: ast.FunctionDef) -> tuple:
+    args = function.args
+    return (tuple(a.arg for a in args.posonlyargs + args.args),
+            args.vararg and args.vararg.arg,
+            tuple(a.arg for a in args.kwonlyargs),
+            args.kwarg and args.kwarg.arg)
+
+
+def test_no_public_method_is_redefined_with_other_parameters():
+    """A class in src/jder that redefines a public method of a src/jder base class
+    keeps its parameter names, so a method reached through the base's signature
+    (as ``AdditiveMap.__call__`` reaches ``element``) means the same thing."""
+    classes = {}  # name -> (base names, {public method: parameter names})
+    for path in sorted(pathlib.Path(jder.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                assert node.name not in classes, f"{path.name}: class {node.name} defined twice"
+                classes[node.name] = (
+                    [base.id for base in node.bases if isinstance(base, ast.Name)],
+                    {item.name: _parameter_names(item) for item in node.body
+                     if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                     and not item.name.startswith("_")})
+
+    def ancestors(name):
+        for base in classes[name][0]:
+            if base in classes:
+                yield base
+                yield from ancestors(base)
+
+    mismatched = [
+        f"{name}.{method} {params} vs {base}.{method} {classes[base][1][method]}"
+        for name, (_, methods) in classes.items() for base in ancestors(name)
+        for method, params in methods.items()
+        if method in classes[base][1] and classes[base][1][method] != params
+    ]
+    assert mismatched == []

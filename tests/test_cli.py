@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jder import solver
+from jder import cli, solver
 from jder.cli import (
     _SEARCH_TABLES,
     Instance,
@@ -566,7 +566,7 @@ def test_bench_chain3_solve_contract(monkeypatch):
 
     monkeypatch.setattr(solver, "kernel", kernel)
     monkeypatch.setattr(solver, "check_map", check)
-    ring, _ = _target(load_instance(str(BENCH / "instances" / "chain3.ini")))
+    ring = _target(load_instance(str(BENCH / "instances" / "chain3.ini")))
     assert compare_spaces(ring).equal
     assert rows == [62, 98]
     assert checks == [DERIVATION] * gens[0] + [JORDAN] * gens[1] and gens[0] > 0
@@ -631,6 +631,10 @@ def test_main_self_check_exit_code(tmp_path, capsys, monkeypatch):
     assert "error: solver generator violates triple at (0, 2)" in captured.err
 
 
+CHAIN10_INSTANCE = CHAIN_INSTANCE.replace("labels = a b c", "labels = a b c d e f g h i j").replace(
+    "pairs = a<=b b<=c", "pairs = a<=b b<=c c<=d d<=e e<=f f<=g g<=h h<=i i<=j")
+
+
 @pytest.mark.parametrize("command, text, message", [
     ("solve-der", MATRIX_INSTANCE.replace("modulus = 2", "modulus = 99999999999"),
      "[ring.base]: modulus must be an integer in [2, 2^31], got 99999999999"),
@@ -638,12 +642,34 @@ def test_main_self_check_exit_code(tmp_path, capsys, monkeypatch):
      "[ring]: incidence rings need a unital coefficient ring"),
     ("compare", CONSTANTS_INSTANCE.replace("0 1 : 0 1", "0 1 : 0 99999999999999999999999"),
      "[ring]: key 'constants' entry 99999999999999999999999 is outside the int64 range"),
-], ids=["base-modulus", "nonunital-incidence", "int64-overflow"])
+    # Z/4 acting as 2 on the left: (b0 b0) m = 2m but b0 (b0 m) = 0.
+    ("compare", TRIANGULAR_INSTANCE.replace("modulus = 2", "modulus = 4").replace(
+        "left_action = 0 0 : 1", "left_action = 0 0 : 2"),
+     "[ring.module]: left action is not associative on basis triple (0, 0, 0)"),
+    ("compare", "[instance]\nformat_version = 1\n\n[ring]\nkind = constants\nmodulus = 2\n"
+     "rank = 100000\n", "[ring]: the ring would have rank 100000, over the rank limit 48"),
+    ("compare", MATRIX_INSTANCE.replace("size = 2", "size = 60"),
+     "[ring]: the ring would have rank 3600, over the rank limit 48"),
+    ("compare", CHAIN10_INSTANCE,  # 55 comparable pairs over Z/2
+     "[preorder]: the ring would have rank 55, over the rank limit 48"),
+    ("compare", TRIANGULAR_INSTANCE.replace("rank = 1", "rank = 100000"),
+     "[ring.module]: the ring would have rank 100002, over the rank limit 48"),
+], ids=["base-modulus", "nonunital-incidence", "int64-overflow", "bad-bimodule",
+        "rank-constants", "rank-matrix", "rank-incidence", "rank-module"])
 def test_main_ring_rejection_exit_code(tmp_path, capsys, command, text, message):
     assert main([command, "--input", write(tmp_path, text)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_rank_limit_is_inclusive(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_RANK_LIMIT", 6)
+    assert run("fi-build", load_instance(write(tmp_path, CHAIN_INSTANCE)))["result"]["rank"] == 6
+    monkeypatch.setattr(cli, "_RANK_LIMIT", 5)
+    for command in ("fi-build", "cross-check", "compare"):
+        with pytest.raises(InstanceError, match="rank 6, over the rank limit 5"):
+            run(command, load_instance(write(tmp_path, CHAIN_INSTANCE)))
 
 
 def test_main_missing_file_exit_code(tmp_path, capsys):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jder.preorders import ClosureError, Preorder
+from oracles import preorders_up_to_isomorphism
 
 
 def chain(n):
@@ -99,6 +100,14 @@ class TestIsolation:
     def test_mixed(self):
         p = Preorder.from_pairs("abc", [("a", "b")])
         assert p.isolated_elements() == ("c",)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_the_definition(self, n):
+        for p in preorders_up_to_isomorphism(n):
+            a = p.as_array()
+            alone = tuple(x for i, x in enumerate(p.labels)
+                          if not any(a[i, j] or a[j, i] for j in range(n) if j != i))
+            assert p.isolated_elements() == alone
 
 
 @settings(max_examples=80, deadline=None)

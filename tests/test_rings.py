@@ -256,6 +256,27 @@ class TestBimodule:
         with pytest.raises(RingConstructionError):
             Bimodule(zmod(2), zmod(2), 1, np.zeros((1, 1, 1)), [[[1]]])
 
+    # Each law on its own.  Z/4 acting on one side as 2 is not associative:
+    # (b0 b0) m = 2m but b0 (b0 m) = 4m = 0.
+    def test_left_action_law_enforced(self):
+        with pytest.raises(RingConstructionError, match="left action is not associative"):
+            Bimodule(zmod(4), zmod(4), 1, [[[2]]], [[[1]]])
+
+    def test_right_action_law_enforced(self):
+        with pytest.raises(RingConstructionError, match="right action is not associative"):
+            Bimodule(zmod(4), zmod(4), 1, [[[1]]], [[[2]]])
+
+    def test_commuting_law_enforced(self):
+        # Over the rank-1 zero ring, a m1 = m0 and m0 b = m1 on a rank-2 module:
+        # both actions square to zero, so each is associative, but
+        # (a m1) b = m1 while a (m1 b) = 0.
+        zero_ring = build_ring(2, [[[0]]])
+        left, right = np.zeros((1, 2, 2)), np.zeros((2, 1, 2))
+        left[0, 1] = (1, 0)
+        right[0, 0] = (0, 1)
+        with pytest.raises(RingConstructionError, match="actions do not commute"):
+            Bimodule(zero_ring, zero_ring, 2, left, right)
+
 
 class TestTriangularRing:
     def test_product_law(self):
