@@ -32,6 +32,7 @@ from .rings import (
     RingConstructionError,
     StructureRing,
     build_ring,
+    build_rings,
     matrix_ring,
     triangular_ring,
     zmod,
@@ -385,6 +386,18 @@ def _check_fi_rank(instance: Instance) -> None:
     _check_rank("preorder", len(instance.preorder.comparable_pairs()) * instance.ring.rank)
 
 
+def _check_verdict_ranks(instance: Instance) -> None:
+    """Refuse, before it is built, any ring of n x n, n x p and p x p blocks that
+    ``theorem_verdict`` makes for a class of n points and its partner of p points."""
+    quotient = instance.preorder.quotient()
+    isolated = quotient.isolated_classes()
+    for ci in range(quotient.size):
+        if ci not in isolated:
+            n = len(quotient.members(ci))
+            p = len(quotient.members(quotient.comparable_partner(ci)))
+            _check_rank("preorder", (n * n + n * p + p * p) * instance.ring.rank)
+
+
 def _target(instance: Instance) -> StructureRing:
     """The ring a command acts on: FI(P, R) when there is a preorder, else R."""
     if instance.preorder is None:
@@ -401,7 +414,7 @@ def _jordan_family(target: StructureRing) -> list:
     return [target.one()]
 
 
-# Rank-2 tables decoded per step of the search; bounds its working memory.
+# Rank-2 tables examined per step of the search; bounds its working memory.
 _SEARCH_CHUNK = 1 << 16
 # Most rank-2 tables one search visits, summing m^8 over its moduli (so m <= 8);
 # int16 holds each associativity residual, in +-2(m - 1)^2, for any m <= 128.
@@ -434,10 +447,23 @@ def _associative(c: np.ndarray, m: int) -> np.ndarray:
 
 
 def _associative_tables(m: int, start: int) -> np.ndarray:
-    """The associative rank-2 tables of the chunk from table number start, as int64."""
+    """The associative rank-2 tables of the chunk from table number start, as int64.
+
+    Table number h * m^4 + l has the base-m digits of h in c[0, ., .] and
+    those of l in c[1, ., .].  On the grid of the chunk's rows h by all m^4
+    values of l, the equations at (i, j, l) = (0, 0, 0) have the residual
+    c001 (c10t - c01t); only the grid points in the chunk that pass them
+    are decoded for ``_associative``.
+    """
     digits = np.indices((m,) * 4, dtype=np.int16).reshape(4, -1)
-    high, low = divmod(np.arange(start, min(start + _SEARCH_CHUNK, m ** 8)), m ** 4)
-    c = np.concatenate((digits[:, high], digits[:, low])).reshape(2, 2, 2, -1)
+    stop = min(start + _SEARCH_CHUNK, m ** 8)
+    first, last = start // m ** 4, (stop - 1) // m ** 4
+    high, low = digits[:, first:last + 1, None], digits[:, None, :]
+    grid = (high[1] * (low[0] - high[2]) % m == 0) & (high[1] * (low[1] - high[3]) % m == 0)
+    grid[0, :start - first * m ** 4] = False
+    grid[-1, stop - last * m ** 4:] = False
+    rows, cols = np.nonzero(grid)
+    c = np.concatenate((high[:, rows, 0], digits[:, cols])).reshape(2, 2, 2, -1)
     return np.moveaxis(_associative(c, m), -1, 0).astype(np.int64)
 
 
@@ -446,13 +472,13 @@ def _search_batches(moduli):
 
     Per modulus: one batch of the m rank-1 tables, then the associative
     rank-2 tables in lexicographic order of their 8 flattened entries.
-    Rank-2 tables are decoded from consecutive integers in chunks, as
-    base-m digits, and each chunk's associative tables form one batch.
+    Rank-2 tables are numbered by their base-m digits and taken in chunks
+    of consecutive numbers; each chunk's associative tables form one batch.
     """
     for m in sorted(set(moduli)):
-        yield [build_ring(m, np.array([[[v]]], dtype=np.int64)) for v in range(m)]
+        yield build_rings(m, np.arange(m).reshape(m, 1, 1, 1))
         for start in range(0, m ** 8, _SEARCH_CHUNK):
-            yield [build_ring(m, table) for table in _associative_tables(m, start)]
+            yield build_rings(m, _associative_tables(m, start))
 
 
 def run(command: str, instance: Instance, seed: int = 0, trials: int = 1000,
@@ -526,6 +552,7 @@ def run(command: str, instance: Instance, seed: int = 0, trials: int = 1000,
         }
     elif command == "verdict":
         preorder = _require_preorder(instance, command)
+        _check_verdict_ranks(instance)
         result = _verdict_json(theorem_verdict(preorder, instance.ring))
     elif command == "cross-check":
         preorder = _require_preorder(instance, command)

@@ -494,3 +494,16 @@ def search_tables_reference(m: int):
         if all((f[a] * f[b] + f[c] * f[d] - f[e] * f[g] - f[h] * f[i]) % m == 0
                for a, b, c, d, e, g, h, i in _ASSOC_TERMS):
             yield (m, 2, f)
+
+
+def search_chunk_reference(m: int, start: int, chunk: int):
+    """The associative rank-2 tables among table numbers [start, start + chunk),
+    as ``search`` once found them: decode every number of the chunk into its 8
+    base-m digits, then filter the whole chunk with ``cli._associative``."""
+    from jder.cli import _associative
+
+    digits = np.indices((m,) * 4, dtype=np.int16).reshape(4, -1)
+    high, low = divmod(np.arange(start, min(start + chunk, m ** 8)), m ** 4)
+    c = np.concatenate((digits[:, high], digits[:, low])).reshape(2, 2, 2, -1)
+    return np.moveaxis(_associative(c, m), -1, 0).astype(np.int64)
+

@@ -3,6 +3,7 @@
 import hashlib
 import importlib.util
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jder import cli, solver
+from jder import cli, rings, solver
 from jder.cli import (
     _SEARCH_TABLES,
     Instance,
@@ -24,7 +25,7 @@ from jder.cli import (
 )
 from jder.solver import DERIVATION, JORDAN, AdditiveMap, CheckResult, check_map, compare_spaces
 
-from oracles import _ASSOC_TERMS, search_tables_reference
+from oracles import _ASSOC_TERMS, search_chunk_reference, search_tables_reference
 
 MATRIX_INSTANCE = """
 [instance]
@@ -464,6 +465,34 @@ def test_search_batches_hold_no_chunk_arrays_while_suspended():
     assert count == 1 + 6
 
 
+def test_search_batches_peak_memory():
+    # Iterating the m = 5 batches, rings built but not solved.  Decoding all
+    # 2^16 numbers of each chunk through int64 index arrays peaked at 3.1 MB.
+    tracemalloc.start()
+    try:
+        for _ in _search_batches((5,)):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
+
+
+@pytest.mark.parametrize("chunk", [1 << 16, 1000], ids=["chunk-2^16", "chunk-1000"])
+@pytest.mark.parametrize("m", [6, 7, 8])
+def test_pruned_chunks_match_full_decode(monkeypatch, m, chunk):
+    # A row is the m^4 numbers sharing the digits c[0, ., .].  Chunks of 1000
+    # start inside a row at every m, and chunk 0 lies within one row; chunks
+    # of 2^16 cut rows at m = 6 and 7 but are whole rows at m = 8.  The last
+    # chunk is partial in every case except 2^16 at m = 8.
+    assert (chunk % m ** 4 == 0) == (m ** 8 % chunk == 0) == (m == 8 and chunk == 1 << 16)
+    monkeypatch.setattr(cli, "_SEARCH_CHUNK", chunk)
+    for start in (0, chunk, (m ** 8 - 1) // chunk * chunk):
+        got = cli._associative_tables(m, start)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, search_chunk_reference(m, start, chunk))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(2, 8).flatmap(lambda m: st.tuples(
     st.just(m),
@@ -661,6 +690,37 @@ def test_main_ring_rejection_exit_code(tmp_path, capsys, command, text, message)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+CYCLE60_INSTANCE = CHAIN_INSTANCE.replace(
+    "labels = a b c", "labels = " + " ".join(f"p{i}" for i in range(60)) + " q").replace(
+    "pairs = a<=b b<=c",
+    "pairs = " + " ".join(f"p{i}<=p{(i + 1) % 60}" for i in range(60)) + " p0<=q")
+
+
+def test_verdict_refuses_oversized_class_before_building(tmp_path, capsys, monkeypatch):
+    # The 60-point class and its partner {q} span 60^2 + 60 + 1 pairs over Z/2.
+    def refuse(*args):
+        raise AssertionError("a pair ring was built before the rank check")
+
+    monkeypatch.setattr(rings, "_pair_constants", refuse)
+    assert main(["verdict", "--input", write(tmp_path, CYCLE60_INSTANCE)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: [preorder]: the ring would have rank 3661, over the rank limit 48\n")
+
+
+def test_verdict_rank_limit_is_inclusive(tmp_path, monkeypatch):
+    # Classes {a, b} and {c} over M_2(Z/2): (2^2 + 2 * 1 + 1^2) * 4 = 28.
+    text = MATRIX_INSTANCE + "\n[preorder]\nlabels = a b c\npairs = a<=b b<=a b<=c\n"
+    expected = run("verdict", load_instance(write(tmp_path, text)))
+    monkeypatch.setattr(cli, "_RANK_LIMIT", 28)
+    assert run("verdict", load_instance(write(tmp_path, text))) == expected
+    monkeypatch.setattr(cli, "_RANK_LIMIT", 27)
+    message = r"^\[preorder\]: the ring would have rank 28, over the rank limit 27$"
+    with pytest.raises(InstanceError, match=message):
+        run("verdict", load_instance(write(tmp_path, text)))
 
 
 def test_rank_limit_is_inclusive(tmp_path, monkeypatch):
