@@ -10,7 +10,6 @@ from .analysis import (
     ALL_JORDAN_ARE_DERIVATIONS,
     CONDITIONAL_ON_COEFFICIENT_RING,
     UNKNOWN,
-    SizeBudgetError,
     bimodule_faithful,
     construct_dprime,
     cross_check,
@@ -42,6 +41,7 @@ from .solver import (
     DERIVATION,
     JORDAN,
     AdditiveMap,
+    SizeBudgetError,
     check_map,
     compare_spaces,
     inner_derivation,

@@ -20,6 +20,7 @@ from .solver import (
     JORDAN,
     AdditiveMap,
     SpaceComparison,
+    _check_size,
     check_map,
     compare_spaces,
 )
@@ -34,7 +35,6 @@ __all__ = [
     "FaithfulnessReport",
     "IdentityOutcome",
     "IdentitySuiteReport",
-    "SizeBudgetError",
     "StructuralVerdict",
     "bimodule_faithful",
     "construct_dprime",
@@ -49,17 +49,6 @@ __all__ = [
 ALL_JORDAN_ARE_DERIVATIONS = "AllJordanAreDerivations"
 CONDITIONAL_ON_COEFFICIENT_RING = "ConditionalOnCoefficientRing"
 UNKNOWN = "Unknown"
-
-
-class SizeBudgetError(ValueError):
-    """An instance needs more unknowns than the caller allowed."""
-
-    def __init__(self, required_rank: int, budget: int):
-        self.required_rank = required_rank
-        self.budget = budget
-        super().__init__(
-            f"instance needs rank {required_rank}, exceeding the budget of {budget}"
-        )
 
 
 # -- corner restrictions -------------------------------------------------------
@@ -257,17 +246,15 @@ class CrossCheckReport:
     consistent: bool
 
 
-def cross_check(preorder: Preorder, coefficients: StructureRing,
-                budget: int = 32) -> CrossCheckReport:
+def cross_check(preorder: Preorder, coefficients: StructureRing) -> CrossCheckReport:
     """Solve both FI(P, R) and R and test them against the verdict.
 
     The verdict claims nothing about R when P has no isolated elements,
     so consistency there means Equal on FI; in the conditional case it
-    means the two Equal answers coincide.
+    means the two Equal answers coincide.  The FI solve's size is checked
+    before FI(P, R) is built.
     """
-    rank = len(preorder.comparable_pairs()) * coefficients.rank
-    if rank > budget:  # refused before FI(P, R) is built
-        raise SizeBudgetError(rank, budget)
+    _check_size(1, len(preorder.comparable_pairs()) * coefficients.rank, JORDAN)
     fi = fi_ring(preorder, coefficients)
     verdict = theorem_verdict(preorder, coefficients)
     fi_cmp = compare_spaces(fi)
@@ -325,6 +312,8 @@ def identity_suite(ring: StructureRing, family, d: AdditiveMap,
     """
     if mode not in ("basis", "randomized"):
         raise ValueError(f"unknown mode {mode!r}")
+    if mode == "randomized" and trials < 1:
+        raise ValueError(f"trials must be at least 1 in randomized mode, got {trials}")
     if not d.ring.same_presentation(ring):
         raise ValueError("map belongs to a different ring")
     is_derivation = check_map(ring, d, DERIVATION).ok

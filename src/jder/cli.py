@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import (
-    SizeBudgetError,
     construct_dprime,
     cross_check,
     identity_suite,
@@ -31,6 +30,7 @@ from .rings import (
     Bimodule,
     RingConstructionError,
     StructureRing,
+    _check_rank,
     build_ring,
     build_rings,
     matrix_ring,
@@ -38,6 +38,7 @@ from .rings import (
     zmod,
 )
 from .solver import (
+    SizeBudgetError,
     compare_all,
     compare_spaces,
     solve_derivations,
@@ -60,7 +61,7 @@ COMMANDS = (
     "search",
 )
 
-_TASK_KEYS = {"command", "seed", "trials", "budget", "moduli", "mode"}
+_TASK_KEYS = {"command", "seed", "trials", "moduli", "mode"}
 _PREORDER_KEYS = {"labels", "pairs", "auto_close"}
 _RING_KEYS = {
     "zmod": {"kind", "modulus"},
@@ -69,10 +70,6 @@ _RING_KEYS = {
     "constants": {"kind", "modulus", "rank", "constants", "unit", "labels"},
 }
 _MODULE_KEYS = {"rank", "left_action", "right_action"}
-# Largest rank of a ring an instance may build, checked before anything is
-# allocated: validating associativity holds rank^4 int64 tensors, and at rank
-# 48 building a ring took 2 s and peaked at 277 MB (modulus 2^31, 2 vCPU).
-_RANK_LIMIT = 48
 
 
 class InstanceError(ValueError):
@@ -133,11 +130,6 @@ def _parse_table_lines(section: str, key: str, raw: str, shape: tuple) -> np.nda
     return out
 
 
-def _check_rank(section: str, rank: int) -> None:
-    if rank > _RANK_LIMIT:
-        _fail(section, f"the ring would have rank {rank}, over the rank limit {_RANK_LIMIT}")
-
-
 def _check_keys(parser: ConfigParser, section: str, allowed: set) -> None:
     for key in parser[section]:
         if key not in allowed:
@@ -184,7 +176,6 @@ def _parse_ring(parser: ConfigParser, section: str, visited: set) -> StructureRi
                 _fail(section, "key 'size' is required")
             size = _parse_int(section, "size", parser[section]["size"])
             base = _parse_ring(parser, f"{section}.base", visited)
-            _check_rank(section, max(size, 0) ** 2 * base.rank)
             return matrix_ring(base, size)
         if kind == "triangular":
             left = _parse_ring(parser, f"{section}.left", visited)
@@ -209,16 +200,16 @@ def _parse_module(parser: ConfigParser, section: str, left: StructureRing,
     rank = _parse_int(section, "rank", parser[section]["rank"])
     if rank < 0:
         _fail(section, "key 'rank' must be nonnegative")
-    _check_rank(section, left.rank + rank + right.rank)
-    left_action = _parse_table_lines(
-        section, "left_action", parser[section]["left_action"], (left.rank, rank, rank)
-    )
-    right_action = _parse_table_lines(
-        section, "right_action", parser[section]["right_action"], (rank, right.rank, rank)
-    )
     try:
+        _check_rank(left.rank + rank + right.rank)
+        left_action = _parse_table_lines(
+            section, "left_action", parser[section]["left_action"], (left.rank, rank, rank)
+        )
+        right_action = _parse_table_lines(
+            section, "right_action", parser[section]["right_action"], (rank, right.rank, rank)
+        )
         return Bimodule(left, right, rank, left_action, right_action)
-    except ValueError as exc:
+    except RingConstructionError as exc:
         _fail(section, str(exc))
 
 
@@ -230,7 +221,7 @@ def _parse_constants_ring(parser: ConfigParser, section: str) -> StructureRing:
     rank = _parse_int(section, "rank", parser[section]["rank"])
     if rank < 0:
         _fail(section, "key 'rank' must be nonnegative")
-    _check_rank(section, rank)
+    _check_rank(rank)  # the caller's try gives the [section] prefix
     constants = _parse_table_lines(
         section, "constants", parser[section].get("constants", ""), (rank, rank, rank)
     )
@@ -282,7 +273,7 @@ def load_instance(path: str) -> Instance:
             if command not in COMMANDS:
                 _fail("task", f"unknown command {command!r}")
             task["command"] = command
-        for key in ("seed", "trials", "budget"):
+        for key in ("seed", "trials"):
             if key in raw:
                 task[key] = _parse_int("task", key, raw[key])
         if "moduli" in raw:
@@ -381,28 +372,10 @@ def _require_preorder(instance: Instance, command: str) -> Preorder:
     return instance.preorder
 
 
-def _check_fi_rank(instance: Instance) -> None:
-    """Refuse FI(P, R) over the rank limit before it is built."""
-    _check_rank("preorder", len(instance.preorder.comparable_pairs()) * instance.ring.rank)
-
-
-def _check_verdict_ranks(instance: Instance) -> None:
-    """Refuse, before it is built, any ring of n x n, n x p and p x p blocks that
-    ``theorem_verdict`` makes for a class of n points and its partner of p points."""
-    quotient = instance.preorder.quotient()
-    isolated = quotient.isolated_classes()
-    for ci in range(quotient.size):
-        if ci not in isolated:
-            n = len(quotient.members(ci))
-            p = len(quotient.members(quotient.comparable_partner(ci)))
-            _check_rank("preorder", (n * n + n * p + p * p) * instance.ring.rank)
-
-
 def _target(instance: Instance) -> StructureRing:
     """The ring a command acts on: FI(P, R) when there is a preorder, else R."""
     if instance.preorder is None:
         return instance.ring
-    _check_fi_rank(instance)
     return fi_ring(instance.preorder, instance.ring)
 
 
@@ -482,7 +455,7 @@ def _search_batches(moduli):
 
 
 def run(command: str, instance: Instance, seed: int = 0, trials: int = 1000,
-        budget: int = 32, moduli=(2, 3, 4), mode: str = "basis") -> dict:
+        moduli=(2, 3, 4), mode: str = "basis") -> dict:
     """Execute one subcommand and produce the JSON-ready report body."""
     if command not in COMMANDS:
         raise InstanceError(f"unknown command {command!r}")
@@ -491,6 +464,8 @@ def run(command: str, instance: Instance, seed: int = 0, trials: int = 1000,
         raise InstanceError(
             f"instance file declares command {declared!r}, not {command!r}"
         )
+    if command == "identities" and mode == "randomized" and trials < 1:
+        raise InstanceError(f"trials must be at least 1 in randomized mode, got {trials}")
 
     fi_rank = None
     result: dict
@@ -552,12 +527,10 @@ def run(command: str, instance: Instance, seed: int = 0, trials: int = 1000,
         }
     elif command == "verdict":
         preorder = _require_preorder(instance, command)
-        _check_verdict_ranks(instance)
         result = _verdict_json(theorem_verdict(preorder, instance.ring))
     elif command == "cross-check":
         preorder = _require_preorder(instance, command)
-        _check_fi_rank(instance)
-        report = cross_check(preorder, instance.ring, budget=budget)
+        report = cross_check(preorder, instance.ring)
         fi_rank = report.fi_rank
         result = {
             "verdict": _verdict_json(report.verdict),
@@ -609,7 +582,6 @@ def main(argv=None) -> int:
         p.add_argument("--input", required=True, help="instance file (INI format)")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--trials", type=int, default=None)
-        p.add_argument("--budget", type=int, default=None)
         p.add_argument("--out", default=None, help="write the JSON report here")
     args = parser.parse_args(argv)
 
@@ -622,7 +594,6 @@ def main(argv=None) -> int:
             instance,
             seed=args.seed if args.seed is not None else task.get("seed", 0),
             trials=args.trials if args.trials is not None else task.get("trials", 1000),
-            budget=args.budget if args.budget is not None else task.get("budget", 32),
             moduli=task.get("moduli", (2, 3, 4)),
             mode=task.get("mode", "basis"),
         )

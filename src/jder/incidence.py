@@ -157,11 +157,12 @@ def verify_family_conditions(
     k = ring.rank
     E = np.array([e.as_array() for e in family], dtype=np.int64).reshape(len(family), k)
     eye = np.eye(k, dtype=np.int64)
-    # Axes (g, e, f, i, j) with r = b_i and s = b_j; e r and s f are shared by every g.
+    # Axes (e, f, i, j) with r = b_i and s = b_j; by bilinearity the sum over g
+    # of e r g s f is e r (sum of g) s f.
     er = ring.mul(E[:, None], eye)[:, None, :, None]
     sf = ring.mul(eye, E[:, None, None])
     lhs = ring.mul(er, sf)
-    rhs = ring.mul(er, E[:, None, None, None, None], sf).sum(axis=0) % ring.modulus
+    rhs = ring.mul(er, E.sum(axis=0) % ring.modulus, sf)
     bad = (lhs != rhs).any(axis=-1)
     failures = tuple(map(tuple, np.argwhere(bad).tolist()))
     return FamilyConditionsReport(not failures, bad.size, failures)

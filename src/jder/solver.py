@@ -47,6 +47,7 @@ __all__ = [
     "AdditiveMap",
     "CheckResult",
     "DerivationSpace",
+    "SizeBudgetError",
     "SpaceComparison",
     "check_map",
     "compare_all",
@@ -59,6 +60,18 @@ __all__ = [
 DERIVATION = "derivation"
 JORDAN = "jordan"
 _KINDS = (DERIVATION, JORDAN)
+# Most int64 entries of one raw constraint stack: the Jordan stack of one rank-32
+# ring (4.25 GiB), the largest solve cross-check took under its former rank budget 32.
+_SOLVE_LIMIT = 570_949_632
+
+
+class SizeBudgetError(ValueError):
+    """A solve would assemble a raw constraint stack over the solver limit."""
+
+    def __init__(self, entries: int, limit: int):
+        self.entries, self.limit = entries, limit
+        super().__init__(f"the solve needs {entries} raw constraint entries, "
+                         f"over the solver limit {limit}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,6 +278,14 @@ def _constraint_rows(c: np.ndarray, m: int, kind: str) -> np.ndarray:
     return out.reshape(len(c), blocks * k, k * k)
 
 
+def _check_size(n: int, k: int, kind: str) -> None:
+    """Refuse, before allocating, the raw stack of ``kind`` for n rings of rank k:
+    n * blocks * k^3 entries, with k^2 blocks for Der and k(k + 1)^2 / 2 for Jordan."""
+    entries = n * (k * k if kind == DERIVATION else k * (k + 1) ** 2 // 2) * k ** 3
+    if entries > _SOLVE_LIMIT:
+        raise SizeBudgetError(entries, _SOLVE_LIMIT)
+
+
 def _constraint_matrices(c: np.ndarray, m: int, kind: str) -> list:
     """Per ring, the distinct nonzero raw rows, sorted as byte strings."""
     rows = _constraint_rows(c, m, kind)
@@ -305,6 +326,7 @@ def _solve_all(rings, kind: str):
         raise ValueError("a batch needs rings of one modulus and rank")
     if not rings:
         return
+    _check_size(len(rings), rings[0].rank, kind)
     c = np.stack([ring.constants for ring in rings])
     for ring, matrix in zip(rings, _constraint_matrices(c, rings[0].modulus, kind)):
         space = DerivationSpace(ring, kind, kernel(matrix))
@@ -363,8 +385,9 @@ def compare_spaces(ring: StructureRing) -> SpaceComparison:
 
     Der is always a subgroup of JDer, so inequality means some canonical
     generator of JDer falls outside Der (if every generator were inside,
-    the whole span would be).
+    the whole span would be).  The Jordan solve's size is checked before Der is solved.
     """
+    _check_size(1, ring.rank, JORDAN)
     return _compare(solve_derivations(ring), solve_jordan_derivations(ring))
 
 

@@ -6,11 +6,10 @@ import sys
 import numpy as np
 import pytest
 
-from jder import analysis, zmodlin
+from jder import analysis, solver, zmodlin
 from jder.analysis import (
     ALL_JORDAN_ARE_DERIVATIONS,
     CONDITIONAL_ON_COEFFICIENT_RING,
-    SizeBudgetError,
     bimodule_faithful,
     construct_dprime,
     cross_check,
@@ -37,6 +36,7 @@ from jder.solver import (
     JORDAN,
     AdditiveMap,
     CheckResult,
+    SizeBudgetError,
     check_map,
     inner_derivation,
     solve_jordan_derivations,
@@ -338,11 +338,13 @@ class TestCrossCheck:
             assert report.verdict.outcome == CONDITIONAL_ON_COEFFICIENT_RING
             assert report.fi_comparison.equal == report.ring_comparison.equal
 
-    def test_budget_refusal_names_required_rank(self, monkeypatch):
+    def test_solver_limit_refusal_names_required_entries(self, monkeypatch):
         monkeypatch.setattr(analysis, "fi_ring", None)  # refused before FI(P, R) is built
+        monkeypatch.setattr(solver, "_SOLVE_LIMIT", 10 ** 6)
+        # FI(chain3, R) over dual numbers has rank 12: 12 * 13^2 / 2 blocks of 12^3.
         with pytest.raises(SizeBudgetError) as exc:
-            cross_check(chain(3), dual_numbers(2), budget=5)
-        assert exc.value.required_rank == 12
+            cross_check(chain(3), dual_numbers(2))
+        assert (exc.value.entries, exc.value.limit) == (1014 * 1728, 10 ** 6)
 
 
 class TestIdentitySuite:
@@ -372,6 +374,12 @@ class TestIdentitySuite:
         a = identity_suite(r, family, d, mode="randomized", seed=7, trials=25)
         b = identity_suite(r, family, d, mode="randomized", seed=7, trials=25)
         assert a == b and a.ok
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_randomized_mode_needs_a_trial(self, trials):
+        r = zmod(4)
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            identity_suite(r, [r.one()], AdditiveMap.zero(r), mode="randomized", trials=trials)
 
     def test_non_jordan_map_rejected(self):
         r = zmod(4)

@@ -23,6 +23,7 @@ from jder.cli import (
     main,
     run,
 )
+from jder.rings import RingConstructionError
 from jder.solver import DERIVATION, JORDAN, AdditiveMap, CheckResult, check_map, compare_spaces
 
 from oracles import _ASSOC_TERMS, search_chunk_reference, search_tables_reference
@@ -190,7 +191,7 @@ def test_load_matrix_instance(tmp_path):
 
 
 def test_load_preorder_and_task(tmp_path):
-    text = CHAIN_INSTANCE + "\n[task]\ncommand = compare\nseed = 9\ntrials = 17\nbudget = 5\nmoduli = 2 3\nmode = randomized\n"
+    text = CHAIN_INSTANCE + "\n[task]\ncommand = compare\nseed = 9\ntrials = 17\nmoduli = 2 3\nmode = randomized\n"
     inst = load_instance(write(tmp_path, text))
     assert inst.preorder.labels == ("a", "b", "c")
     assert inst.preorder.leq("a", "c")
@@ -198,7 +199,6 @@ def test_load_preorder_and_task(tmp_path):
         "command": "compare",
         "seed": 9,
         "trials": 17,
-        "budget": 5,
         "moduli": (2, 3),
         "mode": "randomized",
     }
@@ -643,10 +643,62 @@ def test_main_validation_exit_code(tmp_path, capsys):
     assert "unknown key" in captured.err
 
 
-def test_main_size_budget_exit_code(tmp_path, capsys):
+def refuse_assembly(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("constraint rows were assembled before the size check")
+
+    monkeypatch.setattr(solver, "_constraint_matrices", refuse)
+
+
+# FI(chain3, Z/2) has rank 6: its raw Der stack holds 6^2 * 6^3 = 7776 entries
+# and its raw Jordan stack 6 * 7^2 / 2 * 6^3 = 31752.
+@pytest.mark.parametrize("command, entries", [
+    ("compare", 31752), ("solve-der", 7776), ("solve-jder", 31752),
+    ("identities", 31752), ("dprime-check", 31752), ("cross-check", 31752)])
+def test_main_solver_limit_exit_code(tmp_path, capsys, monkeypatch, command, entries):
+    refuse_assembly(monkeypatch)
+    monkeypatch.setattr(solver, "_SOLVE_LIMIT", 7775)
+    assert main([command, "--input", write(tmp_path, CHAIN_INSTANCE)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: the solve needs {entries} raw constraint entries, over the solver limit 7775\n")
+
+
+@pytest.mark.parametrize("command, labels, pairs, entries", [
+    # FI(chain8, Z/2), rank 36: an 8.6 GiB raw Jordan stack.
+    ("compare", "a b c d e f g h", "a<=b b<=c c<=d d<=e e<=f f<=g g<=h", 1149697152),
+    # 33 isolated points over Z/2: rank 33, one over the rank-32 stack of the limit.
+    ("cross-check", " ".join(f"p{i}" for i in range(33)), "", 33 * 34 ** 2 // 2 * 33 ** 3)])
+def test_main_refuses_stacks_over_the_solver_limit(tmp_path, capsys, monkeypatch, command,
+                                                   labels, pairs, entries):
+    refuse_assembly(monkeypatch)
+    text = CHAIN_INSTANCE.replace("labels = a b c", f"labels = {labels}").replace(
+        "pairs = a<=b b<=c", f"pairs = {pairs}")
+    assert main([command, "--input", write(tmp_path, text)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: the solve needs {entries} raw constraint entries, "
+        "over the solver limit 570949632\n")
+
+
+def test_budget_knob_is_gone(tmp_path):
     path = write(tmp_path, CHAIN_INSTANCE)
-    assert main(["cross-check", "--input", path, "--budget", "2"]) == 2
-    assert "budget" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["cross-check", "--input", path, "--budget", "2"])
+    assert exc.value.code == 2
+    with pytest.raises(InstanceError, match=r"^\[task\]: unknown key 'budget'$"):
+        load_instance(write(tmp_path, CHAIN_INSTANCE + "\n[task]\nbudget = 5\n"))
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_main_refuses_randomized_trials_below_one(tmp_path, capsys, trials):
+    message = f"error: trials must be at least 1 in randomized mode, got {trials}\n"
+    path = write(tmp_path, CHAIN_INSTANCE + "\n[task]\nmode = randomized\n")
+    assert main(["identities", "--input", path, "--trials", str(trials)]) == 2
+    assert capsys.readouterr().err == message
+    text = CHAIN_INSTANCE + f"\n[task]\nmode = randomized\ntrials = {trials}\n"
+    assert main(["identities", "--input", write(tmp_path, text)]) == 2
+    assert capsys.readouterr().err == message
 
 
 def test_main_self_check_exit_code(tmp_path, capsys, monkeypatch):
@@ -680,7 +732,7 @@ CHAIN10_INSTANCE = CHAIN_INSTANCE.replace("labels = a b c", "labels = a b c d e 
     ("compare", MATRIX_INSTANCE.replace("size = 2", "size = 60"),
      "[ring]: the ring would have rank 3600, over the rank limit 48"),
     ("compare", CHAIN10_INSTANCE,  # 55 comparable pairs over Z/2
-     "[preorder]: the ring would have rank 55, over the rank limit 48"),
+     "the ring would have rank 55, over the rank limit 48"),
     ("compare", TRIANGULAR_INSTANCE.replace("rank = 1", "rank = 100000"),
      "[ring.module]: the ring would have rank 100002, over the rank limit 48"),
 ], ids=["base-modulus", "nonunital-incidence", "int64-overflow", "bad-bimodule",
@@ -699,7 +751,7 @@ CYCLE60_INSTANCE = CHAIN_INSTANCE.replace(
 
 
 def test_verdict_refuses_oversized_class_before_building(tmp_path, capsys, monkeypatch):
-    # The 60-point class and its partner {q} span 60^2 + 60 + 1 pairs over Z/2.
+    # The 60-point class needs M_60(Z/2), refused before its pair list is made.
     def refuse(*args):
         raise AssertionError("a pair ring was built before the rank check")
 
@@ -708,27 +760,27 @@ def test_verdict_refuses_oversized_class_before_building(tmp_path, capsys, monke
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "error: [preorder]: the ring would have rank 3661, over the rank limit 48\n")
+        "error: the ring would have rank 3600, over the rank limit 48\n")
 
 
 def test_verdict_rank_limit_is_inclusive(tmp_path, monkeypatch):
     # Classes {a, b} and {c} over M_2(Z/2): (2^2 + 2 * 1 + 1^2) * 4 = 28.
     text = MATRIX_INSTANCE + "\n[preorder]\nlabels = a b c\npairs = a<=b b<=a b<=c\n"
     expected = run("verdict", load_instance(write(tmp_path, text)))
-    monkeypatch.setattr(cli, "_RANK_LIMIT", 28)
+    monkeypatch.setattr(rings, "_RANK_LIMIT", 28)
     assert run("verdict", load_instance(write(tmp_path, text))) == expected
-    monkeypatch.setattr(cli, "_RANK_LIMIT", 27)
-    message = r"^\[preorder\]: the ring would have rank 28, over the rank limit 27$"
-    with pytest.raises(InstanceError, match=message):
+    monkeypatch.setattr(rings, "_RANK_LIMIT", 27)
+    message = r"^the ring would have rank 28, over the rank limit 27$"
+    with pytest.raises(RingConstructionError, match=message):
         run("verdict", load_instance(write(tmp_path, text)))
 
 
 def test_rank_limit_is_inclusive(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "_RANK_LIMIT", 6)
+    monkeypatch.setattr(rings, "_RANK_LIMIT", 6)
     assert run("fi-build", load_instance(write(tmp_path, CHAIN_INSTANCE)))["result"]["rank"] == 6
-    monkeypatch.setattr(cli, "_RANK_LIMIT", 5)
+    monkeypatch.setattr(rings, "_RANK_LIMIT", 5)
     for command in ("fi-build", "cross-check", "compare"):
-        with pytest.raises(InstanceError, match="rank 6, over the rank limit 5"):
+        with pytest.raises(RingConstructionError, match="rank 6, over the rank limit 5"):
             run(command, load_instance(write(tmp_path, CHAIN_INSTANCE)))
 
 

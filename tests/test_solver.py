@@ -18,6 +18,7 @@ from jder.solver import (
     DERIVATION,
     JORDAN,
     AdditiveMap,
+    SizeBudgetError,
     _constraint_matrices,
     _constraint_rows,
     check_map,
@@ -198,6 +199,38 @@ class TestConstraintMatrix:
             raw = {tuple(row) for row in _constraint_rows(c, m, kind)[0].tolist() if any(row)}
             rows = _constraint_matrices(c, m, kind)[0].rows
             assert len(rows) == len(raw) and set(rows) == raw
+
+
+class TestSizeLimit:
+    @pytest.mark.parametrize("kind", [DERIVATION, JORDAN])
+    def test_refusal_counts_the_raw_stack(self, monkeypatch, kind):
+        monkeypatch.setattr(solver, "_SOLVE_LIMIT", 0)
+        for ring in (zmod(3), t2(2), matrix_ring(zmod(4), 2), r3()):
+            c = np.stack([ring.constants] * 2)
+            with pytest.raises(SizeBudgetError) as exc:
+                solver._check_size(2, ring.rank, kind)
+            assert exc.value.entries == _constraint_rows(c, ring.modulus, kind).size
+
+    def test_limit_is_the_jordan_stack_of_rank_32(self):
+        solver._check_size(1, 32, JORDAN)
+        with pytest.raises(SizeBudgetError, match="needs 685462338 raw constraint entries, "
+                                                  "over the solver limit 570949632"):
+            solver._check_size(1, 33, JORDAN)
+
+    def test_refused_before_any_solve(self, monkeypatch):
+        # Rank 3: 3^5 = 243 Der entries and 3 * 4^2 / 2 * 3^3 = 648 Jordan entries.
+        def refuse(*args):
+            raise AssertionError("constraint rows were assembled before the size check")
+
+        monkeypatch.setattr(solver, "_constraint_matrices", refuse)
+        monkeypatch.setattr(solver, "_SOLVE_LIMIT", 647)
+        ring = r3()
+        for solve in (compare_spaces, solve_jordan_derivations, lambda r: compare_all([r])):
+            with pytest.raises(SizeBudgetError, match="needs 648 raw"):
+                solve(ring)
+        monkeypatch.setattr(solver, "_SOLVE_LIMIT", 242)
+        with pytest.raises(SizeBudgetError, match="needs 243 raw"):
+            solve_derivations(ring)
 
 
 class TestInnerDerivation:
