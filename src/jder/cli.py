@@ -425,14 +425,16 @@ def _associative_tables(m: int, start: int) -> np.ndarray:
     Table number h * m^4 + l has the base-m digits of h in c[0, ., .] and
     those of l in c[1, ., .].  On the grid of the chunk's rows h by all m^4
     values of l, the equations at (i, j, l) = (0, 0, 0) have the residual
-    c001 (c10t - c01t); only the grid points in the chunk that pass them
-    are decoded for ``_associative``.
+    c001 (c10t - c01t) and those at (1, 1, 1) the residual c110 (c01t - c10t);
+    only the grid points in the chunk that pass them are decoded for
+    ``_associative``.
     """
     digits = np.indices((m,) * 4, dtype=np.int16).reshape(4, -1)
     stop = min(start + _SEARCH_CHUNK, m ** 8)
     first, last = start // m ** 4, (stop - 1) // m ** 4
     high, low = digits[:, first:last + 1, None], digits[:, None, :]
     grid = (high[1] * (low[0] - high[2]) % m == 0) & (high[1] * (low[1] - high[3]) % m == 0)
+    grid &= (low[2] * (high[2] - low[0]) % m == 0) & (low[2] * (high[3] - low[1]) % m == 0)
     grid[0, :start - first * m ** 4] = False
     grid[-1, stop - last * m ** 4:] = False
     rows, cols = np.nonzero(grid)

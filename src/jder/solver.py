@@ -39,7 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rings import RingElement, StructureRing
-from .zmodlin import SelfCheckError, SubgroupBasis, ZmMatrix, einsum_mod, kernel, subgroup_equal
+from .zmodlin import (SelfCheckError, SubgroupBasis, ZmMatrix, einsum_mod, kernel, kernels,
+                      subgroup_equal)
 
 __all__ = [
     "DERIVATION",
@@ -286,15 +287,14 @@ def _check_size(n: int, k: int, kind: str) -> None:
         raise SizeBudgetError(entries, _SOLVE_LIMIT)
 
 
-def _constraint_matrices(c: np.ndarray, m: int, kind: str) -> list:
-    """Per ring, the distinct nonzero raw rows, sorted as byte strings."""
+def _constraint_matrices(c: np.ndarray, m: int, kind: str) -> np.ndarray:
+    """Per ring, the raw rows sorted as byte strings, with every repeat zeroed in place."""
     rows = _constraint_rows(c, m, kind)
     if rows.size:
         # Sort each ring's C-contiguous rows in place as byte strings; keep each run's first.
         rows.view(np.dtype((np.void, rows.itemsize * rows.shape[2]))).sort(axis=1)
-    keep = rows.any(axis=2)
-    keep[:, 1:] &= (rows[:, 1:] != rows[:, :-1]).any(axis=2)
-    return [ZmMatrix.from_array(m, r[s]) for r, s in zip(rows, keep)]
+    rows[:, 1:][(rows[:, 1:] == rows[:, :-1]).all(axis=2)] = 0
+    return rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -327,9 +327,14 @@ def _solve_all(rings, kind: str):
     if not rings:
         return
     _check_size(len(rings), rings[0].rank, kind)
-    c = np.stack([ring.constants for ring in rings])
-    for ring, matrix in zip(rings, _constraint_matrices(c, rings[0].modulus, kind)):
-        space = DerivationSpace(ring, kind, kernel(matrix))
+    m = rings[0].modulus
+    rows = _constraint_matrices(np.stack([ring.constants for ring in rings]), m, kind)
+    if len(rings) > 1:
+        bases = kernels(m, rows)
+    else:
+        bases = [kernel(ZmMatrix.from_array(m, rows[0][rows[0].any(axis=1)]))]
+    for ring, basis in zip(rings, bases):
+        space = DerivationSpace(ring, kind, basis)
         for g in space.generators():
             result = check_map(ring, g, kind)
             if not result.ok:
@@ -399,6 +404,9 @@ def compare_all(rings) -> list:
     A ring whose generators all have P = 0 has Der = JDer with the same
     canonical basis, so Der is solved, in one more batch, only for the rings
     with a generator of nonzero P; the first one must be ``_compare``'s witness.
+    A batch of more than one ring gets all its kernels from one stacked
+    ``zmodlin.kernels`` call, whatever its rank, so batches of large rings
+    take the stacked path too; a batch of one ring takes ``kernel``.
     """
     jders, failing = list(_solve_all(rings, JORDAN)), {}
     if jders:

@@ -31,6 +31,7 @@ __all__ = [
     "einsum_mod",
     "howell_form",
     "kernel",
+    "kernels",
     "subgroup_equal",
 ]
 
@@ -141,8 +142,8 @@ class SubgroupBasis:
     """Canonical (Howell-form) generating set of a subgroup of (Z/m)^dim.
 
     The generators are the rows of ``matrix``.  Instances are produced by
-    :func:`howell_form` and :func:`kernel`; equality of two bases is
-    equality of the subgroups they span.
+    :func:`howell_form`, :func:`kernel` and :func:`kernels`; equality of two
+    bases is equality of the subgroups they span.
     """
 
     matrix: ZmMatrix
@@ -311,6 +312,51 @@ def _howell_rows(arr: np.ndarray, m: int) -> list[np.ndarray]:
     return [basis[j] for j in cols]
 
 
+def _howell_stack(stack: np.ndarray, m: int) -> np.ndarray:
+    """Howell forms of an (n, r, C) int64 stack reduced to [0, m), in lockstep.
+
+    Row j of each (C, C) result holds the Howell row with pivot column j, or
+    zeros.  Column by column (Storjohann and Mulders): Euclid across rows,
+    by subtracting multiples of each matrix's row with the smallest nonzero
+    entry, leaves one nonzero entry per matrix; that row is normalized by a
+    unit, moves to its slot, and leaves its annihilator (m/g)*row behind, as
+    in ``_howell_rows``.  Rows zero in every matrix are dropped once, up
+    front; dropping later ones would copy the stack per column, which on one
+    large matrix costs more than it saves.  Every product is of two residues,
+    so it is exact.
+    """
+    n, _, cols = stack.shape
+    out = np.zeros((n, cols, cols), dtype=np.int64)
+    work = stack[:, stack.any(axis=(0, 2))]  # a copy: the caller's stack is kept
+    for j in range(cols if work.shape[1] else 0):
+        col = work[:, :, j]
+        while True:
+            nonzero = col != 0
+            many = np.flatnonzero(np.count_nonzero(nonzero, axis=1) > 1)
+            if not many.size:
+                break
+            p = np.where(nonzero[many], col[many], m).argmin(axis=1)
+            q = col[many] // col[many, p][:, None]
+            q[np.arange(len(many)), p] = 0
+            mi, ri = np.nonzero(q)
+            rows, pivots = (many[mi], ri), work[many[mi], p[mi]]
+            work[rows] = (work[rows] - q[mi, ri, None] * pivots) % m
+        mi = np.flatnonzero(col.any(axis=1))
+        ri = col[mi].argmax(axis=1)
+        entries = col[mi, ri].tolist()
+        # One _unit_for per distinct entry; np.unique would import numpy.ma.
+        units = {a: _unit_for(a, m) for a in set(entries)}
+        row = work[mi, ri] * np.array([units[a] for a in entries], dtype=np.int64)[:, None] % m
+        out[mi, j] = row
+        work[mi, ri] = row * (m // row[:, j])[:, None] % m
+    # Reduce entries above each pivot into [0, pivot); an empty slot has q = 0.
+    for j in range(1, cols):
+        q = out[:, :j, j] // np.maximum(out[:, j, j], 1)[:, None]
+        mi, ri = np.nonzero(q)
+        out[mi, ri] = (out[mi, ri] - q[mi, ri, None] * out[mi, j]) % m
+    return out
+
+
 def howell_form(matrix: ZmMatrix) -> SubgroupBasis:
     """Canonical basis of the row span of ``matrix`` over Z/m."""
     m = matrix.modulus
@@ -336,6 +382,27 @@ def kernel(matrix: ZmMatrix) -> SubgroupBasis:
     if einsum_mod("ij,kj->ik", a, gens, m).any():
         raise SelfCheckError("kernel generator failed re-multiplication check")
     return SubgroupBasis(ZmMatrix.from_array(m, gens))
+
+
+def kernels(modulus: int, stack) -> list[SubgroupBasis]:
+    """``kernel`` of each matrix of an (n, r, N) integer stack over Z/modulus.
+
+    All matrices are eliminated in lockstep by ``_howell_stack``: first to
+    their Howell forms H, whose kernels are theirs, then [H^T | I] as in
+    ``kernel``, so the second pass has 2N columns whatever r is.  Per call it
+    costs a few numpy steps per column and Euclid round, so it pays on many
+    small matrices; on one large sparse matrix ``kernel``'s worklist is
+    faster.  All generators are re-checked by one stacked multiplication.
+    """
+    _validate_modulus(modulus)
+    m, stack = modulus, np.asarray(stack, dtype=np.int64) % modulus
+    n, _, ncols = stack.shape
+    eye = np.broadcast_to(np.eye(ncols, dtype=np.int64), (n, ncols, ncols))
+    howell = _howell_stack(stack, m).transpose(0, 2, 1)
+    gens = _howell_stack(np.concatenate([howell, eye], axis=2), m)[:, ncols:, ncols:]
+    if einsum_mod("nij,nkj->nik", stack, gens, m).any():
+        raise SelfCheckError("kernel generator failed re-multiplication check")
+    return [SubgroupBasis(ZmMatrix.from_array(m, g[g.any(axis=1)])) for g in gens]
 
 
 def subgroup_equal(a: SubgroupBasis, b: SubgroupBasis) -> bool:

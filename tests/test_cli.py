@@ -3,6 +3,9 @@
 import hashlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -465,6 +468,22 @@ def test_search_batches_hold_no_chunk_arrays_while_suspended():
     assert count == 1 + 6
 
 
+def test_search_imports_no_numpy_ma(tmp_path):
+    # Plain np.unique imports numpy.ma on first use, about 1 MB of RSS.
+    path = write(tmp_path, MATRIX_INSTANCE + "\n[task]\ncommand = search\nmoduli = 2 3\n")
+    code = ("import sys, jder.cli\n"
+            "before = set(sys.modules)\n"
+            f"assert jder.cli.main(['search', '--input', {path!r}, '--out', {path + '.json'!r}]) == 0\n"
+            "print(sorted(name for name in set(sys.modules) - before\n"
+            "             if name == 'numpy.ma' or name.startswith('numpy.ma.')))\n")
+    src = str(Path(cli.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_search_batches_peak_memory():
     # Iterating the m = 5 batches, rings built but not solved.  Decoding all
     # 2^16 numbers of each chunk through int64 index arrays peaked at 3.1 MB.
@@ -476,6 +495,24 @@ def test_search_batches_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 2 << 20
+
+
+def test_search_batches_peak_memory_at_modulus_eight():
+    # c001 = 0 in the first four 2^16-table chunks at m = 8, so the (0, 0, 0)
+    # grid equations prune nothing there; decoding them in full peaked at
+    # 4.8 MB per batch.  The (1, 1, 1) equations prune them on the grid.
+    batches = _search_batches((8,))
+    next(batches)  # the 8 rank-1 tables
+    tracemalloc.start()
+    try:
+        peaks = []
+        for _ in range(4):
+            tracemalloc.reset_peak()
+            next(batches)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert max(peaks) < 2 << 20
 
 
 @pytest.mark.parametrize("chunk", [1 << 16, 1000], ids=["chunk-2^16", "chunk-1000"])

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from jder import solver
-from jder.cli import _search_batches
+from jder import solver, zmodlin
+from jder.cli import _search_batches, main
 from jder.incidence import fi_ring
 from jder.preorders import Preorder
 from jder.rings import build_ring, dual_numbers, matrix_ring, regular_bimodule, triangular_ring, zmod
@@ -197,7 +197,9 @@ class TestConstraintMatrix:
         for ring in (matrix_ring(zmod(4), 2), t2(2), nonunital):
             c, m = ring.constants[None], ring.modulus
             raw = {tuple(row) for row in _constraint_rows(c, m, kind)[0].tolist() if any(row)}
-            rows = _constraint_matrices(c, m, kind)[0].rows
+            stack = _constraint_matrices(c, m, kind)
+            assert stack.shape == _constraint_rows(c, m, kind).shape
+            rows = [tuple(row) for row in stack[0].tolist() if any(row)]
             assert len(rows) == len(raw) and set(rows) == raw
 
 
@@ -366,6 +368,18 @@ class TestExhaustiveAgreement:
         assert solver.cardinality() == len(maps)
 
 
+def spy(monkeypatch, name) -> list:
+    """Record the arguments of every call to solver.<name> (kernel or kernels)."""
+    real, calls = getattr(solver, name), []
+
+    def recording(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(solver, name, recording)
+    return calls
+
+
 def assert_batch_matches_one_ring_at_a_time(batch) -> list:
     """compare_all(batch) against compare_spaces, which solves Der's own rows for every ring."""
     cmps = compare_all(batch)
@@ -444,25 +458,25 @@ class TestCompare:
     def test_every_generator_of_every_ring_is_checked(self, monkeypatch):
         # d = 2 * id on Z/4 breaks the square rule at (0,); hide it behind
         # two passing generators of the middle ring's JDer solve in a batch.
-        real_kernel, calls = solver.kernel, []
+        real_kernels = solver.kernels
 
-        def kernel(matrix):
-            calls.append(matrix)
-            if len(calls) != 2:
-                return real_kernel(matrix)
-            return SubgroupBasis(ZmMatrix(4, ((0,), (0,), (2,))))
+        def kernels(modulus, stack):
+            bases = real_kernels(modulus, stack)
+            bases[1] = SubgroupBasis(ZmMatrix(4, ((0,), (0,), (2,))))
+            return bases
 
-        monkeypatch.setattr(solver, "kernel", kernel)
+        monkeypatch.setattr(solver, "kernels", kernels)
         with pytest.raises(SelfCheckError, match=r"violates square at \(0,\)"):
             compare_all([zmod(4)] * 3)
 
     def inject_der_basis(self, monkeypatch, rows):
-        """Batch [zero, counterexample, zero] over Z/4; the Der solve (4th kernel) returns rows."""
+        """Batch [zero, counterexample, zero] over Z/4; the JDer solve is one stacked call,
+        and the Der solve of the one failing ring (the first kernel call) returns rows."""
         real_kernel, calls = solver.kernel, []
 
         def kernel(matrix):
             calls.append(matrix)
-            if len(calls) != 4:
+            if len(calls) != 1:
                 return real_kernel(matrix)
             return SubgroupBasis(ZmMatrix.from_array(4, np.array(rows, dtype=np.int64).reshape(-1, 4)))
 
@@ -486,19 +500,14 @@ class TestCompare:
             compare_all(batch)
 
     def test_der_is_solved_only_for_proper_inclusions(self, monkeypatch):
-        # The 616 rank-2 search rings over Z/4: one JDer kernel each, plus
-        # one Der kernel for each of the 90 rings with Der != JDer.
+        # The 616 rank-2 search rings over Z/4: one stacked JDer kernel each,
+        # plus one stacked Der kernel for each of the 90 rings with Der != JDer.
         rank2 = [ring for ring in search_rings((4,)) if ring.rank == 2]
-        real_kernel, calls = solver.kernel, []
-
-        def kernel(matrix):
-            calls.append(matrix)
-            return real_kernel(matrix)
-
-        monkeypatch.setattr(solver, "kernel", kernel)
+        matrices, calls = spy(monkeypatch, "kernels"), spy(monkeypatch, "kernel")
         verdicts = [cmp.verdict for cmp in compare_all(rank2)]
         assert (len(rank2), verdicts.count("ProperInclusion")) == (616, 90)
-        assert len(calls) == 616 + 90
+        assert [len(stack) for _, stack in matrices] == [616, 90]
+        assert len(calls) == 0
 
     @pytest.mark.parametrize("batch", [
         [zmod(2), zmod(3)],
@@ -561,6 +570,43 @@ class TestBatchProperty:
         assert_batch_matches_one_ring_at_a_time([pool[n] for n in picks])
 
 
+class TestStackedSelfCheck:
+    """A wrong generator of a stacked kernel is reported by name, not returned."""
+
+    @staticmethod
+    def corrupt_second_matrix(monkeypatch):
+        # kernels eliminates twice; in the second result, [H^T | I], matrix 1's
+        # last slot is a kernel row.  Raising its last entry by 1 keeps the
+        # row's left block zero but breaks M x = 0 (every batch below has
+        # the zero kernel in matrix 1).
+        real, calls = zmodlin._howell_stack, []
+
+        def corrupted(stack, m):
+            out = real(stack, m)
+            calls.append(out)
+            if len(calls) % 2 == 0:
+                out[1, -1, -1] = (out[1, -1, -1] + 1) % m
+            return out
+
+        monkeypatch.setattr(zmodlin, "_howell_stack", corrupted)
+
+    def test_compare_all_raises(self, monkeypatch):
+        self.corrupt_second_matrix(monkeypatch)
+        with pytest.raises(SelfCheckError, match="kernel generator failed re-multiplication check"):
+            compare_all([zmod(4)] * 3)
+
+    def test_cli_search_exits_3(self, monkeypatch, tmp_path, capsys):
+        # The first batch of moduli = 2 holds the two rank-1 tables, b0 b0 = 0 and b0 b0 = b0.
+        self.corrupt_second_matrix(monkeypatch)
+        path = tmp_path / "search.ini"
+        path.write_text("[instance]\nformat_version = 1\n[ring]\nkind = zmod\nmodulus = 2\n"
+                        "[task]\ncommand = search\nmoduli = 2\n", encoding="utf-8")
+        assert main(["search", "--input", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: kernel generator failed re-multiplication check" in captured.err
+
+
 class TestBatchedDerPass:
     """compare_all's stacked product residual against check_map, generator by generator."""
 
@@ -596,17 +642,11 @@ class TestBatchedDerPass:
     def test_batch_without_generators(self, monkeypatch):
         # JDer(Z/3) = 0: the stacked residual is empty and no Der kernel is solved.
         calls = self.record_residuals(monkeypatch)
-        real_kernel, kernels = solver.kernel, []
-
-        def kernel(matrix):
-            kernels.append(matrix)
-            return real_kernel(matrix)
-
-        monkeypatch.setattr(solver, "kernel", kernel)
+        kernels = spy(monkeypatch, "kernels")
         cmps = compare_all([zmod(3)] * 3)
         assert ([(cmp.equal, cmp.witness, cmp.jordan.cardinality()) for cmp in cmps]
                 == [(True, None, 1)] * 3)
-        assert len(kernels) == 3
+        assert sum(len(stack) for _, stack in kernels) == 3
         assert [(D.shape, P.shape) for D, P in calls] == [((0, 1, 1), (0, 1, 1, 1))]
 
 

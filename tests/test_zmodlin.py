@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from jder import zmodlin
 from jder.zmodlin import (
@@ -17,6 +18,7 @@ from jder.zmodlin import (
     ZmMatrix,
     howell_form,
     kernel,
+    kernels,
     subgroup_equal,
 )
 from oracles import all_vectors, kernel_set, span_set
@@ -302,6 +304,45 @@ class TestProperties:
             for c, g in zip(coords, b.generators):
                 acc = (acc + c * np.array(g)) % m
             assert tuple(int(x) for x in acc) == v
+
+
+@st.composite
+def stacks(draw):
+    """(m, an (n, r, N) stack) with repeated rows and rows zero in one or every matrix."""
+    m = draw(st.integers(2, 40) | st.sampled_from([2**31 - 1, 2**31]), label="m")
+    n, r, cols = draw(st.integers(1, 5)), draw(st.integers(0, 8)), draw(st.integers(1, 6))
+    entry = st.sampled_from([0, 1, m // 2, m - 1]) | st.integers(0, m - 1)
+    stack = draw(arrays(np.int64, (n, r, cols), elements=entry), label="entries")
+    if r:
+        row, mat = st.integers(0, r - 1), st.integers(0, n - 1)
+        for a, b in draw(st.lists(st.tuples(row, row), max_size=3), label="repeats"):
+            stack[:, b] = stack[:, a]
+        for i, a in draw(st.lists(st.tuples(mat, row), max_size=3), label="zero in one"):
+            stack[i, a] = 0
+        for a in draw(st.lists(row, max_size=2), label="zero in every"):
+            stack[:, a] = 0
+    return m, stack
+
+
+class TestStackedElimination:
+    """_howell_stack and kernels against howell_form and kernel, matrix by matrix."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(stacks())
+    def test_matches_the_worklist(self, case):
+        m, stack = case
+        before = stack.copy()
+        forms, bases = zmodlin._howell_stack(stack, m), kernels(m, stack)
+        assert np.array_equal(stack, before)
+        n, _, cols = stack.shape
+        assert forms.shape == (n, cols, cols) and len(bases) == n
+        for matrix, form, basis in zip(stack, forms, bases):
+            # Slot j holds the Howell row with pivot column j, or zeros.
+            slots = np.flatnonzero(form.any(axis=1))
+            assert (form[slots] != 0).argmax(axis=1).tolist() == slots.tolist()
+            want = howell_form(ZmMatrix.from_array(m, matrix))
+            assert form[slots].tolist() == want.as_array().tolist()
+            assert basis == kernel(ZmMatrix.from_array(m, matrix))
 
 
 def _source_specs() -> list:
