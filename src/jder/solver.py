@@ -186,42 +186,62 @@ def _product_residuals(c: np.ndarray, D: np.ndarray, m: int) -> np.ndarray:
             - einsum_mod("nsj,nist->nijt", D, c, m)) % m
 
 
+def _first_violation(c: np.ndarray, D: np.ndarray, m: int, kind: str):
+    """Stacked residuals of the maps D[g] on the rings c[g], and the first violation.
+
+    This deliberately avoids the assembled constraint matrix: the residual
+    P[g, i, j] = d(b_i b_j) - d(b_i) b_j - b_i d(b_j) is recomputed from the
+    structure constants and D, an independent oracle for the solver's
+    kernels.  P[g] = 0 means D[g] is a derivation, so every identity holds.
+    Otherwise the residual T[i, j, l] of (b_i b_j) b_l is P(b_i b_j, b_l) +
+    P(b_i, b_j) b_l by bilinearity alone (no associativity); T is computed
+    only for the maps with P[g] != 0.  Returns P and, for the first map
+    that violates an identity of ``kind``, (g, identity, indices) with the
+    first offending basis indices in that identity's order, or None.
+    """
+    P = _product_residuals(c, D, m)
+    nonzero = np.flatnonzero(P.any(axis=(1, 2, 3)))
+    if not len(nonzero):
+        return P, None
+    Pn = P[nonzero]
+    if kind == DERIVATION:
+        checks = [("product", Pn.any(-1))]
+    else:
+        cn = c[nonzero]
+        T = (einsum_mod("nijs,nslt->nijlt", cn, Pn, m)
+             + einsum_mod("nijs,nslt->nijlt", Pn, cn, m)) % m
+        ar = np.arange(c.shape[1])
+        upper = ar[:, None] < ar
+        checks = [
+            ("square", Pn[:, ar, ar].any(-1)),
+            ("square-pol", ((Pn + Pn.transpose(0, 2, 1, 3)) % m).any(-1) & upper),
+            ("triple", T[:, ar[:, None], ar, ar[:, None]].any(-1)),
+            # T[i, j, l] + T[l, j, i], indexed (i, l, j).
+            ("triple-pol", ((T + T.transpose(0, 3, 2, 1, 4)) % m).any(-1).transpose(0, 1, 3, 2)
+             & upper[:, :, None]),
+        ]
+    # hit[identity, n]: whether map nonzero[n] violates that identity somewhere.
+    hit = np.array([bad.reshape(len(nonzero), -1).any(axis=1) for _, bad in checks])
+    failing = np.flatnonzero(hit.any(axis=0))
+    if not len(failing):
+        return P, None
+    n = int(failing[0])
+    name, bad = checks[int(np.flatnonzero(hit[:, n])[0])]
+    return P, (int(nonzero[n]), name, tuple(int(x) for x in np.argwhere(bad[n])[0]))
+
+
 def check_map(ring: StructureRing, d: AdditiveMap, kind: str) -> CheckResult:
     """Evaluate the basis-level constraints of ``kind`` directly on elements.
 
-    This deliberately avoids the assembled constraint matrix: the residual
-    P[i, j] = d(b_i b_j) - d(b_i) b_j - b_i d(b_j) is recomputed from the
-    structure constants and D, an independent oracle for the solver's
-    kernels.  P = 0 means d is a derivation, so every identity holds.
-    Otherwise the residual T[i, j, l] of (b_i b_j) b_l is P(b_i b_j, b_l) +
-    P(b_i, b_j) b_l by bilinearity alone (no associativity).  Returns the
+    The identities are checked from the structure constants and the map
+    matrix alone (``_first_violation`` on a stack of one).  Returns the
     first violated identity by name with the offending basis indices.
     """
     _validate_kind(kind)
     if not d.ring.same_presentation(ring):
         raise ValueError("map belongs to a different ring")
-    k, m, c = ring.rank, ring.modulus, ring.constants
-    P = _product_residuals(c[None], d.as_array()[None], m)[0]
-    if not P.any():
-        return CheckResult(True)
-    if kind == DERIVATION:
-        checks = [("product", P.any(-1))]
-    else:
-        T = (einsum_mod("ijs,slt->ijlt", c, P, m) + einsum_mod("ijs,slt->ijlt", P, c, m)) % m
-        ar = np.arange(k)
-        upper = ar[:, None] < ar
-        checks = [
-            ("square", P[ar, ar].any(-1)),
-            ("square-pol", ((P + P.transpose(1, 0, 2)) % m).any(-1) & upper),
-            ("triple", T[ar[:, None], ar, ar[:, None]].any(-1)),
-            # T[i, j, l] + T[l, j, i], indexed (i, l, j).
-            ("triple-pol", ((T + T.transpose(2, 1, 0, 3)) % m).any(-1).transpose(0, 2, 1)
-             & upper[:, :, None]),
-        ]
-    for name, bad in checks:
-        if bad.any():
-            return CheckResult(False, name, tuple(int(x) for x in np.argwhere(bad)[0]))
-    return CheckResult(True)
+    _, first = _first_violation(ring.constants[None], d.as_array()[None], ring.modulus, kind)
+    return CheckResult(True) if first is None else CheckResult(False, *first[1:])
 
 
 # -- constraint assembly -------------------------------------------------------
@@ -320,38 +340,61 @@ class DerivationSpace:
         return f"DerivationSpace(kind={self.kind!r}, cardinality={self.cardinality()})"
 
 
+def _generator_stack(spaces):
+    """Every generator g of ``spaces``, ring by ring: the index of its ring, its flat
+    vector and its matrix D[g]."""
+    k = spaces[0].ring.rank
+    flats = [space.basis.as_array() for space in spaces]
+    flat = np.concatenate(flats)
+    # Row g of the stack is D laid out column by column (AdditiveMap.from_flat).
+    return (np.repeat(np.arange(len(flats)), [len(f) for f in flats]), flat,
+            flat.reshape(-1, k, k).transpose(0, 2, 1))
+
+
 def _solve_all(rings, kind: str):
-    """Yield the space of ``kind`` per ring of one modulus and rank, self-checked."""
+    """The space of ``kind`` of each ring of one modulus and rank, self-checked.
+
+    Returns the spaces and, for a batch of more than one ring, the product
+    residual P of every generator, stacked ring by ring (None otherwise).
+    A batch of more than one ring gets its kernels from one stacked
+    ``zmodlin.kernels`` call and is self-checked by one ``_first_violation``
+    pass over all its generators.  A batch of one ring takes ``kernel`` and
+    runs ``check_map`` once per generator, which the benchmark harness
+    (bench/test_harness.py) pins as one check_map call per kernel generator.
+    """
     if len({(ring.modulus, ring.rank) for ring in rings}) > 1:
         raise ValueError("a batch needs rings of one modulus and rank")
     if not rings:
-        return
+        return [], None
     _check_size(len(rings), rings[0].rank, kind)
     m = rings[0].modulus
-    rows = _constraint_matrices(np.stack([ring.constants for ring in rings]), m, kind)
+    constants = np.stack([ring.constants for ring in rings])
+    rows = _constraint_matrices(constants, m, kind)
     if len(rings) > 1:
-        bases = kernels(m, rows)
-    else:
-        bases = [kernel(ZmMatrix.from_array(m, rows[0][rows[0].any(axis=1)]))]
-    for ring, basis in zip(rings, bases):
-        space = DerivationSpace(ring, kind, basis)
-        for g in space.generators():
-            result = check_map(ring, g, kind)
-            if not result.ok:
-                raise SelfCheckError(
-                    f"solver generator violates {result.identity} at {result.indices}"
-                )
-        yield space
+        spaces = [DerivationSpace(ring, kind, basis)
+                  for ring, basis in zip(rings, kernels(m, rows))]
+        owner, _, D = _generator_stack(spaces)
+        P, first = _first_violation(constants[owner], D, m, kind)
+        if first is not None:
+            raise SelfCheckError(f"solver generator violates {first[1]} at {first[2]}")
+        return spaces, P
+    basis = kernel(ZmMatrix.from_array(m, rows[0][rows[0].any(axis=1)]))
+    space = DerivationSpace(rings[0], kind, basis)
+    for g in space.generators():
+        result = check_map(rings[0], g, kind)
+        if not result.ok:
+            raise SelfCheckError(f"solver generator violates {result.identity} at {result.indices}")
+    return [space], None
 
 
 def solve_derivations(ring: StructureRing) -> DerivationSpace:
     """All additive d with d(rs) = d(r)s + rd(s), as a canonical subgroup."""
-    return next(_solve_all([ring], DERIVATION))
+    return _solve_all([ring], DERIVATION)[0][0]
 
 
 def solve_jordan_derivations(ring: StructureRing) -> DerivationSpace:
     """All additive d with d(r^2) = d(r)r + rd(r) and d(rsr) = d(r)sr + rd(s)r + rsd(r)."""
-    return next(_solve_all([ring], JORDAN))
+    return _solve_all([ring], JORDAN)[0][0]
 
 
 def inner_derivation(ring: StructureRing, a: RingElement) -> AdditiveMap:
@@ -399,8 +442,9 @@ def compare_spaces(ring: StructureRing) -> SpaceComparison:
 def compare_all(rings) -> list:
     """``compare_spaces`` of each ring; ValueError unless all share one modulus and rank.
 
-    JDer is solved for the whole batch first.  The product residual P of
-    every JDer generator of every ring is then computed in one stacked step.
+    JDer is solved for the whole batch first.  Its self-check gives the
+    product residual P of every JDer generator of every ring in one stacked
+    step (a batch of one ring computes it after its ``check_map`` calls).
     A ring whose generators all have P = 0 has Der = JDer with the same
     canonical basis, so Der is solved, in one more batch, only for the rings
     with a generator of nonzero P; the first one must be ``_compare``'s witness.
@@ -408,20 +452,17 @@ def compare_all(rings) -> list:
     ``zmodlin.kernels`` call, whatever its rank, so batches of large rings
     take the stacked path too; a batch of one ring takes ``kernel``.
     """
-    jders, failing = list(_solve_all(rings, JORDAN)), {}
+    jders, P = _solve_all(rings, JORDAN)
+    failing = {}
     if jders:
-        k, m = rings[0].rank, rings[0].modulus
-        flats = [jder.basis.as_array() for jder in jders]
-        owner = np.repeat(np.arange(len(flats)), [len(f) for f in flats])
-        stack = np.concatenate(flats)
-        c = np.stack([ring.constants for ring in rings])[owner]
-        # Row g of the stack is D laid out column by column (AdditiveMap.from_flat).
-        bad = np.flatnonzero(_product_residuals(c, stack.reshape(-1, k, k).transpose(0, 2, 1), m)
-                             .any(axis=(1, 2, 3)))
+        owner, flat, D = _generator_stack(jders)
+        if P is None:  # a batch of one ring
+            P = _product_residuals(rings[0].constants[None][owner], D, rings[0].modulus)
+        bad = np.flatnonzero(P.any(axis=(1, 2, 3)))
         rings_bad, first = np.unique(owner[bad], return_index=True)
         for n, g in zip(rings_bad.tolist(), bad[first].tolist()):
-            failing[n] = AdditiveMap.from_flat(jders[n].ring, stack[g])
-    ders = _solve_all([jders[n].ring for n in failing], DERIVATION)
+            failing[n] = AdditiveMap.from_flat(jders[n].ring, flat[g])
+    ders = iter(_solve_all([jders[n].ring for n in failing], DERIVATION)[0])
     out = []
     for n, jder in enumerate(jders):
         if n in failing:

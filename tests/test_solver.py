@@ -3,6 +3,8 @@
 import functools
 import math
 import random
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -369,7 +371,7 @@ class TestExhaustiveAgreement:
 
 
 def spy(monkeypatch, name) -> list:
-    """Record the arguments of every call to solver.<name> (kernel or kernels)."""
+    """Record the arguments of every call to solver.<name>."""
     real, calls = getattr(solver, name), []
 
     def recording(*args):
@@ -607,6 +609,135 @@ class TestStackedSelfCheck:
         assert "error: kernel generator failed re-multiplication check" in captured.err
 
 
+def solve_with_corrupted_kernels(batch, kind, edits):
+    """_solve_all(batch, kind) with, for each (n, row, delta) of ``edits``, delta added to
+    generator ``row`` of ring n's basis (appended when the basis is empty).  Returns the
+    SelfCheckError text, or None, and the first failure that check_map_scalar finds
+    among the generators in batch order."""
+    real, bases = solver.kernels, []
+
+    def kernels(modulus, stack):
+        bases.extend(real(modulus, stack))
+        for n, row, delta in edits:
+            gens = bases[n].as_array().copy()
+            if len(gens):
+                gens[row % len(gens)] += delta
+            else:
+                gens = np.array([delta])
+            bases[n] = SubgroupBasis(ZmMatrix.from_array(modulus, gens))
+        return bases
+
+    with mock.patch.object(solver, "kernels", kernels):
+        try:
+            solver._solve_all(batch, kind)
+            raised = None
+        except SelfCheckError as exc:
+            raised = str(exc)
+    failures = (check_map_scalar(ring, AdditiveMap.from_flat(ring, g), kind)
+                for ring, basis in zip(batch, bases, strict=True) for g in basis.as_array())
+    first = next((result for result in failures if not result.ok), None)
+    return raised, first
+
+
+class TestStackedGeneratorCheck:
+    """One pass self-checks a batch and names its first failing generator, as check_map_scalar."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_first_failure_matches_the_scalar_oracle(self, data):
+        if data.draw(st.booleans(), label="search pool"):
+            pools = search_pools()
+            pool = pools[data.draw(st.sampled_from(sorted(pools)), label="modulus, rank")]
+            batch = [pool[n] for n in data.draw(
+                st.lists(st.integers(0, len(pool) - 1), min_size=2, max_size=6), label="picks")]
+        else:
+            k = data.draw(st.integers(1, 2), label="rank")
+            m = data.draw(st.integers(2, 30), label="modulus")
+            batch = []
+            for _ in range(data.draw(st.integers(2, 6), label="batch size")):
+                # Sparse tables until one is associative (about a third are, at rank 2).
+                while True:
+                    support = data.draw(st.sets(st.integers(0, k ** 3 - 1), max_size=3))
+                    c = np.zeros(k ** 3, dtype=np.int64)
+                    c[sorted(support)] = data.draw(st.lists(
+                        st.integers(1, m - 1), min_size=len(support), max_size=len(support)))
+                    if associative(c.reshape(k, k, k), m):
+                        break
+                batch.append(build_ring(m, c.reshape(k, k, k)))
+        ring, k = data.draw(st.integers(0, len(batch) - 1), label="ring"), batch[0].rank
+        delta = np.array(data.draw(st.lists(st.integers(0, batch[0].modulus - 1), min_size=k * k,
+                                            max_size=k * k).filter(any), label="delta"))
+        kind = data.draw(st.sampled_from([DERIVATION, JORDAN]), label="kind")
+        raised, first = solve_with_corrupted_kernels(
+            batch, kind, [(ring, data.draw(st.integers(0, 8), label="row"), delta)])
+        assert raised == (None if first is None
+                          else f"solver generator violates {first.identity} at {first.indices}")
+
+    def test_r9_generator_failing_only_triple_pol(self):
+        # d satisfies the square, square-pol and triple rows of R9 but not JDer;
+        # it replaces the last generator of the second copy, behind passing ones.
+        # The identity map, which breaks the square rule at the unit, replaces the
+        # first generator of the third copy: ring order comes before identity order.
+        ring, outside = r9_outside_jder()
+        d = outside[0]
+        basis = solve_jordan_derivations(ring).basis.as_array()
+        flat = np.array(d.to_flat())
+        identity = np.eye(ring.rank, dtype=np.int64).ravel()
+        raised, first = solve_with_corrupted_kernels([ring] * 4, JORDAN, [
+            (1, len(basis) - 1, flat - basis[-1]), (2, 0, identity - basis[0])])
+        assert first == check_map_scalar(ring, d, JORDAN)
+        assert first.identity == "triple-pol"
+        assert raised == f"solver generator violates triple-pol at {first.indices}"
+        unit_fails = check_map_scalar(ring, AdditiveMap.from_flat(ring, identity), JORDAN)
+        assert unit_fails.identity == "square"
+
+
+class TestStackedDerSelfCheck:
+    """A wrong generator of a stacked Der solve (two or more rings with Der != JDer) is reported."""
+
+    @staticmethod
+    def inject(monkeypatch):
+        """Add e_j to ring 1's basis in every Der kernels call, for the first column j that
+        ring 1's Der rows use; such a map breaks some row, so it is not a derivation."""
+        real, added = solver.kernels, []
+
+        def kernels(modulus, stack):
+            bases = real(modulus, stack)
+            _, rows, cols = stack.shape
+            if rows ** 2 == cols ** 3:  # k^3 Der rows on k^2 columns; a Jordan stack has more.
+                flat = np.eye(cols, dtype=np.int64)[np.flatnonzero(stack[1].any(axis=0))[0]]
+                bases[1] = SubgroupBasis(ZmMatrix.from_array(
+                    modulus, np.vstack([bases[1].as_array(), flat])))
+                added.append(flat)
+            return bases
+
+        monkeypatch.setattr(solver, "kernels", kernels)
+        return added
+
+    def test_compare_all_raises(self, monkeypatch):
+        zero = build_ring(4, np.zeros((2, 2, 2), dtype=np.int64))
+        counterexample = build_ring(4, [[[0, 0], [0, 0]], [[0, 0], [0, 2]]])
+        added = self.inject(monkeypatch)
+        with pytest.raises(SelfCheckError) as info:
+            compare_all([zero, counterexample, zero, counterexample])
+        (flat,) = added
+        result = check_map_scalar(counterexample, AdditiveMap.from_flat(counterexample, flat),
+                                  DERIVATION)
+        assert result.identity == "product"
+        assert str(info.value) == f"solver generator violates product at {result.indices}"
+
+    def test_cli_search_exits_3(self, monkeypatch, tmp_path, capsys):
+        # The Z/4 rank-2 batch has 90 rings with Der != JDer, solved as one Der batch.
+        added = self.inject(monkeypatch)
+        path = tmp_path / "search.ini"
+        path.write_text("[instance]\nformat_version = 1\n[ring]\nkind = zmod\nmodulus = 4\n"
+                        "[task]\ncommand = search\nmoduli = 4\n", encoding="utf-8")
+        assert main(["search", "--input", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert len(added) == 1 and captured.out == ""
+        assert re.search(r"error: solver generator violates product at \(\d, \d\)", captured.err)
+
+
 class TestBatchedDerPass:
     """compare_all's stacked product residual against check_map, generator by generator."""
 
@@ -627,17 +758,33 @@ class TestBatchedDerPass:
         for pool in search_pools().values():
             calls.clear()
             cmps = compare_all(pool)
+            (D, P), *later = calls
             gens = [(cmp.jordan.ring, g) for cmp in cmps for g in cmp.jordan.generators()]
-            # One check_map self-check per JDer generator, then the stacked pass.
-            D, P = calls[len(gens)]
+            # The first call is the JDer self-check, one stacked pass over every generator.
             assert D.tolist() == [g.matrix.tolist() for _, g in gens]
             assert (P.any(axis=(1, 2, 3)).tolist()
                     == [not check_map(ring, g, DERIVATION).ok for ring, g in gens])
+            # Every later call checks Der generators of the rings with Der != JDer, so
+            # none covers the JDer generators again.
+            ders = [g.matrix.tolist() for cmp in cmps if not cmp.equal
+                    for g in cmp.derivations.generators()]
+            assert [d for D, _ in later for d in D.tolist()] == ders
             for cmp in cmps:
                 ring = cmp.jordan.ring
                 first = next((g for g in cmp.jordan.generators()
                               if not check_map(ring, g, DERIVATION).ok), None)
                 assert cmp.witness == first
+
+    def test_one_residual_pass_per_stacked_batch(self, monkeypatch):
+        # The 616 rank-2 search rings over Z/4, 90 of them with Der != JDer: one
+        # stacked pass for the JDer batch and one for the Der batch, no check_map.
+        residuals, checks = spy(monkeypatch, "_product_residuals"), spy(monkeypatch, "check_map")
+        cmps = compare_all(search_pools()[4, 2])
+        assert sum(not cmp.equal for cmp in cmps) == 90
+        assert [len(D) for _, D, _ in residuals] == [
+            sum(len(cmp.jordan.basis.as_array()) for cmp in cmps),
+            sum(len(cmp.derivations.basis.as_array()) for cmp in cmps if not cmp.equal)]
+        assert checks == []
 
     def test_batch_without_generators(self, monkeypatch):
         # JDer(Z/3) = 0: the stacked residual is empty and no Der kernel is solved.
