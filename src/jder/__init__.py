@@ -15,6 +15,7 @@ from .analysis import (
     cross_check,
     extend_isolated,
     identity_suite,
+    identity_suites,
     restrict_corner,
     restrict_to_class,
     theorem_verdict,
@@ -83,6 +84,7 @@ __all__ = [
     "extend_isolated",
     "fi_ring",
     "identity_suite",
+    "identity_suites",
     "inner_derivation",
     "matrix_bimodule",
     "matrix_ring",

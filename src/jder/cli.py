@@ -21,7 +21,7 @@ import numpy as np
 from .analysis import (
     construct_dprime,
     cross_check,
-    identity_suite,
+    identity_suites,
     theorem_verdict,
 )
 from .incidence import IncidenceRing, fi_ring, verify_family_conditions
@@ -494,11 +494,11 @@ def run(command: str, instance: Instance, seed: int = 0, trials: int = 1000,
                 "ok": all(e["reconstructed_equals_original"] for e in entries),
             }
         else:
-            family = _jordan_family(target)
-            entries = []
-            for n, d in enumerate(solve_jordan_derivations(target).generators()):
-                report = identity_suite(target, family, d, mode=mode, seed=seed, trials=trials)
-                entries.append({
+            reports = identity_suites(target, _jordan_family(target),
+                                      solve_jordan_derivations(target).generators(),
+                                      mode=mode, seed=seed, trials=trials)
+            entries = [
+                {
                     "generator": n,
                     "ok": report.ok,
                     "identities": [
@@ -510,7 +510,9 @@ def run(command: str, instance: Instance, seed: int = 0, trials: int = 1000,
                         }
                         for o in report.outcomes
                     ],
-                })
+                }
+                for n, report in enumerate(reports)
+            ]
             result = {"generators": entries, "ok": all(e["ok"] for e in entries)}
     elif command == "fi-build":
         _require_preorder(instance, command)

@@ -2,11 +2,13 @@
 
 import random
 import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from jder import analysis, solver, zmodlin
+from jder import analysis, cli, solver, zmodlin
 from jder.analysis import (
     ALL_JORDAN_ARE_DERIVATIONS,
     CONDITIONAL_ON_COEFFICIENT_RING,
@@ -15,6 +17,7 @@ from jder.analysis import (
     cross_check,
     extend_isolated,
     identity_suite,
+    identity_suites,
     restrict_corner,
     restrict_to_class,
     theorem_verdict,
@@ -39,9 +42,10 @@ from jder.solver import (
     SizeBudgetError,
     check_map,
     inner_derivation,
+    solve_derivations,
     solve_jordan_derivations,
 )
-from oracles import construct_dprime_scalar, identity_suite_scalar
+from oracles import construct_dprime_scalar, identity_suite_scalar, r3, r9
 
 
 def chain(n):
@@ -474,7 +478,75 @@ class TestIdentitySuiteOracle:
         assert rewound > 0
 
 
+def _derivation_gate_only(ring, d, kind):
+    """check_map for the derivation gate; every map passes the Jordan precondition."""
+    return check_map(ring, d, kind) if kind == DERIVATION else CheckResult(True)
+
+
+def _mixed_maps(ring, rng):
+    """Derivations, Jordan derivations that are not derivations and arbitrary maps
+    of ring, interleaved."""
+    der = [g.as_array() for g in solve_derivations(ring).generators()]
+    jordan = [g.as_array() for g in solve_jordan_derivations(ring).generators()
+              if not check_map(ring, g, DERIVATION).ok]
+
+    def derivation():
+        return sum(rng.randrange(ring.modulus) * g for g in der)
+
+    maps = []
+    for n in range(3):
+        maps.append(derivation())
+        maps.append(jordan[n % len(jordan)] + derivation())
+        maps.append(sparse_map(rng, ring, 0.3).as_array())
+    maps.append(sparse_map(rng, ring, 0.3).as_array())
+    return [AdditiveMap.from_array(ring, d % ring.modulus) for d in maps]
+
+
+# (ring, family) with Jordan derivations that are not derivations.
+MIXED_CASES = {
+    "R3": lambda: (r3(), [r3().one()]),
+    "R9": lambda: (r9(), [r9().one()]),
+    "FI(a+b,R3)": lambda: _incidence_case(ANTICHAIN2, r3()),
+}
+
+
+class TestIdentitySuiteStack:
+    """The stacked suite against the scalar reference, map by map."""
+
+    @pytest.mark.parametrize("mode", ["basis", "randomized"])
+    @pytest.mark.parametrize("case", sorted(MIXED_CASES))
+    def test_mixed_stacks_match_the_scalar_reference(self, monkeypatch, case, mode):
+        monkeypatch.setattr(analysis, "check_map", _derivation_gate_only)
+        ring, family = MIXED_CASES[case]()
+        maps = _mixed_maps(ring, random.Random(case))
+        kwargs = dict(mode=mode, seed=3, trials=9)
+        expected = tuple(identity_suite_scalar(ring, family, d, **kwargs) for d in maps)
+        # The default bound, one map, family tuple and sample per chunk, and a
+        # bound that splits the trials of groups of several maps.
+        for bound in (analysis._TUPLE_CHUNK_BYTES, 1, 4096):
+            monkeypatch.setattr(analysis, "_TUPLE_CHUNK_BYTES", bound)
+            reports = identity_suites(ring, family, maps, **kwargs)
+            assert reports == expected, bound
+        remarks = [r.outcome("derivation-remark").applicable for r in reports if r.ok]
+        # Passing derivations and passing non-derivations, whose streams part at
+        # the derivation remark, and maps failing twice, whose second witness
+        # is drawn from their own stream after the first failure.
+        assert True in remarks and False in remarks
+        assert any(sum(not o.passed for o in r.outcomes) > 1 for r in reports)
+
+    def test_empty_stack(self):
+        ring, family = _matrix_case(2)
+        assert identity_suites(ring, family, [], mode="randomized") == ()
+
+    def test_a_map_of_another_ring_is_rejected(self):
+        ring, family = _matrix_case(2)
+        other = zmod(2)
+        with pytest.raises(ValueError, match="different ring"):
+            identity_suites(ring, family, [AdditiveMap.zero(ring), AdditiveMap.zero(other)])
+
+
 EINSUM_MOD = zmodlin.einsum_mod
+BENCH_INSTANCE = Path(__file__).resolve().parents[1] / "bench/instances/identities-isolated.ini"
 
 
 def count_einsum_calls(monkeypatch, call):
@@ -510,3 +582,35 @@ class TestIdentitySuiteCost:
         calls = count_einsum_calls(
             monkeypatch, lambda: identity_suite(fi, fi.class_idempotents(), d))
         assert calls <= 200
+
+    def test_einsum_calls_of_the_cli_run_on_the_benchmark_instance(self, monkeypatch, tmp_path):
+        args = ["identities", "--input", str(BENCH_INSTANCE), "--out", str(tmp_path / "out.json")]
+        calls = count_einsum_calls(monkeypatch, lambda: cli.main(args))
+        assert calls <= 150  # 562 with one suite call per generator
+
+    def test_einsum_calls_grow_with_the_stack_only_in_the_per_map_gate(self, monkeypatch):
+        fi = fi_ring(POINT_PLUS_CHAIN, Z4_DUAL)
+        family, gens = fi.class_idempotents(), solve_jordan_derivations(fi).generators()
+
+        def gate(maps):  # the precondition and derivation gate, run per map
+            return [check_map(fi, d, DERIVATION).ok or check_map(fi, d, JORDAN) for d in maps]
+
+        own = [count_einsum_calls(monkeypatch, lambda: identity_suites(fi, family, maps))
+               - count_einsum_calls(monkeypatch, lambda: gate(maps))
+               for maps in (gens[:1], gens, 3 * gens)]
+        assert own[0] == own[1] == own[2]
+
+    def test_randomized_peak_memory_does_not_grow_with_trials(self, monkeypatch):
+        monkeypatch.setattr(analysis, "_TUPLE_CHUNK_BYTES", 1 << 16)
+        ring, family = _matrix_case(2)
+        d = inner_derivation(ring, ring.matrix_unit(0, 1))
+        peaks = []
+        for trials in (500, 4000):
+            tracemalloc.start()
+            try:
+                identity_suite(ring, family, d, mode="randomized", trials=trials)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # Unsplit, the herstein samples alone grow by 3,500 x 3 x 4 coefficients.
+        assert peaks[1] < 1.2 * peaks[0]

@@ -364,6 +364,23 @@ def test_identities_randomized_depends_only_on_seed(tmp_path):
     assert a == b
 
 
+ZMOD6_INSTANCE = """
+[instance]
+format_version = 1
+
+[ring]
+kind = zmod
+modulus = 6
+"""
+
+
+@pytest.mark.parametrize("mode", ["basis", "randomized"])
+def test_identities_without_jordan_generators(tmp_path, mode):
+    # JDer(Z/6) = 0: the stack of generators is empty.
+    inst = load_instance(write(tmp_path, ZMOD6_INSTANCE))
+    assert run("identities", inst, mode=mode)["result"] == {"generators": [], "ok": True}
+
+
 def test_identities_report_matches_benchmark_digest(tmp_path):
     out = tmp_path / "report.json"
     instance = BENCH / "instances" / "identities-isolated.ini"
