@@ -31,6 +31,7 @@ from .rings import (
     RingConstructionError,
     StructureRing,
     _check_rank,
+    _checked_tables,
     build_ring,
     build_rings,
     matrix_ring,
@@ -38,8 +39,9 @@ from .rings import (
     zmod,
 )
 from .solver import (
+    AdditiveMap,
     SizeBudgetError,
-    compare_all,
+    _compare_stack,
     compare_spaces,
     solve_derivations,
     solve_jordan_derivations,
@@ -443,17 +445,19 @@ def _associative_tables(m: int, start: int) -> np.ndarray:
 
 
 def _search_batches(moduli):
-    """All structure-constant rings of rank <= 2 over the given moduli, in batches.
+    """All structure-constant tables of rank <= 2 over the given moduli, in batches.
 
-    Per modulus: one batch of the m rank-1 tables, then the associative
-    rank-2 tables in lexicographic order of their 8 flattened entries.
-    Rank-2 tables are numbered by their base-m digits and taken in chunks
-    of consecutive numbers; each chunk's associative tables form one batch.
+    Yields (m, tables): per modulus, one batch of the m rank-1 tables, then
+    the associative rank-2 tables in lexicographic order of their 8
+    flattened entries.  Rank-2 tables are numbered by their base-m digits
+    and taken in chunks of consecutive numbers; each chunk's associative
+    tables form one batch.  Every batch is reduced and checked for
+    associativity as ``build_rings`` checks it, but no ring is built.
     """
     for m in sorted(set(moduli)):
-        yield build_rings(m, np.arange(m).reshape(m, 1, 1, 1))
+        yield m, _checked_tables(m, np.arange(m).reshape(m, 1, 1, 1))
         for start in range(0, m ** 8, _SEARCH_CHUNK):
-            yield build_rings(m, _associative_tables(m, start))
+            yield m, _checked_tables(m, _associative_tables(m, start))
 
 
 def run(command: str, instance: Instance, seed: int = 0, trials: int = 1000,
@@ -547,16 +551,17 @@ def run(command: str, instance: Instance, seed: int = 0, trials: int = 1000,
         _check_moduli(moduli)
         counterexamples = []
         checked = 0
-        for batch in _search_batches(moduli):
-            checked += len(batch)
-            for ring, comparison in zip(batch, compare_all(batch)):
-                if not comparison.equal:
-                    counterexamples.append({
-                        "modulus": ring.modulus,
-                        "rank": ring.rank,
-                        "constants": ring.constants.flatten().tolist(),
-                        "witness": _map_json(comparison.witness),
-                    })
+        for m, tables in _search_batches(moduli):
+            checked += len(tables)
+            _, proper, witnesses, _ = _compare_stack(tables, m)
+            # Ring and map objects only for the counterexamples.
+            for ring, witness in zip(build_rings(m, tables[proper]), witnesses):
+                counterexamples.append({
+                    "modulus": ring.modulus,
+                    "rank": ring.rank,
+                    "constants": ring.constants.flatten().tolist(),
+                    "witness": _map_json(AdditiveMap.from_flat(ring, witness)),
+                })
         result = {
             "family": {"moduli": sorted(set(moduli)), "max_rank": 2},
             "rings_checked": checked,

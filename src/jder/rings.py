@@ -287,12 +287,12 @@ def build_ring(modulus, constants, unit=None, labels=None) -> StructureRing:
     return StructureRing(modulus, constants, unit=unit, labels=labels)
 
 
-def build_rings(modulus, tables) -> list[StructureRing]:
-    """The rings of a (n, k, k, k) stack of structure constants, without units.
+def _checked_tables(modulus, tables) -> np.ndarray:
+    """A (n, k, k, k) stack of structure constants, reduced mod ``modulus`` and read-only.
 
     The whole stack is checked for associativity in one step; the first
     failing table raises the AssociativityError that ``build_ring`` raises
-    on it.  Each ring's constants are a read-only view of the reduced stack.
+    on it.
     """
     _validate_modulus(modulus)
     c = np.asarray(tables, dtype=np.int64)
@@ -303,8 +303,17 @@ def build_rings(modulus, tables) -> list[StructureRing]:
     c = c % modulus
     c.setflags(write=False)
     _check_associative(int(modulus), c)
+    return c
+
+
+def build_rings(modulus, tables) -> list[StructureRing]:
+    """The rings of a (n, k, k, k) stack of structure constants, without units.
+
+    The stack is validated by ``_checked_tables``; each ring's constants are
+    a read-only view of the reduced stack.
+    """
     rings = []
-    for table in c:
+    for table in _checked_tables(modulus, tables):
         ring = StructureRing.__new__(StructureRing)
         ring._present(modulus, table, None, None)
         rings.append(ring)

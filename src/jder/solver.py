@@ -40,7 +40,7 @@ import numpy as np
 
 from .rings import RingElement, StructureRing
 from .zmodlin import (SelfCheckError, SubgroupBasis, ZmMatrix, einsum_mod, kernel, kernels,
-                      subgroup_equal)
+                      slots_contain, subgroup_equal)
 
 __all__ = [
     "DERIVATION",
@@ -340,61 +340,61 @@ class DerivationSpace:
         return f"DerivationSpace(kind={self.kind!r}, cardinality={self.cardinality()})"
 
 
-def _generator_stack(spaces):
-    """Every generator g of ``spaces``, ring by ring: the index of its ring, its flat
-    vector and its matrix D[g]."""
-    k = spaces[0].ring.rank
-    flats = [space.basis.as_array() for space in spaces]
-    flat = np.concatenate(flats)
-    # Row g of the stack is D laid out column by column (AdditiveMap.from_flat).
-    return (np.repeat(np.arange(len(flats)), [len(f) for f in flats]), flat,
-            flat.reshape(-1, k, k).transpose(0, 2, 1))
+def _solve_all(c: np.ndarray, m: int, kind: str):
+    """The spaces of ``kind`` of the rings of a reduced stack c of structure constants
+    over Z/m, self-checked.
 
-
-def _solve_all(rings, kind: str):
-    """The space of ``kind`` of each ring of one modulus and rank, self-checked.
-
-    Returns the spaces and, for a batch of more than one ring, the product
-    residual P of every generator, stacked ring by ring (None otherwise).
-    A batch of more than one ring gets its kernels from one stacked
-    ``zmodlin.kernels`` call and is self-checked by one ``_first_violation``
-    pass over all its generators.  A batch of one ring takes ``kernel`` and
-    runs ``check_map`` once per generator, which the benchmark harness
-    (bench/test_harness.py) pins as one check_map call per kernel generator.
+    Returns the kernels as (n, k^2, k^2) Howell row slots, as
+    ``zmodlin.kernels`` gives them (``SubgroupBasis.from_slots`` gives a
+    space's basis), the ring and flat vector of every generator, ring by
+    ring and slot by slot, and the product residual P of every generator.  A stack
+    of more than one ring takes one ``kernels`` call; a stack of one ring
+    takes ``kernel``'s worklist, which is faster on one large sparse
+    matrix.  All generators are self-checked by one ``_first_violation``
+    pass, which reports the first violation in ring, generator and
+    identity order.  No ring object is needed or made.
     """
-    if len({(ring.modulus, ring.rank) for ring in rings}) > 1:
-        raise ValueError("a batch needs rings of one modulus and rank")
-    if not rings:
-        return [], None
-    _check_size(len(rings), rings[0].rank, kind)
-    m = rings[0].modulus
-    constants = np.stack([ring.constants for ring in rings])
-    rows = _constraint_matrices(constants, m, kind)
-    if len(rings) > 1:
-        spaces = [DerivationSpace(ring, kind, basis)
-                  for ring, basis in zip(rings, kernels(m, rows))]
-        owner, _, D = _generator_stack(spaces)
-        P, first = _first_violation(constants[owner], D, m, kind)
-        if first is not None:
-            raise SelfCheckError(f"solver generator violates {first[1]} at {first[2]}")
-        return spaces, P
-    basis = kernel(ZmMatrix.from_array(m, rows[0][rows[0].any(axis=1)]))
-    space = DerivationSpace(rings[0], kind, basis)
+    n, k = c.shape[:2]
+    _check_size(n, k, kind)
+    rows = _constraint_matrices(c, m, kind)
+    if n == 1:
+        slots = np.zeros((1, k * k, k * k), dtype=np.int64)
+        for g in kernel(ZmMatrix.from_array(m, rows[0][rows[0].any(axis=1)])).as_array():
+            slots[0, np.flatnonzero(g)[0]] = g
+    else:
+        slots = kernels(m, rows)
+    owner, slot = np.nonzero(slots.any(axis=2))
+    flat = slots[owner, slot]
+    # Row g of D is generator g laid out column by column (AdditiveMap.from_flat).
+    D = flat.reshape(-1, k, k).transpose(0, 2, 1)
+    P, first = _first_violation(c[owner], D, m, kind)
+    if first is not None:
+        raise SelfCheckError(f"solver generator violates {first[1]} at {first[2]}")
+    return slots, owner, flat, P
+
+
+def _solve_one(ring: StructureRing, kind: str) -> DerivationSpace:
+    """The space of ``kind`` of one ring: ``kernel``'s worklist, then ``check_map`` once
+    per generator, which the benchmark harness (bench/test_harness.py) pins as one
+    check_map call per kernel generator."""
+    _check_size(1, ring.rank, kind)
+    rows = _constraint_matrices(ring.constants[None], ring.modulus, kind)[0]
+    space = DerivationSpace(ring, kind, kernel(ZmMatrix.from_array(ring.modulus, rows[rows.any(axis=1)])))
     for g in space.generators():
-        result = check_map(rings[0], g, kind)
+        result = check_map(ring, g, kind)
         if not result.ok:
             raise SelfCheckError(f"solver generator violates {result.identity} at {result.indices}")
-    return [space], None
+    return space
 
 
 def solve_derivations(ring: StructureRing) -> DerivationSpace:
     """All additive d with d(rs) = d(r)s + rd(s), as a canonical subgroup."""
-    return _solve_all([ring], DERIVATION)[0][0]
+    return _solve_one(ring, DERIVATION)
 
 
 def solve_jordan_derivations(ring: StructureRing) -> DerivationSpace:
     """All additive d with d(r^2) = d(r)r + rd(r) and d(rsr) = d(r)sr + rd(s)r + rsd(r)."""
-    return _solve_all([ring], JORDAN)[0][0]
+    return _solve_one(ring, JORDAN)
 
 
 def inner_derivation(ring: StructureRing, a: RingElement) -> AdditiveMap:
@@ -439,37 +439,58 @@ def compare_spaces(ring: StructureRing) -> SpaceComparison:
     return _compare(solve_derivations(ring), solve_jordan_derivations(ring))
 
 
+def _compare_stack(c: np.ndarray, m: int):
+    """Decide Der = JDer for every ring of a reduced stack c of structure constants over Z/m.
+
+    JDer is solved for the whole stack first (``_solve_all``).  A generator
+    is a derivation exactly when its product residual P is zero, and Der is
+    a subgroup of JDer, so a ring whose JDer generators all have P = 0 has
+    Der = JDer with the same canonical basis.  Der is solved, in one more
+    stacked call, only for the other rings, and one stacked Howell
+    membership test checks that each Der contains every JDer generator
+    before the first one with P != 0, the witness, and not the witness.
+    Returns the JDer slots, the indices of the rings with Der != JDer, the
+    flat vectors of their witnesses and their Der slots.
+    """
+    jder, owner, flat, P = _solve_all(c, m, JORDAN)
+    bad = np.flatnonzero(P.any(axis=(1, 2, 3)))
+    # owner is sorted, so the first bad generator of each ring starts a run of owner[bad].
+    first = bad[np.flatnonzero(np.diff(owner[bad], prepend=-1))]
+    proper = owner[first]
+    der = _solve_all(c[proper], m, DERIVATION)[0] if len(proper) else jder[:0]
+    # Every generator of a ring in ``proper`` up to its witness, and that ring's Der slots.
+    witness_of, der_of = np.full(len(c), -1), np.zeros(len(c), dtype=np.intp)
+    witness_of[proper], der_of[proper] = first, np.arange(len(proper))
+    tested = np.flatnonzero(np.arange(len(owner)) <= witness_of[owner])
+    inside = slots_contain(m, der[der_of[owner[tested]]], flat[tested])
+    if (inside != (tested < witness_of[owner[tested]])).any():
+        raise SelfCheckError("Der solve disagrees with the first non-derivation generator")
+    return jder, proper, flat[first], der
+
+
 def compare_all(rings) -> list:
     """``compare_spaces`` of each ring; ValueError unless all share one modulus and rank.
 
-    JDer is solved for the whole batch first.  Its self-check gives the
-    product residual P of every JDer generator of every ring in one stacked
-    step (a batch of one ring computes it after its ``check_map`` calls).
-    A ring whose generators all have P = 0 has Der = JDer with the same
-    canonical basis, so Der is solved, in one more batch, only for the rings
-    with a generator of nonzero P; the first one must be ``_compare``'s witness.
-    A batch of more than one ring gets all its kernels from one stacked
-    ``zmodlin.kernels`` call, whatever its rank, so batches of large rings
-    take the stacked path too; a batch of one ring takes ``kernel``.
+    The decision is ``_compare_stack``'s, on the stacked structure
+    constants: one kernel solve for JDer and one for the rings with
+    Der != JDer, each stacked unless it has one ring.  This adds the
+    spaces, witnesses and comparisons as objects.
     """
-    jders, P = _solve_all(rings, JORDAN)
-    failing = {}
-    if jders:
-        owner, flat, D = _generator_stack(jders)
-        if P is None:  # a batch of one ring
-            P = _product_residuals(rings[0].constants[None][owner], D, rings[0].modulus)
-        bad = np.flatnonzero(P.any(axis=(1, 2, 3)))
-        rings_bad, first = np.unique(owner[bad], return_index=True)
-        for n, g in zip(rings_bad.tolist(), bad[first].tolist()):
-            failing[n] = AdditiveMap.from_flat(jders[n].ring, flat[g])
-    ders = iter(_solve_all([jders[n].ring for n in failing], DERIVATION)[0])
+    if len({(ring.modulus, ring.rank) for ring in rings}) > 1:
+        raise ValueError("a batch needs rings of one modulus and rank")
+    if not rings:
+        return []
+    m = rings[0].modulus
+    jder, proper, witnesses, der = _compare_stack(np.stack([ring.constants for ring in rings]), m)
+    found = dict(zip(proper.tolist(), zip(witnesses, der)))
     out = []
-    for n, jder in enumerate(jders):
-        if n in failing:
-            cmp = _compare(next(ders), jder)
-            if cmp.witness != failing[n]:
-                raise SelfCheckError("Der solve disagrees with the first non-derivation generator")
+    for n, ring in enumerate(rings):
+        jspace = DerivationSpace(ring, JORDAN, SubgroupBasis.from_slots(m, jder[n]))
+        if n in found:
+            witness, slots = found[n]
+            out.append(SpaceComparison(False, AdditiveMap.from_flat(ring, witness),
+                                       DerivationSpace(ring, DERIVATION, SubgroupBasis.from_slots(m, slots)),
+                                       jspace))
         else:
-            cmp = SpaceComparison(True, None, DerivationSpace(jder.ring, DERIVATION, jder.basis), jder)
-        out.append(cmp)
+            out.append(SpaceComparison(True, None, DerivationSpace(ring, DERIVATION, jspace.basis), jspace))
     return out

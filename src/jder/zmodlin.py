@@ -32,6 +32,7 @@ __all__ = [
     "howell_form",
     "kernel",
     "kernels",
+    "slots_contain",
     "subgroup_equal",
 ]
 
@@ -142,11 +143,18 @@ class SubgroupBasis:
     """Canonical (Howell-form) generating set of a subgroup of (Z/m)^dim.
 
     The generators are the rows of ``matrix``.  Instances are produced by
-    :func:`howell_form`, :func:`kernel` and :func:`kernels`; equality of two
-    bases is equality of the subgroups they span.
+    :func:`howell_form`, :func:`kernel` and, from the row slots of
+    :func:`kernels`, :meth:`from_slots`; equality of two bases is equality
+    of the subgroups they span.
     """
 
     matrix: ZmMatrix
+
+    @classmethod
+    def from_slots(cls, modulus: int, slots: np.ndarray) -> "SubgroupBasis":
+        """The basis of the Howell rows in an (N, N) array of row slots, one matrix of
+        a :func:`kernels` result; the zero slots are skipped."""
+        return cls(ZmMatrix.from_array(modulus, slots[slots.any(axis=1)]))
 
     @cached_property
     def _pivots(self) -> tuple[tuple[int, int], ...]:
@@ -384,11 +392,14 @@ def kernel(matrix: ZmMatrix) -> SubgroupBasis:
     return SubgroupBasis(ZmMatrix.from_array(m, gens))
 
 
-def kernels(modulus: int, stack) -> list[SubgroupBasis]:
-    """``kernel`` of each matrix of an (n, r, N) integer stack over Z/modulus.
+def kernels(modulus: int, stack) -> np.ndarray:
+    """``kernel`` of each matrix of an (n, r, N) integer stack over Z/modulus, as row slots.
 
-    All matrices are eliminated in lockstep by ``_howell_stack``: first to
-    their Howell forms H, whose kernels are theirs, then [H^T | I] as in
+    Returns an (n, N, N) int64 array: row j of matrix i is the Howell row of
+    the i-th kernel with pivot column j, or zeros, and
+    ``SubgroupBasis.from_slots`` gives the same basis as ``kernel``.  All
+    matrices are eliminated in lockstep by ``_howell_stack``: first to their
+    Howell forms H, whose kernels are theirs, then [H^T | I] as in
     ``kernel``, so the second pass has 2N columns whatever r is.  Per call it
     costs a few numpy steps per column and Euclid round, so it pays on many
     small matrices; on one large sparse matrix ``kernel``'s worklist is
@@ -402,7 +413,23 @@ def kernels(modulus: int, stack) -> list[SubgroupBasis]:
     gens = _howell_stack(np.concatenate([howell, eye], axis=2), m)[:, ncols:, ncols:]
     if einsum_mod("nij,nkj->nik", stack, gens, m).any():
         raise SelfCheckError("kernel generator failed re-multiplication check")
-    return [SubgroupBasis(ZmMatrix.from_array(m, g[g.any(axis=1)])) for g in gens]
+    return gens
+
+
+def slots_contain(modulus: int, slots: np.ndarray, vectors) -> np.ndarray:
+    """Whether vectors[i] lies in the span of the Howell row slots slots[i], for each i.
+
+    ``slots`` is an (n, N, N) array as :func:`kernels` returns, ``vectors``
+    an (n, N) integer array.  Greedy reduction, column by column, as in
+    ``SubgroupBasis.coordinates``: the slot-j row clears what its pivot
+    divides, an empty slot clears nothing, and by the Howell property a
+    vector is inside exactly when nothing is left.
+    """
+    m = modulus
+    cur = np.asarray(vectors, dtype=np.int64) % m
+    for j in range(slots.shape[1]):
+        cur = (cur - (cur[:, j] // np.maximum(slots[:, j, j], 1))[:, None] * slots[:, j]) % m
+    return ~cur.any(axis=1)
 
 
 def subgroup_equal(a: SubgroupBasis, b: SubgroupBasis) -> bool:

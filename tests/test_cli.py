@@ -26,7 +26,7 @@ from jder.cli import (
     main,
     run,
 )
-from jder.rings import RingConstructionError
+from jder.rings import RingConstructionError, build_rings
 from jder.solver import DERIVATION, JORDAN, AdditiveMap, CheckResult, check_map, compare_spaces
 
 from oracles import _ASSOC_TERMS, search_chunk_reference, search_tables_reference
@@ -458,9 +458,34 @@ def test_search_modulus_four_finds_witnessed_counterexamples(tmp_path):
     assert not check_map(ring, witness, DERIVATION).ok
 
 
+@pytest.mark.parametrize("m, chunks, rings, digest", [
+    (6, 26, 3394, "5891b8a9c5ca79358c56ec151897d35131d131f1481626825ea53f1e20908a29"),
+    (7, 88, 2840, "2243ee4144ee2b3f5ff55be60daffca590eb399bc1f91f389fe823431196c1d8"),
+])
+def test_search_report_is_pinned_over_many_chunks(monkeypatch, tmp_path, m, chunks, rings, digest):
+    # Digests of these reports as produced by compare_all on ring batches,
+    # before search decided its batches as table stacks.
+    real, batches = cli._search_batches, []
+
+    def counted(moduli):
+        for batch in real(moduli):
+            batches.append(len(batch[1]))
+            yield batch
+
+    monkeypatch.setattr(cli, "_search_batches", counted)
+    path = write(tmp_path, "[instance]\nformat_version = 1\n[ring]\nkind = zmod\nmodulus = 2\n"
+                           f"[task]\ncommand = search\nmoduli = {m}\n")
+    out = tmp_path / "report.json"
+    assert main(["search", "--input", path, "--out", str(out)]) == 0
+    result = json.loads(out.read_text(encoding="utf-8"))["result"]
+    assert (len(batches), sum(batches)) == (1 + chunks, rings)
+    assert (result["rings_checked"], result["counterexamples"]) == (rings, [])
+    assert sha256_of(out) == digest
+
+
 def test_search_enumeration_matches_reference():
     # 390,625 rank-2 tables at m = 5 span several decoding chunks.
-    batches = list(_search_batches((5, 3, 2, 4, 3)))
+    batches = [build_rings(m, tables) for m, tables in _search_batches((5, 3, 2, 4, 3))]
     got = [
         (ring.modulus, ring.rank, tuple(ring.constants.flatten().tolist()))
         for batch in batches for ring in batch

@@ -15,7 +15,8 @@ from jder import solver, zmodlin
 from jder.cli import _search_batches, main
 from jder.incidence import fi_ring
 from jder.preorders import Preorder
-from jder.rings import build_ring, dual_numbers, matrix_ring, regular_bimodule, triangular_ring, zmod
+from jder.rings import (build_ring, build_rings, dual_numbers, matrix_ring, regular_bimodule,
+                        triangular_ring, zmod)
 from jder.solver import (
     DERIVATION,
     JORDAN,
@@ -36,7 +37,7 @@ from oracles import brute_force_maps, check_map_scalar, is_derivation_map, is_jo
 
 
 def search_rings(moduli):
-    return [ring for batch in _search_batches(moduli) for ring in batch]
+    return [ring for m, tables in _search_batches(moduli) for ring in build_rings(m, tables)]
 
 
 def t2(m):
@@ -458,14 +459,14 @@ class TestCompare:
         assert verdicts == {"Equal", "ProperInclusion"}
 
     def test_every_generator_of_every_ring_is_checked(self, monkeypatch):
-        # d = 2 * id on Z/4 breaks the square rule at (0,); hide it behind
-        # two passing generators of the middle ring's JDer solve in a batch.
+        # d = 2 * id on Z/4 breaks the square rule at (0,); put it in the one
+        # row slot of the middle ring's JDer kernel in a batch.
         real_kernels = solver.kernels
 
         def kernels(modulus, stack):
-            bases = real_kernels(modulus, stack)
-            bases[1] = SubgroupBasis(ZmMatrix(4, ((0,), (0,), (2,))))
-            return bases
+            slots = real_kernels(modulus, stack)
+            slots[1] = [[2]]
+            return slots
 
         monkeypatch.setattr(solver, "kernels", kernels)
         with pytest.raises(SelfCheckError, match=r"violates square at \(0,\)"):
@@ -495,8 +496,9 @@ class TestCompare:
             compare_all(batch)
 
     def test_der_solve_must_reject_the_first_failing_generator(self, monkeypatch):
-        # An empty Der basis passes the self-check, but then the witness scan
-        # picks JDer's first generator (flat (1, 0, 0, 0)), a derivation.
+        # An empty Der basis passes the self-check, but then the membership
+        # test finds JDer's first generator (flat (1, 0, 0, 0)), a derivation,
+        # outside it.
         batch = self.inject_der_basis(monkeypatch, [])
         with pytest.raises(SelfCheckError, match="first non-derivation generator"):
             compare_all(batch)
@@ -572,6 +574,57 @@ class TestBatchProperty:
         assert_batch_matches_one_ring_at_a_time([pool[n] for n in picks])
 
 
+@functools.cache
+def search_table_pools():
+    """Search tables over Z/2 to Z/6 keyed by (modulus, rank), in search order."""
+    pools = {}
+    for m, tables in _search_batches((2, 3, 4, 5, 6)):
+        pools.setdefault((m, tables.shape[1]), []).append(tables)
+    return {key: np.concatenate(stacks) for key, stacks in pools.items()}
+
+
+def assert_stack_matches_compare_spaces(m, tables):
+    """solver._compare_stack(tables, m) against compare_spaces ring by ring: the same
+    rings with Der != JDer, in order, with the same witness flats.  Returns them."""
+    _, proper, witnesses, _ = solver._compare_stack(tables, m)
+    want = [(n, cmp.witness.to_flat()) for n, cmp in
+            enumerate(compare_spaces(ring) for ring in build_rings(m, tables)) if not cmp.equal]
+    assert [(n, tuple(w.tolist())) for n, w in zip(proper.tolist(), witnesses, strict=True)] == want
+    return proper
+
+
+class TestStackedCompareProperty:
+    """The batch core on shuffled sub-batches of search tables, one modulus and rank each."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_search_sub_batches(self, data):
+        pools = search_table_pools()
+        m, k = data.draw(st.sampled_from(sorted(pools)), label="modulus, rank")
+        pool = pools[m, k]
+        picks = data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=8, unique=True),
+                          label="picks")
+        if (m, k) == (4, 2) and data.draw(st.booleans(), label="with a proper inclusion"):
+            proper = data.draw(st.sampled_from(z4_proper_inclusions()), label="proper inclusion")
+            if proper not in picks:
+                picks.insert(data.draw(st.integers(0, len(picks)), label="position"), proper)
+        assert_stack_matches_compare_spaces(m, pool[picks].reshape(-1, k, k, k))
+
+    def test_empty_batch(self, monkeypatch):
+        kernels = spy(monkeypatch, "kernels")
+        for k in (1, 2):
+            assert len(assert_stack_matches_compare_spaces(4, np.zeros((0, k, k, k), dtype=np.int64))) == 0
+        assert [len(stack) for _, stack in kernels] == [0, 0]
+
+    def test_all_equal_batch(self, monkeypatch):
+        # Z/6 has no rank <= 2 proper inclusion, so only JDer is solved.
+        pool = search_table_pools()[6, 2]
+        tables = pool[random.Random(6).sample(range(len(pool)), 12)]
+        kernels = spy(monkeypatch, "kernels")
+        assert len(assert_stack_matches_compare_spaces(6, tables)) == 0
+        assert [len(stack) for _, stack in kernels] == [12]
+
+
 class TestStackedSelfCheck:
     """A wrong generator of a stacked kernel is reported by name, not returned."""
 
@@ -610,31 +663,30 @@ class TestStackedSelfCheck:
 
 
 def solve_with_corrupted_kernels(batch, kind, edits):
-    """_solve_all(batch, kind) with, for each (n, row, delta) of ``edits``, delta added to
-    generator ``row`` of ring n's basis (appended when the basis is empty).  Returns the
-    SelfCheckError text, or None, and the first failure that check_map_scalar finds
-    among the generators in batch order."""
-    real, bases = solver.kernels, []
+    """_solve_all on the constants of batch with, for each (n, row, delta) of ``edits``,
+    delta added to generator ``row`` of ring n's kernel slots (put in slot 0 when there is
+    none).  Returns the SelfCheckError text, or None, and the first failure that
+    check_map_scalar finds among the generators in batch order."""
+    real, stacks = solver.kernels, []
 
     def kernels(modulus, stack):
-        bases.extend(real(modulus, stack))
+        slots = real(modulus, stack)
         for n, row, delta in edits:
-            gens = bases[n].as_array().copy()
-            if len(gens):
-                gens[row % len(gens)] += delta
-            else:
-                gens = np.array([delta])
-            bases[n] = SubgroupBasis(ZmMatrix.from_array(modulus, gens))
-        return bases
+            gens = np.flatnonzero(slots[n].any(axis=1))
+            slot = gens[row % len(gens)] if len(gens) else 0
+            slots[n, slot] = (slots[n, slot] + delta) % modulus
+        stacks.append(slots)
+        return slots
 
     with mock.patch.object(solver, "kernels", kernels):
         try:
-            solver._solve_all(batch, kind)
+            solver._solve_all(np.stack([ring.constants for ring in batch]), batch[0].modulus, kind)
             raised = None
         except SelfCheckError as exc:
             raised = str(exc)
+    (slots,) = stacks
     failures = (check_map_scalar(ring, AdditiveMap.from_flat(ring, g), kind)
-                for ring, basis in zip(batch, bases, strict=True) for g in basis.as_array())
+                for ring, gens in zip(batch, slots, strict=True) for g in gens if g.any())
     first = next((result for result in failures if not result.ok), None)
     return raised, first
 
@@ -697,19 +749,19 @@ class TestStackedDerSelfCheck:
 
     @staticmethod
     def inject(monkeypatch):
-        """Add e_j to ring 1's basis in every Der kernels call, for the first column j that
-        ring 1's Der rows use; such a map breaks some row, so it is not a derivation."""
+        """Put e_j in row slot j of ring 1's kernel in every Der kernels call, for the first
+        column j that ring 1's Der rows use; such a map breaks some row, so it is not a
+        derivation."""
         real, added = solver.kernels, []
 
         def kernels(modulus, stack):
-            bases = real(modulus, stack)
+            slots = real(modulus, stack)
             _, rows, cols = stack.shape
             if rows ** 2 == cols ** 3:  # k^3 Der rows on k^2 columns; a Jordan stack has more.
-                flat = np.eye(cols, dtype=np.int64)[np.flatnonzero(stack[1].any(axis=0))[0]]
-                bases[1] = SubgroupBasis(ZmMatrix.from_array(
-                    modulus, np.vstack([bases[1].as_array(), flat])))
-                added.append(flat)
-            return bases
+                j = np.flatnonzero(stack[1].any(axis=0))[0]
+                slots[1, j] = np.eye(cols, dtype=np.int64)[j]
+                added.append(slots[1, j].copy())
+            return slots
 
         monkeypatch.setattr(solver, "kernels", kernels)
         return added
@@ -736,6 +788,77 @@ class TestStackedDerSelfCheck:
         captured = capsys.readouterr()
         assert len(added) == 1 and captured.out == ""
         assert re.search(r"error: solver generator violates product at \(\d, \d\)", captured.err)
+
+
+class TestSearchSelfChecks:
+    """CLI ``search`` over Z/4 with one step patched to return bad data exits 3 with the
+    self-check's message.  The kernel re-multiplication check is forced through search by
+    TestStackedSelfCheck.test_cli_search_exits_3."""
+
+    # b1 * b1 = 2 * b1: the first proper inclusion of the Z/4 search, in the
+    # one batch of rank-2 tables, so ring 0 of its Der solve.
+    COUNTEREXAMPLE = [[[0, 0], [0, 0]], [[0, 0], [0, 2]]]
+
+    @staticmethod
+    def search_error(monkeypatch, tmp_path, capsys, edit) -> str:
+        """The stderr of search at moduli = 4 with edit(stack, slots) applied to every
+        solver.kernels result."""
+        real = solver.kernels
+
+        def kernels(modulus, stack):
+            slots = real(modulus, stack)
+            edit(stack, slots)
+            return slots
+
+        monkeypatch.setattr(solver, "kernels", kernels)
+        path = tmp_path / "search.ini"
+        path.write_text("[instance]\nformat_version = 1\n[ring]\nkind = zmod\nmodulus = 2\n"
+                        "[task]\ncommand = search\nmoduli = 4\n", encoding="utf-8")
+        assert main(["search", "--input", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        return captured.err
+
+    def test_non_jordan_generator_between_passing_ones(self, monkeypatch, tmp_path, capsys):
+        # The rank-1 tables b0 b0 = t b0, t = 0..3, come first: JDer has the passing
+        # generators (1,) at t = 0 and (2,) at t = 2, and none at t = 1 (Z/4) or t = 3.
+        # d = 2 * id breaks the square rule of Z/4 at (0,).
+        def edit(stack, slots):
+            if slots.shape[1] == 1:
+                assert slots[:, 0, 0].tolist() == [1, 0, 2, 0]
+                slots[1] = [[2]]
+
+        err = self.search_error(monkeypatch, tmp_path, capsys, edit)
+        assert "error: solver generator violates square at (0,)" in err
+
+    def test_der_basis_containing_the_witness(self, monkeypatch, tmp_path, capsys):
+        ring = build_ring(4, self.COUNTEREXAMPLE)
+        witness = np.array(compare_spaces(ring).witness.to_flat())
+
+        def edit(stack, slots):
+            _, rows, cols = stack.shape
+            if rows ** 2 == cols ** 3:  # the Der solve: k^3 rows on k^2 columns
+                slots[0, np.flatnonzero(witness)[0]] = witness
+
+        err = self.search_error(monkeypatch, tmp_path, capsys, edit)
+        result = check_map(ring, AdditiveMap.from_flat(ring, witness), DERIVATION)
+        assert f"error: solver generator violates product at {result.indices}" in err
+
+    def test_der_basis_missing_an_earlier_jordan_generator(self, monkeypatch, tmp_path, capsys):
+        # JDer's first generator of the counterexample is a derivation and comes
+        # before the witness; an empty Der basis passes the Der self-check but misses it.
+        ring = build_ring(4, self.COUNTEREXAMPLE)
+        cmp = compare_spaces(ring)
+        first = cmp.jordan.generators()[0]
+        assert check_map(ring, first, DERIVATION).ok and first != cmp.witness
+
+        def edit(stack, slots):
+            _, rows, cols = stack.shape
+            if rows ** 2 == cols ** 3:
+                slots[0] = 0
+
+        err = self.search_error(monkeypatch, tmp_path, capsys, edit)
+        assert "error: Der solve disagrees with the first non-derivation generator" in err
 
 
 class TestBatchedDerPass:

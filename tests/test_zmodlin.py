@@ -19,6 +19,7 @@ from jder.zmodlin import (
     howell_form,
     kernel,
     kernels,
+    slots_contain,
     subgroup_equal,
 )
 from oracles import all_vectors, kernel_set, span_set
@@ -332,17 +333,39 @@ class TestStackedElimination:
     def test_matches_the_worklist(self, case):
         m, stack = case
         before = stack.copy()
-        forms, bases = zmodlin._howell_stack(stack, m), kernels(m, stack)
+        forms, gens = zmodlin._howell_stack(stack, m), kernels(m, stack)
         assert np.array_equal(stack, before)
         n, _, cols = stack.shape
-        assert forms.shape == (n, cols, cols) and len(bases) == n
-        for matrix, form, basis in zip(stack, forms, bases):
+        assert forms.shape == gens.shape == (n, cols, cols)
+        for matrix, form, kernel_slots in zip(stack, forms, gens):
             # Slot j holds the Howell row with pivot column j, or zeros.
             slots = np.flatnonzero(form.any(axis=1))
             assert (form[slots] != 0).argmax(axis=1).tolist() == slots.tolist()
             want = howell_form(ZmMatrix.from_array(m, matrix))
             assert form[slots].tolist() == want.as_array().tolist()
-            assert basis == kernel(ZmMatrix.from_array(m, matrix))
+            # So does each kernel's.
+            slots = np.flatnonzero(kernel_slots.any(axis=1))
+            assert (kernel_slots[slots] != 0).argmax(axis=1).tolist() == slots.tolist()
+            assert SubgroupBasis.from_slots(m, kernel_slots) == kernel(ZmMatrix.from_array(m, matrix))
+
+    @settings(max_examples=200, deadline=None)
+    @given(stacks(), st.data())
+    def test_membership_matches_the_worklist(self, case, data):
+        # Per matrix, a combination of its kernel's slots (inside), and that
+        # combination moved by a drawn vector (inside or not).
+        m, stack = case
+        gens = kernels(m, stack)
+        n, _, cols = stack.shape
+        entries = st.lists(st.integers(0, m - 1), min_size=cols, max_size=cols)
+        coeffs = np.array(data.draw(st.lists(entries, min_size=n, max_size=n), label="coeffs"),
+                          dtype=object)
+        inside = np.einsum("ni,nij->nj", coeffs, gens.astype(object)) % m
+        moved = (inside + np.array(data.draw(st.lists(entries, min_size=n, max_size=n),
+                                             label="moves"), dtype=object)) % m
+        assert slots_contain(m, gens, inside.astype(np.int64)).all()
+        bases = [SubgroupBasis.from_slots(m, g) for g in gens]
+        want = [basis.contains(v) for basis, v in zip(bases, moved.astype(np.int64))]
+        assert slots_contain(m, gens, moved.astype(np.int64)).tolist() == want
 
 
 def _source_specs() -> list:
