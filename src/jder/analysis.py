@@ -329,10 +329,6 @@ def identity_suites(ring: StructureRing, family, maps,
     stream rewinds to just after the failing sample) or does not apply to it
     (it draws nothing), so each report is the one the map gets alone.
     """
-    if mode not in ("basis", "randomized"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "randomized" and trials < 1:
-        raise ValueError(f"trials must be at least 1 in randomized mode, got {trials}")
     maps, derivation = list(maps), []
     for d in maps:
         if not d.ring.same_presentation(ring):
@@ -346,15 +342,28 @@ def identity_suites(ring: StructureRing, family, maps,
                     f"at {verdict.indices})"
                 )
         derivation.append(is_derivation)
+    return _identity_suites(ring, family, np.array([d.as_array() for d in maps]).reshape(
+        -1, ring.rank, ring.rank), np.array(derivation, dtype=bool), mode, seed, trials)
+
+
+def _identity_suites(ring: StructureRing, family, D: np.ndarray, derivation: np.ndarray,
+                     mode: str, seed: int, trials: int) -> tuple:
+    """``identity_suites`` of the Jordan derivations with (k, k) matrices D[g] and
+    derivation flags derivation[g], without the ``check_map`` gate."""
+    if mode not in ("basis", "randomized"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "randomized" and trials < 1:
+        raise ValueError(f"trials must be at least 1 in randomized mode, got {trials}")
     family = _validate_family(ring, family)
-    # Maps per chunk: their family operators, or in basis mode the k^3 samples
-    # of one family tuple, fit the bound.
+    # Maps per chunk: their n x n family operators, and in basis mode each identity's
+    # k^(arity - 1) samples of one family tuple (k^2 for herstein), of k x k entries
+    # fit the bound.
     k, n = ring.rank, len(family)
-    step = max(1, _TUPLE_CHUNK_BYTES // (8 * k * k * (k ** 3 if mode == "basis" else n * n)))
+    per_map = max(n * n, k * k) if mode == "basis" else n * n
+    step = max(1, _TUPLE_CHUNK_BYTES // (8 * k * k * per_map))
     seed = seed if mode == "randomized" else None
-    return tuple(report for start in range(0, len(maps), step) for report in _suite_stack(
-        ring, family, np.stack([d.as_array() for d in maps[start:start + step]]),
-        np.array(derivation[start:start + step]), seed, trials))
+    return tuple(report for start in range(0, len(D), step) for report in _suite_stack(
+        ring, family, D[start:start + step], derivation[start:start + step], seed, trials))
 
 
 def _stream(state) -> random.Random:

@@ -14,16 +14,12 @@ import json
 import sys
 import time
 from configparser import ConfigParser
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import (
-    construct_dprime,
-    cross_check,
-    identity_suites,
-    theorem_verdict,
-)
+from .analysis import _identity_suites, construct_dprime, cross_check, theorem_verdict
 from .incidence import IncidenceRing, fi_ring, verify_family_conditions
 from .preorders import ClosureError, Preorder
 from .rings import (
@@ -39,9 +35,11 @@ from .rings import (
     zmod,
 )
 from .solver import (
+    JORDAN,
     AdditiveMap,
     SizeBudgetError,
     _compare_stack,
+    _solve_all,
     compare_spaces,
     solve_derivations,
     solve_jordan_derivations,
@@ -389,8 +387,9 @@ def _jordan_family(target: StructureRing) -> list:
     return [target.one()]
 
 
-# Rank-2 tables examined per step of the search; bounds its working memory.
-_SEARCH_CHUNK = 1 << 16
+# Rank-2 tables solved as one stack, and candidates filtered by one ``_associative``
+# call; they bound the working memory of the solver and the enumeration.
+_SEARCH_STACK, _SEARCH_CANDIDATES = 512, 1 << 13
 # Most rank-2 tables one search visits, summing m^8 over its moduli (so m <= 8);
 # int16 holds each associativity residual, in +-2(m - 1)^2, for any m <= 128.
 _SEARCH_TABLES = 1 << 24
@@ -421,43 +420,44 @@ def _associative(c: np.ndarray, m: int) -> np.ndarray:
     return c
 
 
-def _associative_tables(m: int, start: int) -> np.ndarray:
-    """The associative rank-2 tables of the chunk from table number start, as int64.
+def _associative_tables(m: int) -> np.ndarray:
+    """The associative rank-2 tables over Z/m in lexicographic order of their 8
+    flattened entries, as int16 (n, 2, 2, 2).
 
-    Table number h * m^4 + l has the base-m digits of h in c[0, ., .] and
-    those of l in c[1, ., .].  On the grid of the chunk's rows h by all m^4
-    values of l, the equations at (i, j, l) = (0, 0, 0) have the residual
-    c001 (c10t - c01t) and those at (1, 1, 1) the residual c110 (c01t - c10t);
-    only the grid points in the chunk that pass them are decoded for
-    ``_associative``.
+    The equations at (i, j, l) = (0, 0, 0) and (1, 1, 1), with the residuals
+    c001 (c10t - c01t) and c110 (c01t - c10t), hold exactly when c100 - c010 and
+    c101 - c011 are multiples of m / gcd(c001, c110, m).  The six middle digits
+    that pass them, between every c000 and every c111, are the candidates in
+    order; ``_associative`` filters them in runs of at most ``_SEARCH_CANDIDATES``.
     """
-    digits = np.indices((m,) * 4, dtype=np.int16).reshape(4, -1)
-    stop = min(start + _SEARCH_CHUNK, m ** 8)
-    first, last = start // m ** 4, (stop - 1) // m ** 4
-    high, low = digits[:, first:last + 1, None], digits[:, None, :]
-    grid = (high[1] * (low[0] - high[2]) % m == 0) & (high[1] * (low[1] - high[3]) % m == 0)
-    grid &= (low[2] * (high[2] - low[0]) % m == 0) & (low[2] * (high[3] - low[1]) % m == 0)
-    grid[0, :start - first * m ** 4] = False
-    grid[-1, stop - last * m ** 4:] = False
-    rows, cols = np.nonzero(grid)
-    c = np.concatenate((high[:, rows, 0], digits[:, cols])).reshape(2, 2, 2, -1)
-    return np.moveaxis(_associative(c, m), -1, 0).astype(np.int64)
+    d = np.arange(m)
+    period = m // np.gcd(np.gcd.outer(d, d), m)  # [c001, c110]
+    # ok[c001, c01t, c10t, c110]: c10t - c01t is a multiple of the period.
+    ok = (d - d[:, None])[None, :, :, None] % period[:, None, None, :] == 0
+    flat = np.flatnonzero(ok[:, :, None, :, None] & ok[:, None, :, None]).astype(np.int32)
+    middle = np.array([flat // m ** p % m for p in range(5, -1, -1)], dtype=np.int16)
+    rows, step, found = m * len(flat), max(1, _SEARCH_CANDIDATES // m), []
+    for start in range(0, rows, step):
+        c000, row = np.divmod(np.arange(start, min(start + step, rows)), len(flat))
+        c = np.empty((8, len(row), m), dtype=np.int16)
+        c[0], c[1:7], c[7] = c000[:, None], middle[:, row, None], d
+        found.append(_associative(c.reshape(2, 2, 2, -1), m))
+    return np.moveaxis(np.concatenate(found, axis=-1), -1, 0)
 
 
 def _search_batches(moduli):
     """All structure-constant tables of rank <= 2 over the given moduli, in batches.
 
     Yields (m, tables): per modulus, one batch of the m rank-1 tables, then
-    the associative rank-2 tables in lexicographic order of their 8
-    flattened entries.  Rank-2 tables are numbered by their base-m digits
-    and taken in chunks of consecutive numbers; each chunk's associative
-    tables form one batch.  Every batch is reduced and checked for
+    the associative rank-2 tables (``_associative_tables``) in stacks of at
+    most ``_SEARCH_STACK``.  Every batch is reduced and checked for
     associativity as ``build_rings`` checks it, but no ring is built.
     """
     for m in sorted(set(moduli)):
         yield m, _checked_tables(m, np.arange(m).reshape(m, 1, 1, 1))
-        for start in range(0, m ** 8, _SEARCH_CHUNK):
-            yield m, _checked_tables(m, _associative_tables(m, start))
+        tables = _associative_tables(m)
+        for start in range(0, len(tables), _SEARCH_STACK):
+            yield m, _checked_tables(m, tables[start:start + _SEARCH_STACK])
 
 
 def run(command: str, instance: Instance, seed: int = 0, trials: int = 1000,
@@ -498,9 +498,11 @@ def run(command: str, instance: Instance, seed: int = 0, trials: int = 1000,
                 "ok": all(e["reconstructed_equals_original"] for e in entries),
             }
         else:
-            reports = identity_suites(target, _jordan_family(target),
-                                      solve_jordan_derivations(target).generators(),
-                                      mode=mode, seed=seed, trials=trials)
+            # The solver's self-check residuals P give the derivation flags.
+            _, _, flat, P = _solve_all(target.constants[None], target.modulus, JORDAN)
+            reports = _identity_suites(target, _jordan_family(target),
+                                       flat.reshape(-1, target.rank, target.rank).transpose(0, 2, 1),
+                                       ~P.any(axis=(1, 2, 3)), mode, seed, trials)
             entries = [
                 {
                     "generator": n,
@@ -612,12 +614,9 @@ def main(argv=None) -> int:
     except SelfCheckError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as handle:
+        json.dump(report, handle, sort_keys=True, indent=2)
+        handle.write("\n")
     print(f"elapsed_seconds={time.perf_counter() - started:.3f}", file=sys.stderr)
     return 0
 

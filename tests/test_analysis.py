@@ -534,6 +534,25 @@ class TestIdentitySuiteStack:
         assert True in remarks and False in remarks
         assert any(sum(not o.passed for o in r.outcomes) > 1 for r in reports)
 
+    @pytest.mark.parametrize("case", sorted(MIXED_CASES))
+    def test_cli_run_matches_the_gated_suite(self, case):
+        # The CLI takes the derivation flags from the solver's residuals instead
+        # of the check_map gate; each ring has generators on both sides of it.
+        ring, family = MIXED_CASES[case]()
+        preorder = ANTICHAIN2 if case.startswith("FI") else None
+        base = ring.base if preorder else ring
+        generators = solve_jordan_derivations(ring).generators()
+        flags = {check_map(ring, d, DERIVATION).ok for d in generators}
+        assert flags == {True, False}
+        for mode in ("basis", "randomized"):
+            reports = identity_suites(ring, family, generators, mode=mode, seed=2, trials=9)
+            result = cli.run("identities", cli.Instance(preorder, base, {}), seed=2, trials=9,
+                             mode=mode)["result"]
+            assert [g["ok"] for g in result["generators"]] == [r.ok for r in reports]
+            assert [[(o["name"], o["applicable"], o["passed"], o["checks"]) for o in g["identities"]]
+                    for g in result["generators"]] == [
+                [(o.name, o.applicable, o.passed, o.checks) for o in r.outcomes] for r in reports]
+
     def test_empty_stack(self):
         ring, family = _matrix_case(2)
         assert identity_suites(ring, family, [], mode="randomized") == ()
@@ -586,7 +605,9 @@ class TestIdentitySuiteCost:
     def test_einsum_calls_of_the_cli_run_on_the_benchmark_instance(self, monkeypatch, tmp_path):
         args = ["identities", "--input", str(BENCH_INSTANCE), "--out", str(tmp_path / "out.json")]
         calls = count_einsum_calls(monkeypatch, lambda: cli.main(args))
-        assert calls <= 150  # 562 with one suite call per generator
+        # 562 with one suite call per generator, and 123 while the solver's self-check
+        # and the suite's derivation gate each computed every generator's residual.
+        assert calls == 78
 
     def test_einsum_calls_grow_with_the_stack_only_in_the_per_map_gate(self, monkeypatch):
         fi = fi_ring(POINT_PLUS_CHAIN, Z4_DUAL)
@@ -599,6 +620,18 @@ class TestIdentitySuiteCost:
                - count_einsum_calls(monkeypatch, lambda: gate(maps))
                for maps in (gens[:1], gens, 3 * gens)]
         assert own[0] == own[1] == own[2]
+
+    def test_basis_mode_chunks_maps_by_the_largest_identity(self, monkeypatch):
+        # FI(chain5, Z/4): rank 15, 14 Jordan generators.  Sized by k^3 samples of
+        # k x k entries per map, not herstein's k^2 samples, they took 3 chunks.
+        fi = fi_ring(chain(5), zmod(4))
+        gens = solve_jordan_derivations(fi).generators()
+        chunks = []
+        real = analysis._suite_stack
+        monkeypatch.setattr(analysis, "_suite_stack",
+                            lambda *args: chunks.append(len(args[2])) or real(*args))
+        identity_suites(fi, fi.class_idempotents(), gens)
+        assert chunks == [14]
 
     def test_randomized_peak_memory_does_not_grow_with_trials(self, monkeypatch):
         monkeypatch.setattr(analysis, "_TUPLE_CHUNK_BYTES", 1 << 16)

@@ -390,7 +390,7 @@ def test_identities_report_matches_benchmark_digest(tmp_path):
 
 
 def test_search_report_matches_benchmark_digest(tmp_path):
-    # The m = 5 tables cross six decoding chunks, so every batch boundary counts.
+    # The m = 4 and 5 tables span two stacks each, so every batch boundary counts.
     out = tmp_path / "report.json"
     instance = BENCH / "instances" / "search-rank2.ini"
     assert main(["search", "--input", str(instance), "--out", str(out)]) == 0
@@ -458,13 +458,16 @@ def test_search_modulus_four_finds_witnessed_counterexamples(tmp_path):
     assert not check_map(ring, witness, DERIVATION).ok
 
 
-@pytest.mark.parametrize("m, chunks, rings, digest", [
-    (6, 26, 3394, "5891b8a9c5ca79358c56ec151897d35131d131f1481626825ea53f1e20908a29"),
-    (7, 88, 2840, "2243ee4144ee2b3f5ff55be60daffca590eb399bc1f91f389fe823431196c1d8"),
+@pytest.mark.parametrize("m, stacks, rings, digest", [
+    (6, 7, 3394, "5891b8a9c5ca79358c56ec151897d35131d131f1481626825ea53f1e20908a29"),
+    (7, 6, 2840, "2243ee4144ee2b3f5ff55be60daffca590eb399bc1f91f389fe823431196c1d8"),
+    (8, 25, 12648, "789c02f1a604611a0faf9699936b278a150dac4b2f6a54fe65fbece89e279ce6"),
 ])
-def test_search_report_is_pinned_over_many_chunks(monkeypatch, tmp_path, m, chunks, rings, digest):
+def test_search_report_is_pinned_over_many_chunks(monkeypatch, tmp_path, m, stacks, rings, digest):
     # Digests of these reports as produced by compare_all on ring batches,
-    # before search decided its batches as table stacks.
+    # before search decided its batches as table stacks (m = 6 and 7), and by
+    # the 2^16-number chunks that enumeration once decoded (m = 8: 2,514
+    # counterexamples).  The rank-2 tables come in stacks of at most 512.
     real, batches = cli._search_batches, []
 
     def counted(moduli):
@@ -478,20 +481,21 @@ def test_search_report_is_pinned_over_many_chunks(monkeypatch, tmp_path, m, chun
     out = tmp_path / "report.json"
     assert main(["search", "--input", path, "--out", str(out)]) == 0
     result = json.loads(out.read_text(encoding="utf-8"))["result"]
-    assert (len(batches), sum(batches)) == (1 + chunks, rings)
-    assert (result["rings_checked"], result["counterexamples"]) == (rings, [])
+    assert (len(batches), sum(batches)) == (1 + stacks, rings)
+    assert result["rings_checked"] == rings
+    assert (len(result["counterexamples"]), result["found"]) == ((2514, True) if m == 8 else (0, False))
     assert sha256_of(out) == digest
 
 
 def test_search_enumeration_matches_reference():
-    # 390,625 rank-2 tables at m = 5 span several decoding chunks.
     batches = [build_rings(m, tables) for m, tables in _search_batches((5, 3, 2, 4, 3))]
     got = [
         (ring.modulus, ring.rank, tuple(ring.constants.flatten().tolist()))
         for batch in batches for ring in batch
     ]
-    # Per modulus, one rank-1 batch and one batch per chunk: 1 + 1 + 1 + 6 chunks.
-    assert len(batches) == 4 + 9
+    # Per modulus, one rank-1 batch and the rank-2 tables in stacks of at most
+    # 512: 28, 121, 616 = 512 + 104 and 793 = 512 + 281 at m = 2, 3, 4, 5.
+    assert [len(batch) for batch in batches] == [2, 28, 3, 121, 4, 512, 104, 5, 512, 281]
     assert all(len({(ring.modulus, ring.rank) for ring in batch}) == 1 for batch in batches)
     assert got == [t for m in (2, 3, 4, 5) for t in search_tables_reference(m)]
     assert len(got) == 1572
@@ -499,7 +503,8 @@ def test_search_enumeration_matches_reference():
 
 def test_search_batches_hold_no_chunk_arrays_while_suspended():
     # Each batch is solved while the generator is suspended; no decoding or
-    # filtering array of the 2^16-table chunk may stay alive across the yield.
+    # filtering array of the enumeration may stay alive across the yield.  The
+    # 793 rank-2 tables at m = 5 are held as int16, 12,688 bytes.
     batches = _search_batches((5,))
     count = 0
     for batch in batches:
@@ -507,7 +512,7 @@ def test_search_batches_hold_no_chunk_arrays_while_suspended():
         held = {name: value.nbytes for name, value in batches.gi_frame.f_locals.items()
                 if isinstance(value, np.ndarray) and value.nbytes > 1 << 16}
         assert held == {}
-    assert count == 1 + 6
+    assert count == 1 + 2
 
 
 def test_search_imports_no_numpy_ma(tmp_path):
@@ -540,9 +545,9 @@ def test_search_batches_peak_memory():
 
 
 def test_search_batches_peak_memory_at_modulus_eight():
-    # c001 = 0 in the first four 2^16-table chunks at m = 8, so the (0, 0, 0)
-    # grid equations prune nothing there; decoding them in full peaked at
-    # 4.8 MB per batch.  The (1, 1, 1) equations prune them on the grid.
+    # The first rank-2 batch enumerates all m = 8 tables: 13,312 of the 8^6
+    # middle digit rows pass the (0, 0, 0) and (1, 1, 1) equations, so 851,968
+    # candidates are filtered.  All 8^6 rows as int16 digits would be 3 MB.
     batches = _search_batches((8,))
     next(batches)  # the 8 rank-1 tables
     tracemalloc.start()
@@ -557,19 +562,16 @@ def test_search_batches_peak_memory_at_modulus_eight():
     assert max(peaks) < 2 << 20
 
 
-@pytest.mark.parametrize("chunk", [1 << 16, 1000], ids=["chunk-2^16", "chunk-1000"])
 @pytest.mark.parametrize("m", [6, 7, 8])
-def test_pruned_chunks_match_full_decode(monkeypatch, m, chunk):
-    # A row is the m^4 numbers sharing the digits c[0, ., .].  Chunks of 1000
-    # start inside a row at every m, and chunk 0 lies within one row; chunks
-    # of 2^16 cut rows at m = 6 and 7 but are whole rows at m = 8.  The last
-    # chunk is partial in every case except 2^16 at m = 8.
-    assert (chunk % m ** 4 == 0) == (m ** 8 % chunk == 0) == (m == 8 and chunk == 1 << 16)
-    monkeypatch.setattr(cli, "_SEARCH_CHUNK", chunk)
-    for start in (0, chunk, (m ** 8 - 1) // chunk * chunk):
-        got = cli._associative_tables(m, start)
-        assert got.dtype == np.int64
-        assert np.array_equal(got, search_chunk_reference(m, start, chunk))
+def test_associative_tables_match_full_decode(m):
+    # Every table number decoded in full, 2^16 numbers at a time, and filtered
+    # by the same _associative: the pruned candidates lose no table.
+    got = cli._associative_tables(m)
+    assert got.dtype == np.int16
+    chunk = 1 << 16
+    expected = np.concatenate([search_chunk_reference(m, start, chunk)
+                               for start in range(0, m ** 8, chunk)])
+    assert np.array_equal(got, expected)
 
 
 @settings(max_examples=200, deadline=None)
