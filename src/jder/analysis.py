@@ -255,7 +255,8 @@ def cross_check(preorder: Preorder, coefficients: StructureRing) -> CrossCheckRe
     means the two Equal answers coincide.  The FI solve's size is checked
     before FI(P, R) is built.
     """
-    _check_size(1, len(preorder.comparable_pairs()) * coefficients.rank, JORDAN)
+    fi_rank = len(preorder.comparable_pairs()) * coefficients.rank
+    _check_size(1, fi_rank, coefficients.modulus, JORDAN)
     fi = fi_ring(preorder, coefficients)
     verdict = theorem_verdict(preorder, coefficients)
     fi_cmp = compare_spaces(fi)

@@ -487,8 +487,11 @@ def run(command: str, instance: Instance, seed: int = 0, trials: int = 1000,
             result = _comparison_json(compare_spaces(target))
         elif command == "dprime-check":
             family = _jordan_family(target)
+            # The generators of one self-checked stack of one, as for identities.
+            _, _, flat, _ = _solve_all(target.constants[None], target.modulus, JORDAN)
             entries = []
-            for n, d in enumerate(solve_jordan_derivations(target).generators()):
+            for n, g in enumerate(flat):
+                d = AdditiveMap.from_flat(target, g)
                 entries.append(
                     {"generator": n, "reconstructed_equals_original":
                         construct_dprime(target, family, d) == d}

@@ -24,6 +24,19 @@ plus its outer polarization Q2pol on triples with distinct outer
 indices.  ``check_map`` re-evaluates all of these identities directly on
 ring elements, independently of the assembled rows.
 
+Over odd m the square rows decide JDer alone.  In an associative ring,
+with x o y = xy + yx, x o (x o y) - x^2 o y = 2xyx (Herstein, "Jordan
+derivations of prime rings", Proc. AMS 8, 1957).  A map that passes the
+square and square-pol rows satisfies Q1 on every element, so, by
+polarization, d(x o y) = d(x) o y + x o d(y) for all x, y.  Applying d to
+both sides of Herstein's identity then gives 2 Q2(x; y) = 0, and 2 Q2pol =
+0 by polarizing x.  When m is odd, 2 is a unit mod m, so Q2 = Q2pol = 0:
+the kernel of the square families is JDer, and the Jordan rows stop after
+square-pol.  When m is even, Q2 is only known to be 2-torsion and all four
+families are built.  The self-check still evaluates all four identities
+on every generator at every modulus, so a wrong argument here would
+raise ``SelfCheckError`` rather than return a wrong space.
+
 Row assembly.  Every identity is linear in d, so a row's entry for the
 unknown D[a, b] (column a + k*b) is the identity's residual at the map
 d = E_ab, which sends x to x_b e_a.  At E_ab the term d(x_1...x_n) is the
@@ -62,7 +75,8 @@ DERIVATION = "derivation"
 JORDAN = "jordan"
 _KINDS = (DERIVATION, JORDAN)
 # Most int64 entries of one raw constraint stack: the Jordan stack of one rank-32
-# ring (4.25 GiB), the largest solve cross-check took under its former rank budget 32.
+# ring over even m (4.25 GiB), the largest solve cross-check took under its former
+# rank budget 32.
 _SOLVE_LIMIT = 570_949_632
 
 
@@ -269,8 +283,8 @@ def _constraint_rows(c: np.ndarray, m: int, kind: str) -> np.ndarray:
 
     ``c`` stacks the structure constants of rings over Z/m, and the result
     is indexed [ring, row, column].  Row order is fixed: product by (i, j);
-    square by i; square-pol by (i, j) with i < j; triple by (i, j);
-    triple-pol by (i, l, j) with i < l.
+    square by i; square-pol by (i, j) with i < j; then, over even m only
+    (module docstring), triple by (i, j) and triple-pol by (i, l, j) with i < l.
     """
     k = c.shape[1]
     i, j = np.divmod(np.arange(k * k), k)
@@ -278,16 +292,13 @@ def _constraint_rows(c: np.ndarray, m: int, kind: str) -> np.ndarray:
         families = [(c, [(i, j)])]
     else:
         ar = np.arange(k)
-        # b_i b_j b_l, with the sums and reductions of StructureRing.mul.
-        triple = einsum_mod("nijs,nslt->nijlt", c, c, m)
         iu, lu = np.triu_indices(k, 1)
-        pi, pl, pj = np.repeat(iu, k), np.repeat(lu, k), np.tile(ar, len(iu))
-        families = [
-            (c, [(ar, ar)]),
-            (c, [(iu, lu), (lu, iu)]),
-            (triple, [(i, j, i)]),
-            (triple, [(pi, pj, pl), (pl, pj, pi)]),
-        ]
+        families = [(c, [(ar, ar)]), (c, [(iu, lu), (lu, iu)])]
+        if m % 2 == 0:
+            # b_i b_j b_l, with the sums and reductions of StructureRing.mul.
+            triple = einsum_mod("nijs,nslt->nijlt", c, c, m)
+            pi, pl, pj = np.repeat(iu, k), np.repeat(lu, k), np.tile(ar, len(iu))
+            families += [(triple, [(i, j, i)]), (triple, [(pi, pj, pl), (pl, pj, pi)])]
     blocks = sum(len(t[0][0]) for _, t in families)
     out = np.zeros((len(c), blocks, k, k, k), dtype=np.int64)
     start = 0
@@ -299,10 +310,15 @@ def _constraint_rows(c: np.ndarray, m: int, kind: str) -> np.ndarray:
     return out.reshape(len(c), blocks * k, k * k)
 
 
-def _check_size(n: int, k: int, kind: str) -> None:
-    """Refuse, before allocating, the raw stack of ``kind`` for n rings of rank k:
-    n * blocks * k^3 entries, with k^2 blocks for Der and k(k + 1)^2 / 2 for Jordan."""
-    entries = n * (k * k if kind == DERIVATION else k * (k + 1) ** 2 // 2) * k ** 3
+def _check_size(n: int, k: int, m: int, kind: str) -> None:
+    """Refuse, before allocating, the raw stack of ``kind`` for n rings of rank k over Z/m:
+    n * blocks * k^3 entries, with k^2 blocks for Der, and for Jordan k(k + 1) / 2
+    over odd m and k(k + 1)^2 / 2 over even m."""
+    if kind == DERIVATION:
+        blocks = k * k
+    else:
+        blocks = k * (k + 1) // 2 if m % 2 else k * (k + 1) ** 2 // 2
+    entries = n * blocks * k ** 3
     if entries > _SOLVE_LIMIT:
         raise SizeBudgetError(entries, _SOLVE_LIMIT)
 
@@ -355,7 +371,7 @@ def _solve_all(c: np.ndarray, m: int, kind: str):
     identity order.  No ring object is needed or made.
     """
     n, k = c.shape[:2]
-    _check_size(n, k, kind)
+    _check_size(n, k, m, kind)
     rows = _constraint_matrices(c, m, kind)
     if n == 1:
         slots = np.zeros((1, k * k, k * k), dtype=np.int64)
@@ -377,7 +393,7 @@ def _solve_one(ring: StructureRing, kind: str) -> DerivationSpace:
     """The space of ``kind`` of one ring: ``kernel``'s worklist, then ``check_map`` once
     per generator, which the benchmark harness (bench/test_harness.py) pins as one
     check_map call per kernel generator."""
-    _check_size(1, ring.rank, kind)
+    _check_size(1, ring.rank, ring.modulus, kind)
     rows = _constraint_matrices(ring.constants[None], ring.modulus, kind)[0]
     space = DerivationSpace(ring, kind, kernel(ZmMatrix.from_array(ring.modulus, rows[rows.any(axis=1)])))
     for g in space.generators():
@@ -435,7 +451,7 @@ def compare_spaces(ring: StructureRing) -> SpaceComparison:
     generator of JDer falls outside Der (if every generator were inside,
     the whole span would be).  The Jordan solve's size is checked before Der is solved.
     """
-    _check_size(1, ring.rank, JORDAN)
+    _check_size(1, ring.rank, ring.modulus, JORDAN)
     return _compare(solve_derivations(ring), solve_jordan_derivations(ring))
 
 

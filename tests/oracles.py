@@ -223,7 +223,8 @@ def check_map_scalar(ring, d, kind):
     """``jder.solver.check_map`` one basis tuple at a time.
 
     Same contract and result, including the identity name and indices of
-    the first violation in the same order.
+    the first violation in the same order.  Its unreduced nested products
+    reach 8 k^2 (m - 1)^3; past the int64 range it computes with Python ints.
     """
     from jder.solver import DERIVATION, CheckResult, _validate_kind
 
@@ -234,6 +235,8 @@ def check_map_scalar(ring, d, kind):
     m = ring.modulus
     c = ring.constants
     D = d.as_array()
+    if 8 * k * k * (m - 1) ** 3 >= 2 ** 63:
+        c, D = c.astype(object), D.astype(object)
     # L[i] @ y = b_i y and R[j] @ x = x b_j; lmat(x) @ y = x y = rmat(y) @ x.
     L = np.transpose(c, (0, 2, 1))
     R = np.transpose(c, (1, 2, 0))

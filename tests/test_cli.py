@@ -415,6 +415,29 @@ def test_identities_rank15_report_is_pinned(tmp_path):
     assert sha256_of(out) == "133a1bf4c8a2670cd68e706b10330705e7cb51326fa97424876aced5a5331a47"
 
 
+# FI(a<=b<=...<=f, Z/3), rank 21, and FI({a} + {b<=c<=d}, Z/9), rank 7.
+CHAIN6_Z3_INSTANCE = CHAIN_INSTANCE.replace("labels = a b c", "labels = a b c d e f").replace(
+    "pairs = a<=b b<=c", "pairs = a<=b b<=c c<=d d<=e e<=f").replace("modulus = 2", "modulus = 3")
+DISCONNECTED_Z9_INSTANCE = CHAIN_INSTANCE.replace("labels = a b c", "labels = a b c d").replace(
+    "pairs = a<=b b<=c", "pairs = b<=c c<=d").replace("modulus = 2", "modulus = 9")
+
+
+@pytest.mark.parametrize("command, text, digest", [
+    ("compare", CHAIN6_Z3_INSTANCE,
+     "67914e8621108009b1c932f3fd0b3b8a87455708e343d8156d9ce78a131d2708"),
+    ("cross-check", DISCONNECTED_Z9_INSTANCE,
+     "3c67f9403d3001764bed2dac2fb8843c167e8a434b52e16724a4a60837a2cca8"),
+    ("solve-jder", DISCONNECTED_Z9_INSTANCE,
+     "3c50a0c385aa0d7eaa1475c3e8a630b6773c92d264e9ab5dec3d73d4ab3fb1f9"),
+], ids=["compare-chain6-m3", "cross-check-m9", "solve-jder-m9"])
+def test_odd_modulus_reports_are_pinned(tmp_path, command, text, digest):
+    # Digests of these reports as produced by the solver that built all four
+    # Jordan row families at every modulus.
+    out = tmp_path / "report.json"
+    assert main([command, "--input", write(tmp_path, text), "--out", str(out)]) == 0
+    assert sha256_of(out) == digest
+
+
 def test_command_must_match_declared(tmp_path):
     text = MATRIX_INSTANCE + "\n[task]\ncommand = compare\n"
     inst = load_instance(write(tmp_path, text))

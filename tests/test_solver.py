@@ -33,7 +33,8 @@ from jder.solver import (
 )
 from jder.zmodlin import SelfCheckError, SubgroupBasis, ZmMatrix, howell_form, kernel
 
-from oracles import brute_force_maps, check_map_scalar, is_derivation_map, is_jordan_map, r3, r9
+from oracles import (brute_force_maps, check_map_scalar, is_derivation_map, is_jordan_map,
+                     preorders_up_to_isomorphism, r3, r9)
 
 
 def search_rings(moduli):
@@ -53,7 +54,7 @@ def kernel_without(ring, kind, family):
 
     _constraint_rows orders its row blocks by family, with k rows per block:
     k^2 product blocks; or k square, k(k-1)/2 square-pol, k^2 triple and
-    k^2(k-1)/2 triple-pol blocks.
+    k^2(k-1)/2 triple-pol blocks, the last two over even m only.
     """
     k, m = ring.rank, ring.modulus
     rows = _constraint_rows(ring.constants[None], m, kind)[0]
@@ -66,6 +67,14 @@ def kernel_without(ring, kind, family):
     n = list(blocks).index(family)
     start = stops[n - 1] if n else 0
     return kernel(ZmMatrix.from_array(m, np.delete(rows, np.s_[start:stops[n]], axis=0)))
+
+
+def square_family_kernel(ring):
+    """Kernel of the square and square-pol rows of ``ring``: its first k * k(k + 1) / 2 raw
+    Jordan rows at every modulus."""
+    k, m = ring.rank, ring.modulus
+    rows = _constraint_rows(ring.constants[None], m, JORDAN)[0][:k * k * (k + 1) // 2]
+    return kernel(ZmMatrix.from_array(m, rows))
 
 
 @functools.cache
@@ -180,10 +189,7 @@ class TestCheckMap:
                 dense = [[rng.randrange(m) for _ in range(k)] for _ in range(k)]
                 maps.append(AdditiveMap.from_array(ring, dense))
             # Maps that pass square and square-pol, so the triple rows are reached.
-            raw = _constraint_rows(ring.constants[None], m, JORDAN)[0]
-            square_rows = raw[:k * (k * (k + 1) // 2)]
-            maps += [AdditiveMap.from_flat(ring, g)
-                     for g in kernel(ZmMatrix.from_array(m, square_rows)).generators]
+            maps += [AdditiveMap.from_flat(ring, g) for g in square_family_kernel(ring).generators]
             for d in maps:
                 compare(ring, d)
         # R9's maps that pass every Jordan family but triple-pol.
@@ -213,14 +219,23 @@ class TestSizeLimit:
         for ring in (zmod(3), t2(2), matrix_ring(zmod(4), 2), r3()):
             c = np.stack([ring.constants] * 2)
             with pytest.raises(SizeBudgetError) as exc:
-                solver._check_size(2, ring.rank, kind)
+                solver._check_size(2, ring.rank, ring.modulus, kind)
             assert exc.value.entries == _constraint_rows(c, ring.modulus, kind).size
 
     def test_limit_is_the_jordan_stack_of_rank_32(self):
-        solver._check_size(1, 32, JORDAN)
+        solver._check_size(1, 32, 4, JORDAN)
         with pytest.raises(SizeBudgetError, match="needs 685462338 raw constraint entries, "
                                                   "over the solver limit 570949632"):
-            solver._check_size(1, 33, JORDAN)
+            solver._check_size(1, 33, 4, JORDAN)
+
+    @pytest.mark.parametrize("m", [3, 2**31 - 1])
+    def test_odd_jordan_stack_at_the_rank_limit_is_admitted(self, monkeypatch, m):
+        # Rank 48, the ring limit: 48 * 49 / 2 * 48^3 = 130,056,192 entries of the
+        # square families alone.
+        solver._check_size(1, 48, m, JORDAN)
+        monkeypatch.setattr(solver, "_SOLVE_LIMIT", 130_056_191)
+        with pytest.raises(SizeBudgetError, match="needs 130056192 raw"):
+            solver._check_size(1, 48, m, JORDAN)
 
     def test_refused_before_any_solve(self, monkeypatch):
         # Rank 3: 3^5 = 243 Der entries and 3 * 4^2 / 2 * 3^3 = 648 Jordan entries.
@@ -526,8 +541,8 @@ class TestCompare:
 
     def test_unitization_of_proper_inclusion_keeps_it(self):
         # R3 adjoins a unit to b0 * b0 = b0 * b1 = 0, b1 * b1 = 2 * b1 over Z/4.
-        # Triple products through the unit are nonzero, so the polarized
-        # triple rows matter here.  Both counts agree with
+        # Only the square rows decide here: without any one other family the
+        # Jordan kernel still has 256 maps.  Both counts agree with
         # oracles.brute_force_maps (4^9 maps, too slow to run every time).
         cmp = compare_spaces(r3())
         assert (cmp.derivations.cardinality(), cmp.jordan.cardinality()) == (64, 256)
@@ -997,3 +1012,62 @@ class TestEveryFamilyDecides:
     def test_dropping_the_family_enlarges_the_kernel(self, kind, family, ring, sizes):
         solve = solve_derivations if kind == DERIVATION else solve_jordan_derivations
         assert (solve(ring).cardinality(), kernel_without(ring, kind, family).cardinality()) == sizes
+
+
+class TestOddModulusSquareFamilies:
+    """Over odd m the square families decide JDer (solver module docstring): every generator
+    of their kernel passes the scalar oracle's four Jordan identities, and the solver
+    returns that kernel."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_square_family_kernel_is_jder(self, data):
+        if data.draw(st.booleans(), label="incidence ring"):
+            preorder = data.draw(st.sampled_from(
+                [p for n in (1, 2, 3) for p in preorders_up_to_isomorphism(n)]), label="preorder")
+            ring = fi_ring(preorder, zmod(data.draw(st.sampled_from([3, 9]), label="modulus")))
+        else:
+            k = data.draw(st.integers(1, 3), label="rank")
+            m = data.draw(st.one_of(st.integers(1, 14).map(lambda h: 2 * h + 1),
+                                    st.just(2**31 - 1)), label="modulus")
+            # A unit adjoined to a rank k - 1 table gives nonzero triple products.
+            unital = k > 1 and data.draw(st.booleans(), label="unital")
+            n = k - unital
+            while True:
+                support = data.draw(st.sets(st.integers(0, n ** 3 - 1), max_size=4), label="support")
+                c = np.zeros(n ** 3, dtype=np.int64)
+                c[sorted(support)] = data.draw(st.lists(
+                    st.integers(1, m - 1), min_size=len(support), max_size=len(support)), label="entries")
+                if associative(c.reshape(n, n, n), m):
+                    break
+            table = np.zeros((k, k, k), dtype=np.int64)
+            table[unital:, unital:, unital:] = c.reshape(n, n, n)
+            if unital:
+                table[0, range(k), range(k)] = table[range(k), 0, range(k)] = 1
+            ring = build_ring(m, table, unit=(1,) + (0,) * n if unital else None)
+        square = square_family_kernel(ring)
+        for g in square.generators:
+            assert check_map_scalar(ring, AdditiveMap.from_flat(ring, g), JORDAN).ok
+        assert solve_jordan_derivations(ring).basis == square
+
+
+class TestParityGate:
+    """Over even m the square families alone are too weak: on these rings their kernel is
+    strictly larger than JDer, and each generator outside JDer breaks a triple identity."""
+
+    @pytest.mark.parametrize("ring, sizes", [
+        # b0 * b0 = b0, other products zero, over Z/2 and Z/4.
+        (build_ring(2, [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]), (2, 4)),
+        (build_ring(4, [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]), (4, 8)),
+        # b1 * b1 = 3 * b1 over Z/6.
+        (build_ring(6, [[[0, 0], [0, 0]], [[0, 0], [0, 3]]]), (162, 324)),
+        (r9(), (4096, 262144)),
+    ], ids=["idempotent-m2", "idempotent-m4", "m6", "r9"])
+    def test_square_family_kernel_is_larger_than_jder(self, ring, sizes):
+        jder, square = solve_jordan_derivations(ring), square_family_kernel(ring)
+        assert (jder.cardinality(), square.cardinality()) == sizes
+        outside = [g for g in square.generators if not jder.basis.contains(g)]
+        assert outside
+        for g in outside:
+            result = check_map_scalar(ring, AdditiveMap.from_flat(ring, g), JORDAN)
+            assert result.identity in ("triple", "triple-pol")
