@@ -16,13 +16,12 @@ from .incidence import IncidenceRing, _validate_family, fi_ring
 from .preorders import Preorder
 from .rings import Bimodule, RingElement, StructureRing, corner_of, matrix_bimodule
 from .solver import (
-    DERIVATION,
     JORDAN,
     AdditiveMap,
     SpaceComparison,
     _check_size,
-    check_map,
-    compare_spaces,
+    _first_violation,
+    compare_all,
 )
 from .zmodlin import ZmMatrix, einsum_mod, kernel
 
@@ -253,14 +252,15 @@ def cross_check(preorder: Preorder, coefficients: StructureRing) -> CrossCheckRe
     The verdict claims nothing about R when P has no isolated elements,
     so consistency there means Equal on FI; in the conditional case it
     means the two Equal answers coincide.  The FI solve's size is checked
-    before FI(P, R) is built.
+    before FI(P, R) is built.  Each comparison is ``compare_all``'s, which solves
+    Der only for a ring whose JDer has a generator that is not a derivation.
     """
     fi_rank = len(preorder.comparable_pairs()) * coefficients.rank
     _check_size(1, fi_rank, coefficients.modulus, JORDAN)
     fi = fi_ring(preorder, coefficients)
     verdict = theorem_verdict(preorder, coefficients)
-    fi_cmp = compare_spaces(fi)
-    ring_cmp = compare_spaces(coefficients)
+    fi_cmp = compare_all([fi])[0]
+    ring_cmp = compare_all([coefficients])[0]
     if verdict.outcome == ALL_JORDAN_ARE_DERIVATIONS:
         consistent = fi_cmp.equal
     elif verdict.outcome == CONDITIONAL_ON_COEFFICIENT_RING:
@@ -329,28 +329,26 @@ def identity_suites(ring: StructureRing, family, maps,
     chunk's draw.  A map leaves its group when an identity fails for it (its
     stream rewinds to just after the failing sample) or does not apply to it
     (it draws nothing), so each report is the one the map gets alone.
+    Once every map is known to belong to ``ring``, one ``_first_violation`` pass
+    over the stack rejects the first that is not a Jordan derivation and flags
+    the derivations (P[g] = 0), which satisfy every Jordan identity.
     """
-    maps, derivation = list(maps), []
+    maps = list(maps)
     for d in maps:
         if not d.ring.same_presentation(ring):
             raise ValueError("map belongs to a different ring")
-        is_derivation = check_map(ring, d, DERIVATION).ok
-        if not is_derivation:  # a derivation satisfies every Jordan identity
-            verdict = check_map(ring, d, JORDAN)
-            if not verdict.ok:
-                raise ValueError(
-                    f"map is not a Jordan derivation (violates {verdict.identity} "
-                    f"at {verdict.indices})"
-                )
-        derivation.append(is_derivation)
-    return _identity_suites(ring, family, np.array([d.as_array() for d in maps]).reshape(
-        -1, ring.rank, ring.rank), np.array(derivation, dtype=bool), mode, seed, trials)
+    D = np.array([d.as_array() for d in maps]).reshape(-1, ring.rank, ring.rank)
+    P, first = _first_violation(np.broadcast_to(ring.constants, (len(D),) + ring.constants.shape),
+                                D, ring.modulus, JORDAN)
+    if first is not None:
+        raise ValueError(f"map is not a Jordan derivation (violates {first[1]} at {first[2]})")
+    return _identity_suites(ring, family, D, ~P.any(axis=(1, 2, 3)), mode, seed, trials)
 
 
 def _identity_suites(ring: StructureRing, family, D: np.ndarray, derivation: np.ndarray,
                      mode: str, seed: int, trials: int) -> tuple:
     """``identity_suites`` of the Jordan derivations with (k, k) matrices D[g] and
-    derivation flags derivation[g], without the ``check_map`` gate."""
+    derivation flags derivation[g], without the ``_first_violation`` gate."""
     if mode not in ("basis", "randomized"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "randomized" and trials < 1:

@@ -9,6 +9,7 @@ so it never perturbs the report.
 """
 
 import argparse
+import dataclasses
 import itertools
 import json
 import sys
@@ -29,7 +30,6 @@ from .rings import (
     _check_rank,
     _checked_tables,
     build_ring,
-    build_rings,
     matrix_ring,
     triangular_ring,
     zmod,
@@ -62,6 +62,7 @@ COMMANDS = (
 )
 
 _TASK_KEYS = {"command", "seed", "trials", "moduli", "mode"}
+_TASK_DEFAULTS = {"seed": 0, "trials": 1000, "moduli": (2, 3, 4), "mode": "basis"}
 _PREORDER_KEYS = {"labels", "pairs", "auto_close"}
 _RING_KEYS = {
     "zmod": {"kind", "modulus"},
@@ -460,9 +461,11 @@ def _search_batches(moduli):
             yield m, _checked_tables(m, tables[start:start + _SEARCH_STACK])
 
 
-def run(command: str, instance: Instance, seed: int = 0, trials: int = 1000,
-        moduli=(2, 3, 4), mode: str = "basis") -> dict:
-    """Execute one subcommand and produce the JSON-ready report body."""
+def run(command: str, instance: Instance) -> dict:
+    """Execute one subcommand and produce the JSON-ready report body; seed, trials,
+    moduli and mode come from ``instance.task``, else from ``_TASK_DEFAULTS``."""
+    task = {**_TASK_DEFAULTS, **instance.task}
+    seed, trials, moduli, mode = (task[key] for key in ("seed", "trials", "moduli", "mode"))
     if command not in COMMANDS:
         raise InstanceError(f"unknown command {command!r}")
     declared = instance.task.get("command")
@@ -559,13 +562,14 @@ def run(command: str, instance: Instance, seed: int = 0, trials: int = 1000,
         for m, tables in _search_batches(moduli):
             checked += len(tables)
             _, proper, witnesses, _ = _compare_stack(tables, m)
-            # Ring and map objects only for the counterexamples.
-            for ring, witness in zip(build_rings(m, tables[proper]), witnesses):
+            k = tables.shape[1]
+            for table, witness in zip(tables[proper], witnesses):
                 counterexamples.append({
-                    "modulus": ring.modulus,
-                    "rank": ring.rank,
-                    "constants": ring.constants.flatten().tolist(),
-                    "witness": _map_json(AdditiveMap.from_flat(ring, witness)),
+                    "modulus": m,
+                    "rank": k,
+                    "constants": table.flatten().tolist(),
+                    # The witness vector read column by column, as AdditiveMap.from_flat reads it.
+                    "witness": witness.reshape(k, k, order="F").tolist(),
                 })
         result = {
             "family": {"moduli": sorted(set(moduli)), "max_rank": 2},
@@ -602,15 +606,8 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         instance = load_instance(args.input)
-        task = instance.task
-        report = run(
-            args.command,
-            instance,
-            seed=args.seed if args.seed is not None else task.get("seed", 0),
-            trials=args.trials if args.trials is not None else task.get("trials", 1000),
-            moduli=task.get("moduli", (2, 3, 4)),
-            mode=task.get("mode", "basis"),
-        )
+        flags = {k: v for k, v in (("seed", args.seed), ("trials", args.trials)) if v is not None}
+        report = run(args.command, dataclasses.replace(instance, task={**instance.task, **flags}))
     except (InstanceError, SizeBudgetError, RingConstructionError, ClosureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -315,10 +315,10 @@ def identity_suite_scalar(ring, family, d, mode="basis", seed=0, trials=200):
 
     Same contract and report as ``jder.analysis.identity_suite``, including
     witnesses and the randomized sample stream.  The Jordan precondition and
-    the derivation gate are looked up on ``jder.analysis`` at call time, so a
-    test that patches ``analysis.check_map`` patches both routes alike.
+    the derivation gate are ``jder.solver.check_map``, looked up at call time,
+    so a test can bypass them as it bypasses the suite's ``_first_violation``.
     """
-    from jder import analysis
+    from jder import analysis, solver
     from jder.incidence import IncidenceRing, _validate_family
     from jder.solver import DERIVATION, JORDAN
 
@@ -326,7 +326,7 @@ def identity_suite_scalar(ring, family, d, mode="basis", seed=0, trials=200):
         raise ValueError(f"unknown mode {mode!r}")
     if not d.ring.same_presentation(ring):
         raise ValueError("map belongs to a different ring")
-    verdict = analysis.check_map(ring, d, JORDAN)
+    verdict = solver.check_map(ring, d, JORDAN)
     if not verdict.ok:
         raise ValueError(
             f"map is not a Jordan derivation (violates {verdict.identity} "
@@ -447,7 +447,7 @@ def identity_suite_scalar(ring, family, d, mode="basis", seed=0, trials=200):
             for (r,) in samples(1):
                 yield e * d(f * r * e) * f, zero, (e.coeffs, f.coeffs, r.coeffs)
 
-    run("derivation-remark", analysis.check_map(ring, d, DERIVATION).ok, derivation_remark)
+    run("derivation-remark", solver.check_map(ring, d, DERIVATION).ok, derivation_remark)
 
     def incidence_block():
         quotient = ring.quotient

@@ -424,7 +424,7 @@ class TestIdentitySuiteOracle:
     def test_forced_failures_match_scalar_reference(self, monkeypatch):
         # Let non-Jordan maps past the precondition (and the derivation gate)
         # of both routes, so that identities fail and report witnesses.
-        monkeypatch.setattr(analysis, "check_map", lambda ring, d, kind: CheckResult(True))
+        open_gate(monkeypatch, keep_derivation_flags=False)
         failures = {"basis": 0, "randomized": 0}
         rewound = 0
         for case in sorted(ORACLE_CASES):
@@ -448,7 +448,7 @@ class TestIdentitySuiteOracle:
     def test_forced_failures_match_scalar_reference_one_tuple_per_chunk(self, monkeypatch):
         # One family tuple per chunk: witnesses found in later chunks, and the
         # randomized stream rewound inside them, must match the scalar route.
-        monkeypatch.setattr(analysis, "check_map", lambda ring, d, kind: CheckResult(True))
+        open_gate(monkeypatch, keep_derivation_flags=False)
         monkeypatch.setattr(analysis, "_TUPLE_CHUNK_BYTES", 1)
         arity = {"orthogonal-sandwich": 1, "same-idempotent-sandwich": 1,
                  "orthogonal-corner-vanishing": 1, "idempotent-image-pairing": 0,
@@ -478,9 +478,26 @@ class TestIdentitySuiteOracle:
         assert rewound > 0
 
 
-def _derivation_gate_only(ring, d, kind):
-    """check_map for the derivation gate; every map passes the Jordan precondition."""
-    return check_map(ring, d, kind) if kind == DERIVATION else CheckResult(True)
+def open_gate(monkeypatch, keep_derivation_flags):
+    """Let every map past the Jordan precondition of both routes: the suite's
+    ``_first_violation`` pass and the scalar reference's ``solver.check_map``.
+
+    With ``keep_derivation_flags`` each map is flagged a derivation or not as it
+    is; without, every map counts as a derivation, as when both gates passed every map.
+    """
+    real = analysis._first_violation
+
+    def first_violation(c, D, m, kind):
+        P = real(c, D, m, kind)[0] if keep_derivation_flags else np.zeros(c.shape, dtype=np.int64)
+        return P, None
+
+    def check(ring, d, kind):
+        if keep_derivation_flags and kind == DERIVATION:
+            return check_map(ring, d, kind)
+        return CheckResult(True)
+
+    monkeypatch.setattr(analysis, "_first_violation", first_violation)
+    monkeypatch.setattr(solver, "check_map", check)
 
 
 def _mixed_maps(ring, rng):
@@ -516,9 +533,9 @@ class TestIdentitySuiteStack:
     @pytest.mark.parametrize("mode", ["basis", "randomized"])
     @pytest.mark.parametrize("case", sorted(MIXED_CASES))
     def test_mixed_stacks_match_the_scalar_reference(self, monkeypatch, case, mode):
-        monkeypatch.setattr(analysis, "check_map", _derivation_gate_only)
         ring, family = MIXED_CASES[case]()
         maps = _mixed_maps(ring, random.Random(case))
+        open_gate(monkeypatch, keep_derivation_flags=True)
         kwargs = dict(mode=mode, seed=3, trials=9)
         expected = tuple(identity_suite_scalar(ring, family, d, **kwargs) for d in maps)
         # The default bound, one map, family tuple and sample per chunk, and a
@@ -537,7 +554,7 @@ class TestIdentitySuiteStack:
     @pytest.mark.parametrize("case", sorted(MIXED_CASES))
     def test_cli_run_matches_the_gated_suite(self, case):
         # The CLI takes the derivation flags from the solver's residuals instead
-        # of the check_map gate; each ring has generators on both sides of it.
+        # of the suite's gate; each ring has generators on both sides of it.
         ring, family = MIXED_CASES[case]()
         preorder = ANTICHAIN2 if case.startswith("FI") else None
         base = ring.base if preorder else ring
@@ -546,8 +563,8 @@ class TestIdentitySuiteStack:
         assert flags == {True, False}
         for mode in ("basis", "randomized"):
             reports = identity_suites(ring, family, generators, mode=mode, seed=2, trials=9)
-            result = cli.run("identities", cli.Instance(preorder, base, {}), seed=2, trials=9,
-                             mode=mode)["result"]
+            task = {"seed": 2, "trials": 9, "mode": mode}
+            result = cli.run("identities", cli.Instance(preorder, base, task))["result"]
             assert [g["ok"] for g in result["generators"]] == [r.ok for r in reports]
             assert [[(o["name"], o["applicable"], o["passed"], o["checks"]) for o in g["identities"]]
                     for g in result["generators"]] == [
@@ -562,6 +579,28 @@ class TestIdentitySuiteStack:
         other = zmod(2)
         with pytest.raises(ValueError, match="different ring"):
             identity_suites(ring, family, [AdditiveMap.zero(ring), AdditiveMap.zero(other)])
+
+    def test_ring_membership_is_checked_for_the_whole_stack_first(self):
+        # A map of another ring is reported even after a map that is not a Jordan
+        # derivation; the per-map gate reported the first invalid map instead.
+        r = zmod(4)
+        maps = [AdditiveMap.from_array(r, [[2]]), AdditiveMap.zero(zmod(2))]
+        with pytest.raises(ValueError, match="^map belongs to a different ring$"):
+            identity_suites(r, [r.one()], maps)
+        message = r"^map is not a Jordan derivation \(violates square at \(0,\)\)$"
+        with pytest.raises(ValueError, match=message):
+            identity_suites(r, [r.one()], maps[:1])
+
+    @pytest.mark.parametrize("case", sorted(MIXED_CASES))
+    def test_the_first_non_jordan_map_is_reported(self, case):
+        ring, family = MIXED_CASES[case]()
+        maps = _mixed_maps(ring, random.Random(case))
+        verdicts = [check_map(ring, d, JORDAN) for d in maps]
+        first = next(v for v in verdicts if not v.ok)
+        with pytest.raises(ValueError) as err:
+            identity_suites(ring, family, maps)
+        assert str(err.value) == (f"map is not a Jordan derivation (violates {first.identity} "
+                                  f"at {first.indices})")
 
 
 EINSUM_MOD = zmodlin.einsum_mod
@@ -609,17 +648,15 @@ class TestIdentitySuiteCost:
         # and the suite's derivation gate each computed every generator's residual.
         assert calls == 78
 
-    def test_einsum_calls_grow_with_the_stack_only_in_the_per_map_gate(self, monkeypatch):
+    def test_einsum_calls_do_not_grow_with_the_stack(self, monkeypatch):
+        # One residual pass gates the whole stack: 3 contractions for P (every
+        # generator here is a derivation, so no T) and 65 for the suite.  The
+        # per-map check_map gate added 3 for each map.
         fi = fi_ring(POINT_PLUS_CHAIN, Z4_DUAL)
         family, gens = fi.class_idempotents(), solve_jordan_derivations(fi).generators()
-
-        def gate(maps):  # the precondition and derivation gate, run per map
-            return [check_map(fi, d, DERIVATION).ok or check_map(fi, d, JORDAN) for d in maps]
-
-        own = [count_einsum_calls(monkeypatch, lambda: identity_suites(fi, family, maps))
-               - count_einsum_calls(monkeypatch, lambda: gate(maps))
-               for maps in (gens[:1], gens, 3 * gens)]
-        assert own[0] == own[1] == own[2]
+        counts = [count_einsum_calls(monkeypatch, lambda: identity_suites(fi, family, maps))
+                  for maps in (gens[:1], gens, 3 * gens)]
+        assert counts == [68, 68, 68]
 
     def test_basis_mode_chunks_maps_by_the_largest_identity(self, monkeypatch):
         # FI(chain5, Z/4): rank 15, 14 Jordan generators.  Sized by k^3 samples of
@@ -647,3 +684,27 @@ class TestIdentitySuiteCost:
                 tracemalloc.stop()
         # Unsplit, the herstein samples alone grow by 3,500 x 3 x 4 coefficients.
         assert peaks[1] < 1.2 * peaks[0]
+
+
+_M2 = matrix_ring(zmod(2), 2)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: restrict_corner(AdditiveMap.zero(_M2), zmod(2).one()), ValueError,
+     "idempotent does not belong to the map's ring"),
+    (lambda: restrict_to_class(fi_ring(POINT_PLUS_CHAIN, zmod(2)), AdditiveMap.zero(zmod(2)), 0),
+     ValueError, "map does not live on the incidence ring"),
+    (lambda: construct_dprime(_M2, [_M2.one()], AdditiveMap.zero(zmod(2))), ValueError,
+     "map belongs to a different ring"),
+    (lambda: extend_isolated(fi_ring(POINT_PLUS_CHAIN, zmod(2)), 5, AdditiveMap.zero(zmod(2))),
+     ValueError, "no class with index 5"),
+    (lambda: identity_suite(_M2, [_M2.one()], AdditiveMap.zero(_M2)).outcome("nope"), KeyError,
+     "'nope'"),
+    (lambda: identity_suite(_M2, [_M2.one()], AdditiveMap.zero(_M2), mode="psychic"), ValueError,
+     "unknown mode 'psychic'"),
+], ids=["restrict-corner", "restrict-to-class", "construct-dprime", "extend-isolated", "outcome",
+        "mode"])
+def test_input_checks(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message

@@ -1,5 +1,6 @@
 """Instance-file parsing, report generation, exit codes, determinism."""
 
+import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -182,6 +183,11 @@ def write(tmp_path, text, name="inst.ini"):
     return str(path)
 
 
+def with_task(instance, **task):
+    """The instance with these task values set, as ``main`` sets its flags."""
+    return dataclasses.replace(instance, task={**instance.task, **task})
+
+
 # -- parsing -------------------------------------------------------------------
 
 
@@ -359,8 +365,8 @@ def test_dprime_and_identities(tmp_path):
 
 def test_identities_randomized_depends_only_on_seed(tmp_path):
     inst = load_instance(write(tmp_path, CHAIN_INSTANCE))
-    a = run("identities", inst, seed=5, trials=20, mode="randomized")
-    b = run("identities", inst, seed=5, trials=20, mode="randomized")
+    a = run("identities", with_task(inst, seed=5, trials=20, mode="randomized"))
+    b = run("identities", with_task(inst, seed=5, trials=20, mode="randomized"))
     assert a == b
 
 
@@ -378,7 +384,7 @@ modulus = 6
 def test_identities_without_jordan_generators(tmp_path, mode):
     # JDer(Z/6) = 0: the stack of generators is empty.
     inst = load_instance(write(tmp_path, ZMOD6_INSTANCE))
-    assert run("identities", inst, mode=mode)["result"] == {"generators": [], "ok": True}
+    assert run("identities", with_task(inst, mode=mode))["result"] == {"generators": [], "ok": True}
 
 
 def test_identities_report_matches_benchmark_digest(tmp_path):
@@ -438,6 +444,39 @@ def test_odd_modulus_reports_are_pinned(tmp_path, command, text, digest):
     assert sha256_of(out) == digest
 
 
+# FI(a<=b<=c<=d<=e, Z/4), rank 15, where FI and Z/4 are Equal, and FI({a} + {b<=c}, R3),
+# rank 12, with R3 = Z/4 + Z/4 b1 + Z/4 b2 (b2 b2 = 2 b2), where both are ProperInclusion.
+CHAIN5_Z4_INSTANCE = CHAIN5_IDENTITIES_INSTANCE.split("[task]")[0]
+POINT_CHAIN_R3_INSTANCE = ISOLATED_RANDOMIZED_INSTANCE.split("[ring]")[0] + """[ring]
+kind = constants
+modulus = 4
+rank = 3
+unit = 1 0 0
+constants =
+    0 0 : 1 0 0
+    0 1 : 0 1 0
+    0 2 : 0 0 1
+    1 0 : 0 1 0
+    2 0 : 0 0 1
+    2 2 : 0 0 2
+"""
+
+
+@pytest.mark.parametrize("command, text, digest", [
+    ("cross-check", CHAIN5_Z4_INSTANCE,
+     "566fed3e0993d2d652e4b4b0b7cab38382c88d7362a9fc054ec72659aebbd9c2"),
+    ("cross-check", POINT_CHAIN_R3_INSTANCE,
+     "783c5ac810d55efe59235ffbdeea405a2916e2360617cf627d2e7376ccc378dd"),
+], ids=["cross-check-chain5-equal", "cross-check-r3-proper"])
+def test_cross_check_reports_are_pinned(tmp_path, command, text, digest):
+    # Digests of these reports as produced by compare_spaces on FI and on the
+    # coefficient ring, which solved Der for every ring, before cross_check took
+    # both comparisons from compare_all.
+    out = tmp_path / "report.json"
+    assert main([command, "--input", write(tmp_path, text), "--out", str(out)]) == 0
+    assert sha256_of(out) == digest
+
+
 def test_command_must_match_declared(tmp_path):
     text = MATRIX_INSTANCE + "\n[task]\ncommand = compare\n"
     inst = load_instance(write(tmp_path, text))
@@ -454,7 +493,7 @@ def test_preorder_required_for_structural_commands(tmp_path):
 
 def test_search_small_modulus_finds_nothing(tmp_path):
     inst = load_instance(write(tmp_path, MATRIX_INSTANCE))
-    result = run("search", inst, moduli=(2,))["result"]
+    result = run("search", with_task(inst, moduli=(2,)))["result"]
     assert result["rings_checked"] == 30
     assert not result["found"]
     assert result["note"] == "none found in family"
@@ -465,7 +504,7 @@ def test_search_modulus_four_finds_witnessed_counterexamples(tmp_path):
     from jder.rings import build_ring
 
     inst = load_instance(write(tmp_path, MATRIX_INSTANCE))
-    report = run("search", inst, moduli=(4,))
+    report = run("search", with_task(inst, moduli=(4,)))
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     # Digest of these report bytes as produced by the kron-block assembly.
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
@@ -650,7 +689,7 @@ def test_search_moduli_rejected_on_load(tmp_path, moduli, fragment):
 def test_search_moduli_rejected_by_run(tmp_path, moduli, fragment):
     inst = load_instance(write(tmp_path, MATRIX_INSTANCE))
     with pytest.raises(InstanceError, match="moduli") as err:
-        run("search", inst, moduli=moduli)
+        run("search", with_task(inst, moduli=moduli))
     assert str(err.value).startswith("[task]")
     assert fragment in str(err.value)
 
@@ -891,3 +930,57 @@ def test_rank_limit_is_inclusive(tmp_path, monkeypatch):
 def test_main_missing_file_exit_code(tmp_path, capsys):
     assert main(["compare", "--input", str(tmp_path / "ghost.ini")]) == 2
     assert "cannot read" in capsys.readouterr().err
+
+
+_HEAD = "[instance]\nformat_version = 1\n"
+_Z2 = "[ring]\nkind = zmod\nmodulus = 2\n"
+_TRIANGULAR_SIDES = ("[ring]\nkind = triangular\n[ring.left]\nkind = zmod\nmodulus = 2\n"
+                     "[ring.right]\nkind = zmod\nmodulus = 2\n")
+_NONUNITAL = "[ring]\nkind = constants\nmodulus = 2\nrank = 2\n"
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("compare", _HEAD + "[ring]\nkind = zmod\nmodulus = two\n",
+     "[ring]: key 'modulus' must be an integer, got 'two'"),
+    ("compare", _HEAD + "[preorder]\npairs = a<=b\n" + _Z2, "[preorder]: key 'labels' is required"),
+    ("compare", _HEAD + "[preorder]\nlabels = a b\nauto_close = maybe\n" + _Z2,
+     "[preorder]: key 'auto_close' must be a boolean"),
+    ("compare", _HEAD + "[preorder]\nlabels = a b\npairs = a<=c\n" + _Z2,
+     "[preorder]: pair ('a', 'c') mentions an unknown label"),
+    ("compare", _HEAD + "[ring]\nkind = matrix\nsize = 2\n",
+     "[ring.base]: section is required but missing"),
+    ("compare", _HEAD + "[ring]\nkind = octonion\n",
+     "[ring]: key 'kind' must be one of ['constants', 'matrix', 'triangular', 'zmod'], got 'octonion'"),
+    ("compare", _HEAD + "[ring]\nkind = zmod\n", "[ring]: key 'modulus' is required"),
+    ("compare", _HEAD + "[ring]\nkind = matrix\n[ring.base]\nkind = zmod\nmodulus = 2\n",
+     "[ring]: key 'size' is required"),
+    ("compare", _HEAD + _TRIANGULAR_SIDES, "[ring.module]: section is required but missing"),
+    ("compare", _HEAD + _TRIANGULAR_SIDES + "[ring.module]\nrank = 1\nleft_action = 0 0 : 1\n",
+     "[ring.module]: key 'right_action' is required"),
+    ("compare", _HEAD + _TRIANGULAR_SIDES + "[ring.module]\nrank = -1\nleft_action =\nright_action =\n",
+     "[ring.module]: key 'rank' must be nonnegative"),
+    ("compare", _HEAD + "[ring]\nkind = constants\nrank = 1\n", "[ring]: key 'modulus' is required"),
+    ("compare", _HEAD + "[ring]\nkind = constants\nmodulus = 2\n", "[ring]: key 'rank' is required"),
+    ("compare", _HEAD + "[ring]\nkind = constants\nmodulus = 2\nrank = -2\n",
+     "[ring]: key 'rank' must be nonnegative"),
+    ("compare", "this is not an ini file\n",
+     "instance file does not parse: File contains no section headers.\nfile: {path!r}, line: 1\n"
+     "'this is not an ini file\\n'"),
+    ("identities", _HEAD + _NONUNITAL, "a plain coefficient ring must be unital for this command"),
+    ("dprime-check", _HEAD + _NONUNITAL, "a plain coefficient ring must be unital for this command"),
+], ids=["non-integer", "preorder-labels", "auto-close", "unknown-label", "matrix-base",
+        "unknown-kind", "zmod-modulus", "matrix-size", "triangular-module", "module-key",
+        "module-rank", "constants-modulus", "constants-rank", "constants-rank-negative",
+        "unparsable", "identities-nonunital", "dprime-check-nonunital"])
+def test_main_instance_refusal_exit_code(tmp_path, capsys, command, text, message):
+    path = write(tmp_path, text)
+    assert main([command, "--input", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message.format(path=path)}\n"
+
+
+def test_run_refuses_an_unknown_command(tmp_path):
+    # main's parser admits only declared commands; an Instance built in code can reach run.
+    with pytest.raises(InstanceError, match=r"^unknown command 'summon'$"):
+        run("summon", load_instance(write(tmp_path, MATRIX_INSTANCE)))

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from jder.incidence import fi_ring, verify_family_conditions
+from jder.incidence import _validate_family, fi_ring, verify_family_conditions
 from jder.preorders import Preorder
 from jder.rings import (
     corner_of,
@@ -290,3 +290,16 @@ class TestFamilyConditions:
             verify_family_conditions(r, [r.one(), r.matrix_unit(0, 0)])
         with pytest.raises(ValueError):
             verify_family_conditions(r, [r.matrix_unit(0, 1)])
+
+
+@pytest.mark.parametrize("family, message", [
+    (lambda fi: [], "the idempotent family is empty"),
+    (lambda fi: [fi.class_idempotent(0), zmod(2).one()], "family members must belong to the ring"),
+], ids=["empty", "foreign-member"])
+def test_family_input_checks(family, message):
+    fi = fi_ring(Preorder.from_pairs("ab", [("a", "b")]), zmod(2))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        _validate_family(fi, family(fi))
+    if family(fi):  # the public check admits an empty family
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            verify_family_conditions(fi, family(fi))

@@ -159,3 +159,12 @@ def test_closure_round_trip(data):
     closed_pairs = [(labels[i], labels[j]) for i, j in p.comparable_pairs()]
     again = Preorder.from_pairs(labels, closed_pairs, auto_close=False)
     assert again == p
+
+
+@pytest.mark.parametrize("call", [
+    lambda p: p.index("z"),
+    lambda p: p.leq("a", "z"),
+], ids=["index", "leq"])
+def test_unknown_label_is_refused(call):
+    with pytest.raises(KeyError, match="^\"unknown point 'z'\"$"):
+        call(Preorder.from_pairs("ab", [("a", "b")]))

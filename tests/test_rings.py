@@ -1,6 +1,7 @@
 """Structure-ring constructors, validation, and corner transports."""
 
 import random
+import re
 
 import numpy as np
 import pytest
@@ -427,3 +428,49 @@ class TestCorner:
         x = corner.compress(r.element(tuple(range(4))))
         y = corner.compress(r.element(tuple(reversed(range(4)))))
         assert corner.embed(x * y) == corner.embed(x) * corner.embed(y)
+
+
+def _corner():
+    r = matrix_ring(zmod(2), 2)
+    return corner_of(r, r.matrix_unit(0, 0))
+
+
+def _t2():
+    z = zmod(2)
+    return triangular_ring(z, regular_bimodule(z), z)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: build_ring(2, np.zeros((2, 2, 2)), labels=["a"]), RingConstructionError,
+     "one label per basis element is required"),
+    (lambda: build_ring(2, np.zeros((2, 2, 2)), unit=(1,)), RingConstructionError,
+     "unit vector length must equal the rank"),
+    (lambda: zmod(2).element((1, 0)), ValueError, "expected 1 coefficients, got shape (2,)"),
+    (lambda: zmod(2).one() + 1, TypeError, "cannot combine RingElement with int"),
+    (lambda: matrix_ring(zmod(2), 0), RingConstructionError, "matrix size must be at least 1"),
+    (lambda: direct_product(zmod(2), dual_numbers(2)).pair(dual_numbers(2).one(), zmod(2).one()),
+     ValueError, "components belong to the wrong factors"),
+    (lambda: Bimodule(zmod(2), zmod(4), 1, [[[1]]], [[[1]]]), RingConstructionError,
+     "bimodule sides must share the modulus"),
+    (lambda: Bimodule(zmod(2), zmod(2), 1, [[[1, 0]]], [[[1]]]), RingConstructionError,
+     "left action must have shape (k_A, k_M, k_M) = (1, 1, 1), got (1, 1, 2)"),
+    (lambda: _t2().triple(dual_numbers(2).one(), [0], zmod(2).one()), ValueError,
+     "first component must belong to the left corner ring"),
+    (lambda: _t2().triple(zmod(2).one(), [0], dual_numbers(2).one()), ValueError,
+     "third component must belong to the right corner ring"),
+    (lambda: _t2().triple(zmod(2).one(), [0, 0], zmod(2).one()), ValueError,
+     "middle component has wrong length"),
+    (lambda: triangular_ring(zmod(2), regular_bimodule(zmod(2)), dual_numbers(2)),
+     RingConstructionError, "bimodule sides do not match the given corner rings"),
+    (lambda: _corner().embed(zmod(4).one()), ValueError,
+     "element does not belong to the corner ring"),
+    (lambda: _corner().project(zmod(2).one()), ValueError,
+     "element does not belong to the parent ring"),
+    (lambda: corner_of(matrix_ring(zmod(2), 2), zmod(2).one()), ValueError,
+     "idempotent does not belong to the ring"),
+], ids=["labels", "unit-length", "element-shape", "non-element", "matrix-size", "pair-factors",
+        "bimodule-modulus", "left-action-shape", "triple-first", "triple-third", "triple-middle",
+        "triangular-sides", "corner-embed", "corner-project", "corner-idempotent"])
+def test_input_checks(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

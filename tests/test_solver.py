@@ -1071,3 +1071,20 @@ class TestParityGate:
         for g in outside:
             result = check_map_scalar(ring, AdditiveMap.from_flat(ring, g), JORDAN)
             assert result.identity in ("triple", "triple-pol")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: AdditiveMap.from_images(zmod(2), [zmod(4).one()]),
+     "image elements must belong to the ring"),
+    (lambda: AdditiveMap.zero(zmod(2))(zmod(4).one()), "element belongs to a different ring"),
+    (lambda: AdditiveMap.zero(zmod(2)) + AdditiveMap.zero(zmod(4)),
+     "additive maps live on different rings"),
+    (lambda: check_map(zmod(2), AdditiveMap.zero(zmod(4)), DERIVATION),
+     "map belongs to a different ring"),
+    (lambda: solve_derivations(zmod(2)).contains(AdditiveMap.zero(zmod(4))),
+     "map belongs to a different ring"),
+    (lambda: inner_derivation(zmod(2), zmod(4).one()), "element belongs to a different ring"),
+], ids=["from-images", "apply", "add", "check-map", "contains", "inner-derivation"])
+def test_foreign_inputs_are_refused(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -423,3 +423,10 @@ class TestEinsumMod:
     def test_long_sum_of_largest_terms(self, m):
         a = np.full(200_000, m - 1, dtype=np.int64)
         assert int(zmodlin.einsum_mod("i,i->", a, a, m)) == 200_000 * (m - 1) ** 2 % m
+
+
+@pytest.mark.parametrize("arr", [np.zeros(3, dtype=np.int64), np.zeros((2, 2, 2), dtype=np.int64)],
+                         ids=["1-d", "3-d"])
+def test_from_array_refuses_other_than_two_dimensions(arr):
+    with pytest.raises(ValueError, match="^expected a 2-d array$"):
+        ZmMatrix.from_array(4, arr)
