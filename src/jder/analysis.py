@@ -337,7 +337,7 @@ def identity_suites(ring: StructureRing, family, maps,
     for d in maps:
         if not d.ring.same_presentation(ring):
             raise ValueError("map belongs to a different ring")
-    D = np.array([d.as_array() for d in maps]).reshape(-1, ring.rank, ring.rank)
+    D = np.array([d.as_array() for d in maps]).reshape(len(maps), ring.rank, ring.rank)
     P, first = _first_violation(np.broadcast_to(ring.constants, (len(D),) + ring.constants.shape),
                                 D, ring.modulus, JORDAN)
     if first is not None:
@@ -353,6 +353,8 @@ def _identity_suites(ring: StructureRing, family, D: np.ndarray, derivation: np.
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "randomized" and trials < 1:
         raise ValueError(f"trials must be at least 1 in randomized mode, got {trials}")
+    if not len(D):  # nothing to check, as on a rank-0 ring, whose JDer has no generator
+        return ()
     family = _validate_family(ring, family)
     # Maps per chunk: their n x n family operators, and in basis mode each identity's
     # k^(arity - 1) samples of one family tuple (k^2 for herstein), of k x k entries

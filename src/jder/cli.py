@@ -28,7 +28,6 @@ from .rings import (
     RingConstructionError,
     StructureRing,
     _check_rank,
-    _checked_tables,
     build_ring,
     matrix_ring,
     triangular_ring,
@@ -449,16 +448,18 @@ def _associative_tables(m: int) -> np.ndarray:
 def _search_batches(moduli):
     """All structure-constant tables of rank <= 2 over the given moduli, in batches.
 
-    Yields (m, tables): per modulus, one batch of the m rank-1 tables, then
-    the associative rank-2 tables (``_associative_tables``) in stacks of at
-    most ``_SEARCH_STACK``.  Every batch is reduced and checked for
-    associativity as ``build_rings`` checks it, but no ring is built.
+    Yields (m, tables) with tables int64 (n, k, k, k) and reduced: per modulus,
+    one batch of the m rank-1 tables, then the associative rank-2 tables
+    (``_associative_tables``) in stacks of at most ``_SEARCH_STACK``.  The
+    filter in ``_associative_tables`` decides associativity; nothing checks it
+    again, and a tier-1 test pins it against ``rings._check_associative`` for
+    every modulus ``_SEARCH_TABLES`` admits, m = 2..8.  No ring is built.
     """
     for m in sorted(set(moduli)):
-        yield m, _checked_tables(m, np.arange(m).reshape(m, 1, 1, 1))
+        yield m, np.arange(m, dtype=np.int64).reshape(m, 1, 1, 1)
         tables = _associative_tables(m)
         for start in range(0, len(tables), _SEARCH_STACK):
-            yield m, _checked_tables(m, tables[start:start + _SEARCH_STACK])
+            yield m, tables[start:start + _SEARCH_STACK].astype(np.int64)
 
 
 def run(command: str, instance: Instance) -> dict:
@@ -507,7 +508,7 @@ def run(command: str, instance: Instance) -> dict:
             # The solver's self-check residuals P give the derivation flags.
             _, _, flat, P = _solve_all(target.constants[None], target.modulus, JORDAN)
             reports = _identity_suites(target, _jordan_family(target),
-                                       flat.reshape(-1, target.rank, target.rank).transpose(0, 2, 1),
+                                       flat.reshape(len(flat), target.rank, target.rank).transpose(0, 2, 1),
                                        ~P.any(axis=(1, 2, 3)), mode, seed, trials)
             entries = [
                 {
@@ -594,13 +595,11 @@ def main(argv=None) -> int:
         description="Exact derivation/Jordan-derivation analysis of finite rings "
                     "and incidence rings.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--input", required=True, help="instance file (INI format)")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--trials", type=int, default=None)
-        p.add_argument("--out", default=None, help="write the JSON report here")
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--input", required=True, help="instance file (INI format)")
+    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--trials", type=int, default=None)
+    parser.add_argument("--out", default=None, help="write the JSON report here")
     args = parser.parse_args(argv)
 
     started = time.perf_counter()

@@ -34,7 +34,6 @@ __all__ = [
     "Bimodule",
     "Corner",
     "build_ring",
-    "build_rings",
     "zmod",
     "dual_numbers",
     "matrix_ring",
@@ -84,13 +83,13 @@ def _check_rank(rank: int) -> None:
             f"the ring would have rank {rank}, over the rank limit {_RANK_LIMIT}")
 
 
-def _check_associative(modulus: int, tables: np.ndarray) -> None:
+def _check_associative(modulus: int, c: np.ndarray) -> None:
     """Raise AssociativityError for the first basis triple (b_i b_j) b_l != b_i (b_j b_l)
-    of the first failing table in a reduced (n, k, k, k) stack of structure constants."""
-    bad = np.argwhere((einsum_mod("nijs,nslt->nijlt", tables, tables, modulus)
-                       != einsum_mod("njls,nist->nijlt", tables, tables, modulus)).any(axis=4))
+    of a reduced (k, k, k) table of structure constants."""
+    bad = np.argwhere((einsum_mod("ijs,slt->ijlt", c, c, modulus)
+                       != einsum_mod("jls,ist->ijlt", c, c, modulus)).any(axis=3))
     if bad.size:
-        raise AssociativityError(tuple(int(x) for x in bad[0, 1:]))
+        raise AssociativityError(tuple(int(x) for x in bad[0]))
 
 
 class StructureRing:
@@ -103,22 +102,10 @@ class StructureRing:
             raise RingConstructionError(
                 f"structure constants must have shape (k, k, k), got {c.shape}"
             )
-        self._present(modulus, c % modulus, unit, labels)
-        _check_associative(self.modulus, self.constants[None])
-        if self.unit is not None:
-            c, m = self.constants, self.modulus
-            u = np.array(self.unit, dtype=np.int64)
-            for side, spec in (("left", "i,ijt->jt"), ("right", "j,ijt->it")):
-                bad = (einsum_mod(spec, u, c, m) != np.eye(self.rank, dtype=np.int64)).any(axis=1)
-                if bad.any():
-                    raise UnitLawError(int(bad.argmax()), side)
-
-    def _present(self, modulus, constants: np.ndarray, unit, labels) -> None:
-        """Store the presentation: reduced (k, k, k) constants, unit and labels."""
-        self.modulus = int(modulus)
-        self.rank = int(constants.shape[0])
-        self.constants = constants
-        self.constants.setflags(write=False)
+        self.modulus = m = int(modulus)
+        self.rank = int(c.shape[0])
+        self.constants = c = c % m
+        c.setflags(write=False)
         if labels is None:
             labels = tuple(f"b{i}" for i in range(self.rank))
         labels = tuple(str(s) for s in labels)
@@ -130,6 +117,13 @@ class StructureRing:
         )
         if self.unit is not None and len(self.unit) != self.rank:
             raise RingConstructionError("unit vector length must equal the rank")
+        _check_associative(m, c)
+        if self.unit is not None:
+            u = np.array(self.unit, dtype=np.int64)
+            for side, spec in (("left", "i,ijt->jt"), ("right", "j,ijt->it")):
+                bad = (einsum_mod(spec, u, c, m) != np.eye(self.rank, dtype=np.int64)).any(axis=1)
+                if bad.any():
+                    raise UnitLawError(int(bad.argmax()), side)
 
     # -- identity of presentations ------------------------------------------
 
@@ -285,39 +279,6 @@ def are_orthogonal(e: RingElement, f: RingElement) -> bool:
 def build_ring(modulus, constants, unit=None, labels=None) -> StructureRing:
     """Validate and build the ring presented by the structure constants."""
     return StructureRing(modulus, constants, unit=unit, labels=labels)
-
-
-def _checked_tables(modulus, tables) -> np.ndarray:
-    """A (n, k, k, k) stack of structure constants, reduced mod ``modulus`` and read-only.
-
-    The whole stack is checked for associativity in one step; the first
-    failing table raises the AssociativityError that ``build_ring`` raises
-    on it.
-    """
-    _validate_modulus(modulus)
-    c = np.asarray(tables, dtype=np.int64)
-    if c.ndim != 4 or not (c.shape[1] == c.shape[2] == c.shape[3]):
-        raise RingConstructionError(
-            f"a stack of structure constants must have shape (n, k, k, k), got {c.shape}"
-        )
-    c = c % modulus
-    c.setflags(write=False)
-    _check_associative(int(modulus), c)
-    return c
-
-
-def build_rings(modulus, tables) -> list[StructureRing]:
-    """The rings of a (n, k, k, k) stack of structure constants, without units.
-
-    The stack is validated by ``_checked_tables``; each ring's constants are
-    a read-only view of the reduced stack.
-    """
-    rings = []
-    for table in _checked_tables(modulus, tables):
-        ring = StructureRing.__new__(StructureRing)
-        ring._present(modulus, table, None, None)
-        rings.append(ring)
-    return rings
 
 
 def zmod(m: int) -> StructureRing:

@@ -382,7 +382,7 @@ def _solve_all(c: np.ndarray, m: int, kind: str):
     owner, slot = np.nonzero(slots.any(axis=2))
     flat = slots[owner, slot]
     # Row g of D is generator g laid out column by column (AdditiveMap.from_flat).
-    D = flat.reshape(-1, k, k).transpose(0, 2, 1)
+    D = flat.reshape(len(flat), k, k).transpose(0, 2, 1)
     P, first = _first_violation(c[owner], D, m, kind)
     if first is not None:
         raise SelfCheckError(f"solver generator violates {first[1]} at {first[2]}")

@@ -27,7 +27,7 @@ from jder.cli import (
     main,
     run,
 )
-from jder.rings import RingConstructionError, build_rings
+from jder.rings import RingConstructionError
 from jder.solver import DERIVATION, JORDAN, AdditiveMap, CheckResult, check_map, compare_spaces
 
 from oracles import _ASSOC_TERMS, search_chunk_reference, search_tables_reference
@@ -550,17 +550,29 @@ def test_search_report_is_pinned_over_many_chunks(monkeypatch, tmp_path, m, stac
 
 
 def test_search_enumeration_matches_reference():
-    batches = [build_rings(m, tables) for m, tables in _search_batches((5, 3, 2, 4, 3))]
+    batches = list(_search_batches((5, 3, 2, 4, 3)))
     got = [
-        (ring.modulus, ring.rank, tuple(ring.constants.flatten().tolist()))
-        for batch in batches for ring in batch
+        (m, tables.shape[1], tuple(table.flatten().tolist()))
+        for m, tables in batches for table in tables
     ]
     # Per modulus, one rank-1 batch and the rank-2 tables in stacks of at most
     # 512: 28, 121, 616 = 512 + 104 and 793 = 512 + 281 at m = 2, 3, 4, 5.
-    assert [len(batch) for batch in batches] == [2, 28, 3, 121, 4, 512, 104, 5, 512, 281]
-    assert all(len({(ring.modulus, ring.rank) for ring in batch}) == 1 for batch in batches)
+    assert [len(tables) for _, tables in batches] == [2, 28, 3, 121, 4, 512, 104, 5, 512, 281]
+    assert all(tables.shape[1:] == (tables.shape[1],) * 3 for _, tables in batches)
     assert got == [t for m in (2, 3, 4, 5) for t in search_tables_reference(m)]
     assert len(got) == 1572
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_search_batches_are_reduced_associative_int64(m):
+    # _SEARCH_TABLES admits m <= 8, and search solves its tables without checking
+    # associativity again, so the enumerator's filter is pinned here for every m.
+    assert m ** 8 <= _SEARCH_TABLES < 9 ** 8
+    for modulus, tables in _search_batches((m,)):
+        assert modulus == m and tables.dtype == np.int64
+        assert ((tables >= 0) & (tables < m)).all()
+        for table in tables:
+            rings._check_associative(m, table)
 
 
 def test_search_batches_hold_no_chunk_arrays_while_suspended():
@@ -978,6 +990,57 @@ def test_main_instance_refusal_exit_code(tmp_path, capsys, command, text, messag
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message.format(path=path)}\n"
+
+
+_RANK0_INSTANCES = {
+    "empty-preorder": _HEAD + "[preorder]\nlabels =\n[ring]\nkind = zmod\nmodulus = 4\n",
+    "rank0-constants": _HEAD + "[ring]\nkind = constants\nmodulus = 4\nrank = 0\nunit =\n",
+}
+_DEGENERATE_INSTANCES = {
+    **_RANK0_INSTANCES,
+    "nonunital-constants": _HEAD + "[ring]\nkind = constants\nmodulus = 4\nrank = 1\n"
+                                   "constants = 0 0 : 2\n",
+    "rank0-module": _HEAD + _TRIANGULAR_SIDES + "[ring.module]\nrank = 0\nleft_action =\n"
+                                                "right_action =\n",
+    "negative-seed": CHAIN_INSTANCE + "[task]\nmode = randomized\nseed = -7\ntrials = 5\n",
+}
+
+
+@pytest.mark.parametrize("name", _DEGENERATE_INSTANCES)
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_every_command_ends_without_a_traceback(tmp_path, capsys, command, name):
+    # In process, an exception escaping main is what the jder script reports as
+    # exit 1 with a traceback; this test fails on it.
+    path = write(tmp_path, _DEGENERATE_INSTANCES[name])
+    code = main([command, "--input", path, "--out", str(tmp_path / "report.json")])
+    assert code in ((0, 2) if name in _RANK0_INSTANCES else (0, 2, 3))
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", _RANK0_INSTANCES)
+@pytest.mark.parametrize("command", ["identities", "dprime-check", "cross-check"])
+def test_rank0_targets_have_no_generator_to_check(tmp_path, command, name):
+    inst = load_instance(write(tmp_path, _RANK0_INSTANCES[name]))
+    if command == "cross-check" and inst.preorder is None:
+        with pytest.raises(InstanceError, match="needs a \\[preorder\\] section"):
+            run(command, inst)
+        return
+    result = run(command, inst)["result"]
+    if command == "cross-check":
+        assert result["fi_rank"] == 0 and result["consistent"]
+        assert result["fi_comparison"]["jordan"]["basis"]["generators"] == []
+    else:
+        assert result == {"generators": [], "ok": True}
+
+
+@pytest.mark.parametrize("argv", [[], ["--input", "x.ini"], ["summon", "--input", "x.ini"],
+                                  ["compare"]],
+                         ids=["nothing", "no-command", "unknown-command", "no-input"])
+def test_main_usage_errors_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: jder ")
 
 
 def test_run_refuses_an_unknown_command(tmp_path):

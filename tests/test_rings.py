@@ -1,5 +1,6 @@
 """Structure-ring constructors, validation, and corner transports."""
 
+import itertools
 import random
 import re
 
@@ -8,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jder import rings
 from jder.rings import (
     AssociativityError,
     Bimodule,
@@ -17,7 +17,6 @@ from jder.rings import (
     UnitLawError,
     are_orthogonal,
     build_ring,
-    build_rings,
     corner_of,
     direct_product,
     dual_numbers,
@@ -41,6 +40,21 @@ def grid_product(base, a, b):
     """Matrix product of two grids of base-ring elements, entry by entry."""
     return [[sum((a[i][z] * b[z][j] for z in range(len(b))), base.zero())
              for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def _tables(m: int, k: int):
+    """Rank-k tables over Z/m: sparse random ones, mostly not associative and some
+    with entries outside [0, m), and diagonal ones c[i, i, i] = a_i, which are."""
+    sparse = st.lists(st.one_of(st.just(0), st.integers(-m, 2 * m - 1)),
+                      min_size=k ** 3, max_size=k ** 3).map(
+        lambda entries: np.array(entries, dtype=np.int64).reshape(k, k, k))
+
+    def diagonal(values):
+        c = np.zeros((k, k, k), dtype=np.int64)
+        c[range(k), range(k), range(k)] = values
+        return c
+
+    return st.one_of(sparse, st.lists(st.integers(0, m - 1), min_size=k, max_size=k).map(diagonal))
 
 
 class TestConstruction:
@@ -87,6 +101,23 @@ class TestConstruction:
         rhs = sum(c[j, l][s] * c[i, s] for s in range(2)) % 2
         assert (lhs != rhs).any()
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.tuples(st.integers(2, 12), st.integers(1, 3)).flatmap(
+        lambda mk: st.tuples(st.just(mk[0]), _tables(*mk))))
+    def test_associativity_check_names_the_first_failing_triple(self, case):
+        m, c = case
+        k = len(c)
+        t = c.tolist()
+        failing = [(i, j, l) for i, j, l in itertools.product(range(k), repeat=3)
+                   if any(sum(t[i][j][s] * t[s][l][u] - t[j][l][s] * t[i][s][u]
+                              for s in range(k)) % m for u in range(k))]
+        if not failing:
+            assert build_ring(m, c).constants.tolist() == (c % m).tolist()
+            return
+        with pytest.raises(AssociativityError) as info:
+            build_ring(m, c)
+        assert info.value.triple == failing[0]
+
     def test_unit_law_rejected(self):
         with pytest.raises(UnitLawError):
             build_ring(4, [[[1]]], unit=(2,))
@@ -102,75 +133,6 @@ class TestConstruction:
         assert a is not b
         assert a.one() == b.one()
         assert a.same_presentation(b)
-
-
-def _tables(m: int, k: int):
-    """Rank-k tables over Z/m: sparse random ones, mostly not associative and some
-    with entries outside [0, m), and diagonal ones c[i, i, i] = a_i, which are."""
-    sparse = st.lists(st.one_of(st.just(0), st.integers(-m, 2 * m - 1)),
-                      min_size=k ** 3, max_size=k ** 3).map(
-        lambda entries: np.array(entries, dtype=np.int64).reshape(k, k, k))
-
-    def diagonal(values):
-        c = np.zeros((k, k, k), dtype=np.int64)
-        c[range(k), range(k), range(k)] = values
-        return c
-
-    return st.one_of(sparse, st.lists(st.integers(0, m - 1), min_size=k, max_size=k).map(diagonal))
-
-
-class TestBuildRings:
-    @settings(max_examples=150, deadline=None)
-    @given(st.tuples(st.integers(2, 12), st.integers(1, 3)).flatmap(
-        lambda mk: st.tuples(st.just(mk[0]), st.just(mk[1]),
-                             st.lists(_tables(*mk), max_size=6))))
-    def test_matches_build_ring_per_table(self, case):
-        m, k, tables = case
-        stack = np.array(tables, dtype=np.int64).reshape(-1, k, k, k)
-        single = []
-        for table in tables:
-            try:
-                single.append(build_ring(m, table))
-            except AssociativityError as exc:
-                single.append(exc)
-        accepted = [ring for ring in single if not isinstance(ring, AssociativityError)]
-        kept = [t for t, ring in zip(tables, single) if not isinstance(ring, AssociativityError)]
-        got = build_rings(m, np.array(kept, dtype=np.int64).reshape(-1, k, k, k))
-        assert [ring.signature for ring in got] == [ring.signature for ring in accepted]
-        assert [ring.labels for ring in got] == [ring.labels for ring in accepted]
-        errors = [exc for exc in single if isinstance(exc, AssociativityError)]
-        if errors:
-            with pytest.raises(AssociativityError) as info:
-                build_rings(m, stack)
-            assert info.value.triple == errors[0].triple
-            assert str(info.value) == str(errors[0])
-        else:
-            assert [ring.signature for ring in build_rings(m, stack)] == [
-                ring.signature for ring in accepted]
-
-    def test_one_validation_step_per_stack(self, monkeypatch):
-        calls = []
-        original = rings.einsum_mod
-
-        def counted(*args):
-            calls.append(args[0])
-            return original(*args)
-
-        monkeypatch.setattr(rings, "einsum_mod", counted)
-        stack = np.zeros((50, 2, 2, 2), dtype=np.int64)
-        stack[:, 0, 0, 0] = np.arange(50)
-        built = build_rings(5, stack)
-        assert len(calls) == 2 and len(built) == 50
-        assert [ring.constants[0, 0, 0] for ring in built] == [v % 5 for v in range(50)]
-        assert all(ring.unit is None and not ring.constants.flags.writeable for ring in built)
-
-    def test_empty_stack_and_bad_shapes(self):
-        assert build_rings(3, np.zeros((0, 2, 2, 2), dtype=np.int64)) == []
-        for shape in ((2, 2, 2), (1, 2, 2, 3), (1, 1, 2, 2)):
-            with pytest.raises(RingConstructionError, match="shape"):
-                build_rings(2, np.zeros(shape, dtype=np.int64))
-        with pytest.raises(ValueError):
-            build_rings(1, np.zeros((1, 1, 1, 1), dtype=np.int64))
 
 
 class TestElements:

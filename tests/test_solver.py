@@ -15,7 +15,7 @@ from jder import solver, zmodlin
 from jder.cli import _search_batches, main
 from jder.incidence import fi_ring
 from jder.preorders import Preorder
-from jder.rings import (build_ring, build_rings, dual_numbers, matrix_ring, regular_bimodule,
+from jder.rings import (build_ring, dual_numbers, matrix_ring, regular_bimodule,
                         triangular_ring, zmod)
 from jder.solver import (
     DERIVATION,
@@ -38,7 +38,7 @@ from oracles import (brute_force_maps, check_map_scalar, is_derivation_map, is_j
 
 
 def search_rings(moduli):
-    return [ring for m, tables in _search_batches(moduli) for ring in build_rings(m, tables)]
+    return [build_ring(m, table) for m, tables in _search_batches(moduli) for table in tables]
 
 
 def t2(m):
@@ -413,6 +413,12 @@ def assert_batch_matches_one_ring_at_a_time(batch) -> list:
 
 
 class TestCompare:
+    def test_zero_ring_batch_matches_compare_spaces(self):
+        # Rank 0: Der = JDer = {0}, so the stacked solve has no generator at all.
+        zero = build_ring(4, np.zeros((0, 0, 0), dtype=np.int64), unit=())
+        (cmp,) = assert_batch_matches_one_ring_at_a_time([zero])
+        assert cmp.equal and cmp.jordan.cardinality() == 1
+
     def test_equal_instances(self):
         for r in (matrix_ring(zmod(3), 2), dual_numbers(2), zmod(4), t2(2)):
             cmp = compare_spaces(r)
@@ -603,7 +609,7 @@ def assert_stack_matches_compare_spaces(m, tables):
     rings with Der != JDer, in order, with the same witness flats.  Returns them."""
     _, proper, witnesses, _ = solver._compare_stack(tables, m)
     want = [(n, cmp.witness.to_flat()) for n, cmp in
-            enumerate(compare_spaces(ring) for ring in build_rings(m, tables)) if not cmp.equal]
+            enumerate(compare_spaces(build_ring(m, table)) for table in tables) if not cmp.equal]
     assert [(n, tuple(w.tolist())) for n, w in zip(proper.tolist(), witnesses, strict=True)] == want
     return proper
 
