@@ -361,7 +361,7 @@ def _identity_suites(ring: StructureRing, family, D: np.ndarray, derivation: np.
     # fit the bound.
     k, n = ring.rank, len(family)
     per_map = max(n * n, k * k) if mode == "basis" else n * n
-    step = max(1, _TUPLE_CHUNK_BYTES // (8 * k * k * per_map))
+    step = max(1, _TUPLE_CHUNK_BYTES // (8 * max(1, k * k * per_map)))
     seed = seed if mode == "randomized" else None
     return tuple(report for start in range(0, len(D), step) for report in _suite_stack(
         ring, family, D[start:start + step], derivation[start:start + step], seed, trials))
@@ -412,13 +412,13 @@ def _suite_stack(ring: StructureRing, family: list, D: np.ndarray, derivation: n
     def chunks(tuples, arity, maps):
         """(family tuples, trials) of each chunk: whole family tuples while one fits
         the bound, else the trials of one family tuple in slices."""
-        samples = max(1, _TUPLE_CHUNK_BYTES // (8 * maps * k * k))
+        samples = max(1, _TUPLE_CHUNK_BYTES // (8 * maps * max(1, k * k)))
         if not basis and arity and samples < trials:
             for t in range(len(tuples)):
                 for start in range(0, trials, samples):
                     yield tuples[t:t + 1], min(samples, trials - start)
             return
-        step = max(1, samples // (k ** arity if basis else trials))
+        step = max(1, samples // max(1, k ** arity if basis else trials))
         for start in range(0, len(tuples), step):
             yield tuples[start:start + step], trials
 

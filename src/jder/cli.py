@@ -489,25 +489,21 @@ def run(command: str, instance: Instance) -> dict:
             result = _space_json(solve_jordan_derivations(target))
         elif command == "compare":
             result = _comparison_json(compare_spaces(target))
-        elif command == "dprime-check":
+        else:
+            # The family is checked before the solve.  One self-checked stack of one gives
+            # the generators, and its residuals P give the derivation flags.
             family = _jordan_family(target)
-            # The generators of one self-checked stack of one, as for identities.
-            _, _, flat, _ = _solve_all(target.constants[None], target.modulus, JORDAN)
-            entries = []
-            for n, g in enumerate(flat):
-                d = AdditiveMap.from_flat(target, g)
-                entries.append(
-                    {"generator": n, "reconstructed_equals_original":
-                        construct_dprime(target, family, d) == d}
-                )
+            _, _, flat, P = _solve_all(target.constants[None], target.modulus, JORDAN)
+        if command == "dprime-check":
+            maps = [AdditiveMap.from_flat(target, g) for g in flat]
+            entries = [{"generator": n, "reconstructed_equals_original":
+                        construct_dprime(target, family, d) == d} for n, d in enumerate(maps)]
             result = {
                 "generators": entries,
                 "ok": all(e["reconstructed_equals_original"] for e in entries),
             }
-        else:
-            # The solver's self-check residuals P give the derivation flags.
-            _, _, flat, P = _solve_all(target.constants[None], target.modulus, JORDAN)
-            reports = _identity_suites(target, _jordan_family(target),
+        elif command == "identities":
+            reports = _identity_suites(target, family,
                                        flat.reshape(len(flat), target.rank, target.rank).transpose(0, 2, 1),
                                        ~P.any(axis=(1, 2, 3)), mode, seed, trials)
             entries = [

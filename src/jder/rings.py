@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .zmodlin import ZmMatrix, _validate_modulus, einsum_mod, howell_form
+from .zmodlin import ZmMatrix, _reduce, _validate_modulus, einsum_mod, howell_form
 
 __all__ = [
     "RingConstructionError",
@@ -607,14 +607,10 @@ def corner_of(parent: StructureRing, e: RingElement) -> Corner:
     gens = basis.as_array()
     s = len(gens)
     embed = gens.T
-    # Coordinate extraction is linear when all pivots are 1: peel generators
-    # off greedily and record the linear functional used at each step.
-    project = np.zeros((s, parent.rank), dtype=np.int64)
-    residual = np.eye(parent.rank, dtype=np.int64)
-    for j, g in enumerate(gens):
-        p = int(np.nonzero(g)[0][0])
-        project[j] = residual[p]
-        residual = (residual - np.outer(g, residual[p])) % m
+    # Coordinate extraction is linear when all pivots are 1: the greedy reduction of
+    # each basis vector records, per generator, the linear functional it applies.
+    k, cols = parent.rank, [j for j, _ in pivots]
+    project = _reduce(m, np.broadcast_to(basis.slots, (k, k, k)), np.eye(k, dtype=np.int64))[0][:, cols].T
     if s and (einsum_mod("ij,jk->ik", project, embed, m) != np.eye(s, dtype=np.int64)).any():
         raise AssertionError("corner projection failed to invert the embedding")
     prods = parent.mul(gens[:, None], gens[None, :])

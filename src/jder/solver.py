@@ -110,12 +110,18 @@ class AdditiveMap:
 
     @classmethod
     def from_array(cls, ring: StructureRing, arr) -> "AdditiveMap":
-        return cls(ring, np.reshape(arr, (ring.rank, ring.rank)))
+        return cls._reshaped(ring, arr, "C")
 
     @classmethod
     def from_flat(cls, ring: StructureRing, flat) -> "AdditiveMap":
         """Decode a length-k^2 vector laid out column by column."""
-        return cls(ring, np.reshape(flat, (ring.rank, ring.rank), order="F"))
+        return cls._reshaped(ring, flat, "F")
+
+    @classmethod
+    def _reshaped(cls, ring: StructureRing, entries, order: str) -> "AdditiveMap":
+        # Any other number of entries than k^2 is left for __post_init__ to refuse.
+        a, k = np.asarray(entries), ring.rank
+        return cls(ring, a.reshape((k, k), order=order) if a.size == k * k else a)
 
     @classmethod
     def from_images(cls, ring: StructureRing, images) -> "AdditiveMap":
@@ -360,25 +366,17 @@ def _solve_all(c: np.ndarray, m: int, kind: str):
     """The spaces of ``kind`` of the rings of a reduced stack c of structure constants
     over Z/m, self-checked.
 
-    Returns the kernels as (n, k^2, k^2) Howell row slots, as
-    ``zmodlin.kernels`` gives them (``SubgroupBasis.from_slots`` gives a
-    space's basis), the ring and flat vector of every generator, ring by
-    ring and slot by slot, and the product residual P of every generator.  A stack
-    of more than one ring takes one ``kernels`` call; a stack of one ring
-    takes ``kernel``'s worklist, which is faster on one large sparse
-    matrix.  All generators are self-checked by one ``_first_violation``
-    pass, which reports the first violation in ring, generator and
-    identity order.  No ring object is needed or made.
+    Returns the kernels as (n, k^2, k^2) Howell row slots, as one
+    ``zmodlin.kernels`` call gives them (``SubgroupBasis`` of ring i's
+    slots is its space's basis), the ring and flat vector of every
+    generator, ring by ring and slot by slot, and the product residual P of
+    every generator.  All generators are self-checked by one
+    ``_first_violation`` pass, which reports the first violation in ring,
+    generator and identity order.  No ring object is needed or made.
     """
     n, k = c.shape[:2]
     _check_size(n, k, m, kind)
-    rows = _constraint_matrices(c, m, kind)
-    if n == 1:
-        slots = np.zeros((1, k * k, k * k), dtype=np.int64)
-        for g in kernel(ZmMatrix.from_array(m, rows[0][rows[0].any(axis=1)])).as_array():
-            slots[0, np.flatnonzero(g)[0]] = g
-    else:
-        slots = kernels(m, rows)
+    slots = kernels(m, _constraint_matrices(c, m, kind))
     owner, slot = np.nonzero(slots.any(axis=2))
     flat = slots[owner, slot]
     # Row g of D is generator g laid out column by column (AdditiveMap.from_flat).
@@ -438,10 +436,11 @@ class SpaceComparison:
 def _compare(der: DerivationSpace, jder: DerivationSpace) -> SpaceComparison:
     if subgroup_equal(der.basis, jder.basis):
         return SpaceComparison(True, None, der, jder)
-    for g in jder.generators():
-        if not der.contains(g):
-            return SpaceComparison(False, g, der, jder)
-    raise SelfCheckError("unequal spaces must be witnessed by a generator")
+    gens, slots = jder.basis.as_array(), der.basis.slots
+    inside = slots_contain(der.basis.modulus, np.broadcast_to(slots, (len(gens),) + slots.shape), gens)
+    if inside.all():
+        raise SelfCheckError("unequal spaces must be witnessed by a generator")
+    return SpaceComparison(False, AdditiveMap.from_flat(jder.ring, gens[inside.argmin()]), der, jder)
 
 
 def compare_spaces(ring: StructureRing) -> SpaceComparison:
@@ -501,12 +500,11 @@ def compare_all(rings) -> list:
     found = dict(zip(proper.tolist(), zip(witnesses, der)))
     out = []
     for n, ring in enumerate(rings):
-        jspace = DerivationSpace(ring, JORDAN, SubgroupBasis.from_slots(m, jder[n]))
+        jspace = DerivationSpace(ring, JORDAN, SubgroupBasis(ZmMatrix.from_array(m, jder[n])))
         if n in found:
             witness, slots = found[n]
-            out.append(SpaceComparison(False, AdditiveMap.from_flat(ring, witness),
-                                       DerivationSpace(ring, DERIVATION, SubgroupBasis.from_slots(m, slots)),
-                                       jspace))
+            dspace = DerivationSpace(ring, DERIVATION, SubgroupBasis(ZmMatrix.from_array(m, slots)))
+            out.append(SpaceComparison(False, AdditiveMap.from_flat(ring, witness), dspace, jspace))
         else:
             out.append(SpaceComparison(True, None, DerivationSpace(ring, DERIVATION, jspace.basis), jspace))
     return out

@@ -6,7 +6,9 @@ same subgroup if and only if their Howell forms are identical.  Over prime m
 this is the familiar reduced row echelon form; over composite m the form
 additionally contains "annihilator" rows that make membership testing and
 span comparison exact (a row with pivot d also contributes (m/d) times
-itself, whose leading entry vanishes mod m).
+itself, whose leading entry vanishes mod m).  A Howell form has at most one
+row per pivot column, so it is held as (N, N) row slots: row j is the Howell
+row with pivot column j, or zeros.
 
 All arithmetic is exact on 64-bit integers.  Moduli up to 2^31 are accepted.
 Every contraction over Z/m in this package goes through :func:`einsum_mod`.
@@ -18,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -140,37 +141,26 @@ class ZmMatrix:
 
 @dataclass(frozen=True)
 class SubgroupBasis:
-    """Canonical (Howell-form) generating set of a subgroup of (Z/m)^dim.
+    """Canonical (Howell-form) generating set of a subgroup of (Z/m)^dim, as row slots.
 
-    The generators are the rows of ``matrix``.  Instances are produced by
-    :func:`howell_form`, :func:`kernel` and, from the row slots of
-    :func:`kernels`, :meth:`from_slots`; equality of two bases is equality
-    of the subgroups they span.
+    ``matrix`` is a (dim, dim) ZmMatrix whose row j is the Howell row with
+    pivot column j, or zeros, as one matrix of a :func:`kernels` result;
+    the generators are its nonzero rows in pivot order.  Instances are
+    produced by :func:`howell_form` and :func:`kernel`; equality of two
+    bases is equality of the subgroups they span.
     """
 
     matrix: ZmMatrix
 
-    @classmethod
-    def from_slots(cls, modulus: int, slots: np.ndarray) -> "SubgroupBasis":
-        """The basis of the Howell rows in an (N, N) array of row slots, one matrix of
-        a :func:`kernels` result; the zero slots are skipped."""
-        return cls(ZmMatrix.from_array(modulus, slots[slots.any(axis=1)]))
-
-    @cached_property
-    def _pivots(self) -> tuple[tuple[int, int], ...]:
-        # Found on first use: a kernel whose pivots nobody reads costs no scan.
-        a = self.matrix.as_array()
-        zero = ~a.any(axis=1)
-        if zero.any():
-            raise ValueError(f"basis row {int(zero.argmax())} is zero and has no pivot")
-        cols = (a != 0).argmax(axis=1) if a.size else np.zeros(0, dtype=np.intp)
-        values = a[np.arange(len(cols)), cols]
-        bad = self.modulus % values != 0
-        if bad.any():
-            row = int(bad.argmax())
-            raise ValueError(f"basis row {row} has pivot {values[row]}, "
-                             f"which does not divide {self.modulus}")
-        return tuple(zip(cols.tolist(), values.tolist()))
+    def __post_init__(self):
+        a, m = self.matrix.as_array(), self.modulus
+        if a.shape[0] != a.shape[1]:
+            raise ValueError(f"basis slots must be a square matrix, got shape {a.shape}")
+        pivots, nonzero = a.diagonal(), a != 0
+        bad = np.flatnonzero(nonzero.any(axis=1) & ((pivots == 0) | np.tril(nonzero, -1).any(axis=1)
+                                                    | (m % np.maximum(pivots, 1) != 0)))
+        if bad.size:
+            raise ValueError(f"basis slot {bad[0]} must lead at column {bad[0]} with a divisor of {m}")
 
     @property
     def modulus(self) -> int:
@@ -181,53 +171,46 @@ class SubgroupBasis:
         return self.matrix.ncols
 
     @property
+    def slots(self) -> np.ndarray:
+        """The read-only (dim, dim) int64 array of row slots."""
+        return self.matrix.as_array()
+
+    @property
     def generators(self) -> tuple[tuple[int, ...], ...]:
-        return self.matrix.rows
+        return tuple(map(tuple, self.as_array().tolist()))
 
     def as_array(self) -> np.ndarray:
         """The generators as the rows of a read-only int64 array."""
-        return self.matrix.as_array()
+        a = self.slots
+        gens = a[a.diagonal() != 0]
+        gens.setflags(write=False)
+        return gens
 
     def contains(self, v) -> bool:
         """Exact membership of the vector v (reduced mod m) in the subgroup."""
         return self.coordinates(v) is not None
 
     def coordinates(self, v) -> tuple[int, ...] | None:
-        """Coefficients expressing v over the generators, or None if v is outside.
-
-        Greedy reduction against the Howell form: at each pivot column the
-        residual entry must be divisible by the pivot; by the Howell property
-        this greedy pass is complete.
-        """
-        m = self.modulus
-        cur = np.asarray(v, dtype=np.int64) % m
+        """Coefficients expressing v over the generators, or None if v is outside."""
+        cur = np.asarray(v, dtype=np.int64)
         if cur.shape != (self.dim,):
             raise DimensionMismatch(
                 f"dimension mismatch: basis ambient {self.dim}, vector shape {cur.shape}"
             )
-        coeffs = []
-        for row, (j, d) in zip(self.as_array(), self._pivots):
-            r = int(cur[j])
-            if r % d != 0:
-                return None
-            q = r // d
-            coeffs.append(q)
-            if q:
-                cur = (cur - q * row) % m
-        if cur.any():
+        q, rest = _reduce(self.modulus, self.slots[None], cur[None])
+        if rest.any():
             return None
-        return tuple(coeffs)
+        return tuple(q[0, self.slots.diagonal() != 0].tolist())
 
     def cardinality(self) -> int:
-        """Number of elements in the subgroup: the product of m/pivot over rows."""
-        card = 1
-        for _, d in self._pivots:
-            card *= self.modulus // d
-        return card
+        """Number of elements in the subgroup: the product of m/pivot over generators."""
+        return math.prod(self.modulus // d for _, d in self.pivots())
 
     def pivots(self) -> tuple[tuple[int, int], ...]:
         """(column, value) of each generator's leading entry."""
-        return self._pivots
+        pivots = self.slots.diagonal()
+        cols = np.flatnonzero(pivots)
+        return tuple(zip(cols.tolist(), pivots[cols].tolist()))
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -265,8 +248,8 @@ def _unit_for(a: int, m: int) -> int:
     raise AssertionError("unit normalization failed")  # unreachable
 
 
-def _howell_rows(arr: np.ndarray, m: int) -> list[np.ndarray]:
-    """Howell-form rows (ascending pivot columns) spanning the same row space.
+def _howell_rows(arr: np.ndarray, m: int) -> dict[int, np.ndarray]:
+    """Howell-form rows spanning the same row space, keyed by pivot column.
 
     Worklist elimination: rows are merged into an echelon basis with xgcd
     combinations (unimodular over Z, hence span-preserving mod m); whenever a
@@ -317,7 +300,7 @@ def _howell_rows(arr: np.ndarray, m: int) -> list[np.ndarray]:
                 q = int(basis[i][j]) // d
                 if q:
                     basis[i] = (basis[i] - q * basis[j]) % m
-    return [basis[j] for j in cols]
+    return basis
 
 
 def _howell_stack(stack: np.ndarray, m: int) -> np.ndarray:
@@ -365,11 +348,20 @@ def _howell_stack(stack: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
+def _basis(m: int, dim: int, rows: dict) -> SubgroupBasis:
+    """The basis whose slot j holds rows[j], the Howell row with pivot column j."""
+    slots = np.zeros((dim, dim), dtype=np.int64)
+    for j, row in rows.items():
+        slots[j] = row
+    # Held as built: the rows are reduced, and a second (dim, dim) copy costs peak RSS.
+    matrix = ZmMatrix.__new__(ZmMatrix)
+    matrix._set(m, slots)
+    return SubgroupBasis(matrix)
+
+
 def howell_form(matrix: ZmMatrix) -> SubgroupBasis:
     """Canonical basis of the row span of ``matrix`` over Z/m."""
-    m = matrix.modulus
-    rows = np.array(_howell_rows(matrix.as_array(), m), dtype=np.int64)
-    return SubgroupBasis(ZmMatrix.from_array(m, rows.reshape(len(rows), matrix.ncols)))
+    return _basis(matrix.modulus, matrix.ncols, _howell_rows(matrix.as_array(), matrix.modulus))
 
 
 def kernel(matrix: ZmMatrix) -> SubgroupBasis:
@@ -385,28 +377,32 @@ def kernel(matrix: ZmMatrix) -> SubgroupBasis:
     a = matrix.as_array()
     nrows, ncols = a.shape
     aug = np.concatenate([a.T, np.eye(ncols, dtype=np.int64)], axis=1)
-    gens = [row[nrows:] for row in _howell_rows(aug, m) if not row[:nrows].any()]
-    gens = np.array(gens, dtype=np.int64).reshape(len(gens), ncols)
-    if einsum_mod("ij,kj->ik", a, gens, m).any():
+    basis = _basis(m, ncols, {j - nrows: row[nrows:] for j, row in _howell_rows(aug, m).items()
+                              if j >= nrows})
+    if einsum_mod("ij,kj->ik", a, basis.as_array(), m).any():
         raise SelfCheckError("kernel generator failed re-multiplication check")
-    return SubgroupBasis(ZmMatrix.from_array(m, gens))
+    return basis
 
 
 def kernels(modulus: int, stack) -> np.ndarray:
     """``kernel`` of each matrix of an (n, r, N) integer stack over Z/modulus, as row slots.
 
     Returns an (n, N, N) int64 array: row j of matrix i is the Howell row of
-    the i-th kernel with pivot column j, or zeros, and
-    ``SubgroupBasis.from_slots`` gives the same basis as ``kernel``.  All
-    matrices are eliminated in lockstep by ``_howell_stack``: first to their
+    the i-th kernel with pivot column j, or zeros, so ``SubgroupBasis`` of
+    matrix i is ``kernel``'s basis.  A stack of one takes ``kernel``'s
+    worklist on its nonzero rows and returns its read-only slots.  Larger
+    stacks are eliminated in lockstep by ``_howell_stack``: first to their
     Howell forms H, whose kernels are theirs, then [H^T | I] as in
     ``kernel``, so the second pass has 2N columns whatever r is.  Per call it
     costs a few numpy steps per column and Euclid round, so it pays on many
-    small matrices; on one large sparse matrix ``kernel``'s worklist is
-    faster.  All generators are re-checked by one stacked multiplication.
+    small matrices; on one large sparse matrix the worklist is faster.  All
+    generators are re-checked by one stacked multiplication.
     """
     _validate_modulus(modulus)
-    m, stack = modulus, np.asarray(stack, dtype=np.int64) % modulus
+    m, stack = modulus, np.asarray(stack, dtype=np.int64)
+    if len(stack) == 1:
+        return kernel(ZmMatrix.from_array(m, stack[0][stack[0].any(axis=1)])).slots[None]
+    stack = stack % m
     n, _, ncols = stack.shape
     eye = np.broadcast_to(np.eye(ncols, dtype=np.int64), (n, ncols, ncols))
     howell = _howell_stack(stack, m).transpose(0, 2, 1)
@@ -416,20 +412,31 @@ def kernels(modulus: int, stack) -> np.ndarray:
     return gens
 
 
+def _reduce(m: int, slots: np.ndarray, vectors) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy reduction of each vectors[i] by the Howell row slots slots[i]: (q, residual).
+
+    At each pivot column the slot row clears the multiple of its pivot that
+    the residual entry holds.  By the Howell property vectors[i] lies in the
+    span exactly when its residual is zero, and then q[i, j] is its
+    coefficient on slot j wherever slot j is filled.
+    """
+    cur = np.asarray(vectors, dtype=np.int64) % m
+    q = np.zeros_like(cur)
+    pivots = slots.diagonal(axis1=1, axis2=2)
+    for j in np.flatnonzero(pivots.any(axis=0)):
+        q[:, j] = cur[:, j] // np.maximum(pivots[:, j], 1)
+        cur = (cur - q[:, j, None] * slots[:, j]) % m
+    return q, cur
+
+
 def slots_contain(modulus: int, slots: np.ndarray, vectors) -> np.ndarray:
     """Whether vectors[i] lies in the span of the Howell row slots slots[i], for each i.
 
     ``slots`` is an (n, N, N) array as :func:`kernels` returns, ``vectors``
-    an (n, N) integer array.  Greedy reduction, column by column, as in
-    ``SubgroupBasis.coordinates``: the slot-j row clears what its pivot
-    divides, an empty slot clears nothing, and by the Howell property a
-    vector is inside exactly when nothing is left.
+    an (n, N) integer array; the test is the greedy reduction of
+    ``SubgroupBasis.contains``.
     """
-    m = modulus
-    cur = np.asarray(vectors, dtype=np.int64) % m
-    for j in range(slots.shape[1]):
-        cur = (cur - (cur[:, j] // np.maximum(slots[:, j, j], 1))[:, None] * slots[:, j]) % m
-    return ~cur.any(axis=1)
+    return ~_reduce(modulus, slots, vectors)[1].any(axis=1)
 
 
 def subgroup_equal(a: SubgroupBasis, b: SubgroupBasis) -> bool:

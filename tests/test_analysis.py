@@ -398,6 +398,16 @@ class TestIdentitySuite:
         assert report.outcome("orthogonal-sandwich").checks == 0
         assert report.outcome("idempotent-image-pairing").checks == 1
 
+    @pytest.mark.parametrize("mode", ["basis", "randomized"])
+    def test_rank0_ring_passes_every_identity(self, mode):
+        # Chunk sizes are bytes over k^2 and samples over k^arity, both zero here.
+        r = build_ring(4, np.zeros((0, 0, 0), dtype=np.int64), unit=())
+        kwargs = dict(mode=mode, seed=0, trials=3)
+        report = identity_suite(r, [r.one()], AdditiveMap.zero(r), **kwargs)
+        assert report.ok and all(o.passed for o in report.outcomes)
+        assert report == identity_suite_scalar(r, [r.one()], AdditiveMap.zero(r), **kwargs)
+        assert identity_suites(r, [r.one()], [AdditiveMap.zero(r)] * 2, **kwargs) == (report, report)
+
     def test_bad_family_rejected(self):
         r = matrix_ring(zmod(2), 2)
         with pytest.raises(ValueError):

@@ -767,8 +767,9 @@ def test_main_writes_deterministic_report(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "elapsed_seconds=" in captured.err
-    text1 = open(out1, encoding="utf-8").read()
-    assert text1 == open(out2, encoding="utf-8").read()
+    with open(out1, encoding="utf-8") as f1, open(out2, encoding="utf-8") as f2:
+        text1 = f1.read()
+        assert text1 == f2.read()
     report = json.loads(text1)
     assert report["command"] == "compare"
     assert report["result"]["verdict"] == "Equal"
@@ -990,6 +991,15 @@ def test_main_instance_refusal_exit_code(tmp_path, capsys, command, text, messag
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message.format(path=path)}\n"
+
+
+@pytest.mark.parametrize("command", ["identities", "dprime-check"])
+def test_nonunital_plain_ring_is_refused_before_the_solve(tmp_path, capsys, monkeypatch, command):
+    calls = []
+    monkeypatch.setattr(cli, "_solve_all", lambda *args: calls.append(args))
+    assert main([command, "--input", write(tmp_path, _HEAD + _NONUNITAL)]) == 2
+    assert calls == []
+    assert capsys.readouterr().err == "error: a plain coefficient ring must be unital for this command\n"
 
 
 _RANK0_INSTANCES = {

@@ -494,17 +494,21 @@ class TestCompare:
             compare_all([zmod(4)] * 3)
 
     def inject_der_basis(self, monkeypatch, rows):
-        """Batch [zero, counterexample, zero] over Z/4; the JDer solve is one stacked call,
-        and the Der solve of the one failing ring (the first kernel call) returns rows."""
-        real_kernel, calls = solver.kernel, []
+        """Batch [zero, counterexample, zero] over Z/4; the JDer solve is the first kernels
+        call, and the Der solve of the one failing ring (the second) returns rows, each in
+        the slot of its pivot column."""
+        real_kernels, calls = solver.kernels, []
 
-        def kernel(matrix):
-            calls.append(matrix)
-            if len(calls) != 1:
-                return real_kernel(matrix)
-            return SubgroupBasis(ZmMatrix.from_array(4, np.array(rows, dtype=np.int64).reshape(-1, 4)))
+        def kernels(modulus, stack):
+            calls.append(stack)
+            if len(calls) != 2:
+                return real_kernels(modulus, stack)
+            slots = np.zeros((1, 4, 4), dtype=np.int64)
+            for row in rows:
+                slots[0, np.flatnonzero(row)[0]] = row
+            return slots
 
-        monkeypatch.setattr(solver, "kernel", kernel)
+        monkeypatch.setattr(solver, "kernels", kernels)
         zero = build_ring(4, np.zeros((2, 2, 2), dtype=np.int64))
         return [zero, build_ring(4, [[[0, 0], [0, 0]], [[0, 0], [0, 2]]]), zero]
 
@@ -1090,7 +1094,14 @@ class TestParityGate:
     (lambda: solve_derivations(zmod(2)).contains(AdditiveMap.zero(zmod(4))),
      "map belongs to a different ring"),
     (lambda: inner_derivation(zmod(2), zmod(4).one()), "element belongs to a different ring"),
-], ids=["from-images", "apply", "add", "check-map", "contains", "inner-derivation"])
+    (lambda: AdditiveMap.from_flat(dual_numbers(4), [1, 2, 3]),
+     "additive map on a rank-2 ring needs a 2x2 matrix"),
+    (lambda: AdditiveMap.from_array(dual_numbers(4), [[1, 2, 3]]),
+     "additive map on a rank-2 ring needs a 2x2 matrix"),
+    (lambda: AdditiveMap.from_images(dual_numbers(4), [dual_numbers(4).one()] * 3),
+     "additive map on a rank-2 ring needs a 2x2 matrix"),
+], ids=["from-images", "apply", "add", "check-map", "contains", "inner-derivation",
+        "from-flat-size", "from-array-size", "from-images-count"])
 def test_foreign_inputs_are_refused(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()

@@ -86,7 +86,7 @@ def eager_pivots(b: SubgroupBasis) -> tuple:
     return tuple(next(((j, x) for j, x in enumerate(row) if x), (0, 0)) for row in b.generators)
 
 
-class TestLazyPivots:
+class TestSlots:
     # The bases of TestKnownForms.
     @pytest.mark.parametrize("basis", [
         lambda: howell_form(ZmMatrix(2, ((1, 1), (1, 1)))),
@@ -98,29 +98,44 @@ class TestLazyPivots:
         lambda: kernel(ZmMatrix(2, ((1, 1),))),
         lambda: kernel(ZmMatrix(4, ((2,),))),
     ])
-    @pytest.mark.parametrize("first_use", ["pivots", "contains", "coordinates", "cardinality"])
-    def test_found_on_first_use_with_the_eager_values(self, basis, first_use):
+    @pytest.mark.parametrize("use", ["pivots", "cardinality", "generators", "coordinates"])
+    def test_views_of_the_slots_match_the_eager_values(self, basis, use):
         b = basis()
-        assert "_pivots" not in vars(b)
-        args = ((0,) * b.dim,) if first_use in ("contains", "coordinates") else ()
-        getattr(b, first_use)(*args)
-        assert "_pivots" in vars(b)
-        assert b.pivots() == eager_pivots(b)
+        assert b.slots.shape == (b.dim, b.dim)
+        eager = eager_pivots(b)
+        if use == "pivots":
+            assert b.pivots() == eager
+        elif use == "cardinality":
+            assert b.cardinality() == np.prod([b.modulus // d for _, d in eager], dtype=object)
+        elif use == "generators":
+            # Slot j holds the generator with pivot column j; the other slots are zero.
+            assert [j for j, _ in eager] == np.flatnonzero(b.slots.any(axis=1)).tolist()
+            assert b.generators == tuple(b.matrix.rows[j] for j, _ in eager)
+            assert b.as_array().tolist() == [list(g) for g in b.generators]
+        else:
+            assert b.coordinates((0,) * b.dim) == (0,) * len(eager)
+            for i, g in enumerate(b.generators):
+                assert b.coordinates(g) == tuple(int(i == n) for n in range(len(eager)))
 
-    @pytest.mark.parametrize("use", ["contains", "coordinates", "cardinality", "pivots"])
-    def test_zero_row_is_refused_by_name(self, use):
-        # Not Howell bases: row 0 has no pivot to divide by, or a pivot
-        # that does not divide m (the span of (3) is all of Z/4).
-        args = ([2],) if use in ("contains", "coordinates") else ()
-        for rows, message in ((((0,), (2,)), "basis row 0 is zero"),
-                              (((3,),), "basis row 0 has pivot 3, which does not divide 4")):
-            with pytest.raises(ValueError, match=message):
-                getattr(SubgroupBasis(ZmMatrix(4, rows)), use)(*args)
+    @pytest.mark.parametrize("rows, message", [
+        (((0,), (2,)), "basis slots must be a square matrix, got shape (2, 1)"),
+        (((0, 1), (0, 0)), "basis slot 0 must lead at column 0 with a divisor of 4"),
+        (((1, 0), (1, 1)), "basis slot 1 must lead at column 1 with a divisor of 4"),
+        # The span of (3) is all of Z/4.
+        (((3,),), "basis slot 0 must lead at column 0 with a divisor of 4"),
+        (((2, 1), (0, 3)), "basis slot 1 must lead at column 1 with a divisor of 4"),
+    ])
+    def test_slots_are_checked_when_built(self, rows, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SubgroupBasis(ZmMatrix(4, rows))
 
-    def test_equality_hash_and_immutability_ignore_them(self):
+    def test_equality_hash_and_immutability(self):
         a, b = howell_form(ZmMatrix(4, ((2, 1),))), howell_form(ZmMatrix(4, ((2, 1),)))
-        a.pivots()
         assert a == b and hash(a) == hash(b)
+        with pytest.raises(ValueError):
+            a.slots[0, 0] = 0
+        with pytest.raises(ValueError):
+            a.as_array()[0, 0] = 0
         with pytest.raises(AttributeError):
             b.matrix = a.matrix
 
@@ -160,7 +175,7 @@ class TestValidation:
         # A Howell step that returns a non-kernel row must not go unnoticed:
         # (0 | 1, 0) has a zero left block, but M (1, 0)^T = 1.
         monkeypatch.setattr(
-            zmodlin, "_howell_rows", lambda arr, m: [np.array([0, 1, 0], dtype=np.int64)]
+            zmodlin, "_howell_rows", lambda arr, m: {1: np.array([0, 1, 0], dtype=np.int64)}
         )
         with pytest.raises(SelfCheckError, match="re-multiplication"):
             kernel(ZmMatrix(5, ((1, 0),)))
@@ -346,13 +361,15 @@ class TestStackedElimination:
             # So does each kernel's.
             slots = np.flatnonzero(kernel_slots.any(axis=1))
             assert (kernel_slots[slots] != 0).argmax(axis=1).tolist() == slots.tolist()
-            assert SubgroupBasis.from_slots(m, kernel_slots) == kernel(ZmMatrix.from_array(m, matrix))
+            assert np.array_equal(kernel_slots, kernel(ZmMatrix.from_array(m, matrix)).slots)
 
     @settings(max_examples=200, deadline=None)
     @given(stacks(), st.data())
-    def test_membership_matches_the_worklist(self, case, data):
+    def test_membership_matches_enumeration(self, case, data):
         # Per matrix, a combination of its kernel's slots (inside), and that
-        # combination moved by a drawn vector (inside or not).
+        # combination moved by a drawn vector (inside or not).  A vector is
+        # inside exactly when adding it leaves the Howell form unchanged, and,
+        # where (Z/m)^N has at most 1,296 vectors, when it is in the enumerated span.
         m, stack = case
         gens = kernels(m, stack)
         n, _, cols = stack.shape
@@ -363,9 +380,11 @@ class TestStackedElimination:
         moved = (inside + np.array(data.draw(st.lists(entries, min_size=n, max_size=n),
                                              label="moves"), dtype=object)) % m
         assert slots_contain(m, gens, inside.astype(np.int64)).all()
-        bases = [SubgroupBasis.from_slots(m, g) for g in gens]
-        want = [basis.contains(v) for basis, v in zip(bases, moved.astype(np.int64))]
-        assert slots_contain(m, gens, moved.astype(np.int64)).tolist() == want
+        got = slots_contain(m, gens, moved.astype(np.int64)).tolist()
+        assert got == [howell_form(ZmMatrix.from_array(m, np.vstack([g, v]))).matrix
+                       == ZmMatrix.from_array(m, g) for g, v in zip(gens, moved.astype(np.int64))]
+        if m ** cols <= 1296:
+            assert got == [tuple(v) in span_set(m, g) for g, v in zip(gens.tolist(), moved.tolist())]
 
 
 def _source_specs() -> list:
