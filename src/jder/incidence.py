@@ -156,13 +156,12 @@ def verify_family_conditions(
     family = _validate_family(ring, family, allow_empty=True)
     k = ring.rank
     E = np.array([e.as_array() for e in family], dtype=np.int64).reshape(len(family), k)
-    eye = np.eye(k, dtype=np.int64)
+    eye, total = np.eye(k, dtype=np.int64), E.sum(axis=0) % ring.modulus
     # Axes (e, f, i, j) with r = b_i and s = b_j; by bilinearity the sum over g
-    # of e r g s f is e r (sum of g) s f.
-    er = ring.mul(E[:, None], eye)[:, None, :, None]
+    # of e r g s f is e r (sum of g) s f.  One e at a time keeps products at (f, i, j, k).
     sf = ring.mul(eye, E[:, None, None])
-    lhs = ring.mul(er, sf)
-    rhs = ring.mul(er, E.sum(axis=0) % ring.modulus, sf)
-    bad = (lhs != rhs).any(axis=-1)
+    bad = np.array([(ring.mul(er, sf) != ring.mul(er, total, sf)).any(axis=-1)
+                    for er in ring.mul(E[:, None], eye)[:, :, None]], dtype=bool)
+    bad = bad.reshape(len(E), len(E), k, k)
     failures = tuple(map(tuple, np.argwhere(bad).tolist()))
     return FamilyConditionsReport(not failures, bad.size, failures)

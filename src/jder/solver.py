@@ -489,8 +489,9 @@ def compare_all(rings) -> list:
     The decision is ``_compare_stack``'s, on the stacked structure
     constants: one kernel solve for JDer and one for the rings with
     Der != JDer, each stacked unless it has one ring.  This adds the
-    spaces, witnesses and comparisons as objects.
+    spaces, witnesses and comparisons as objects.  ``rings`` may be any iterable.
     """
+    rings = list(rings)
     if len({(ring.modulus, ring.rank) for ring in rings}) > 1:
         raise ValueError("a batch needs rings of one modulus and rank")
     if not rings:

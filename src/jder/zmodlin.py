@@ -249,17 +249,18 @@ def _unit_for(a: int, m: int) -> int:
 
 
 def _howell_rows(arr: np.ndarray, m: int) -> dict[int, np.ndarray]:
-    """Howell-form rows spanning the same row space, keyed by pivot column.
+    """Echelon rows with the Howell property spanning the rows of arr, reduced mod m, by pivot column.
 
     Worklist elimination: rows are merged into an echelon basis with xgcd
     combinations (unimodular over Z, hence span-preserving mod m); whenever a
     pivot value g is created, the annihilator multiple (m/g)*row re-enters the
     worklist so that the span of trailing columns is fully represented.
     Pivots shrink along the divisor lattice of m, so the loop terminates.
+    Entries above the pivots are left as they fall (``_reduce_above_pivots``).
     """
     basis: dict[int, np.ndarray] = {}
     # The Howell form is canonical, so row order and repeats do not matter.
-    pending: list[np.ndarray] = [row for row in arr % m if row.any()]
+    pending: list[np.ndarray] = [row for row in arr if row.any()]
 
     def push_annihilator(row: np.ndarray, pivot: int) -> None:
         if pivot != 1:
@@ -290,31 +291,20 @@ def _howell_rows(arr: np.ndarray, m: int) -> dict[int, np.ndarray]:
                 v = ((a // g) * v - (b // g) * h) % m
                 basis[j] = new_h
                 push_annihilator(new_h, g)
-
-    # Reduce entries above each pivot into [0, pivot).
-    cols = sorted(basis)
-    for j in cols:
-        d = int(basis[j][j])
-        for i in cols:
-            if i < j:
-                q = int(basis[i][j]) // d
-                if q:
-                    basis[i] = (basis[i] - q * basis[j]) % m
     return basis
 
 
 def _howell_stack(stack: np.ndarray, m: int) -> np.ndarray:
-    """Howell forms of an (n, r, C) int64 stack reduced to [0, m), in lockstep.
+    """Echelon forms with the Howell property of an (n, r, C) int64 stack reduced to [0, m).
 
-    Row j of each (C, C) result holds the Howell row with pivot column j, or
-    zeros.  Column by column (Storjohann and Mulders): Euclid across rows,
-    by subtracting multiples of each matrix's row with the smallest nonzero
-    entry, leaves one nonzero entry per matrix; that row is normalized by a
-    unit, moves to its slot, and leaves its annihilator (m/g)*row behind, as
-    in ``_howell_rows``.  Rows zero in every matrix are dropped once, up
-    front; dropping later ones would copy the stack per column, which on one
-    large matrix costs more than it saves.  Every product is of two residues,
-    so it is exact.
+    Row j of each (C, C) result holds the row with pivot column j, or zeros;
+    entries above the pivots are left as they fall, as in ``_howell_rows``.
+    Column by column, in lockstep (Storjohann and Mulders): Euclid across
+    rows, by subtracting multiples of each matrix's row with the smallest
+    nonzero entry, leaves one nonzero entry per matrix; that row is
+    normalized by a unit, moves to its slot, and leaves its annihilator
+    (m/g)*row behind.  Rows zero in every matrix are dropped once, up front.
+    Every product is of two residues, so it is exact.
     """
     n, _, cols = stack.shape
     out = np.zeros((n, cols, cols), dtype=np.int64)
@@ -340,20 +330,26 @@ def _howell_stack(stack: np.ndarray, m: int) -> np.ndarray:
         row = work[mi, ri] * np.array([units[a] for a in entries], dtype=np.int64)[:, None] % m
         out[mi, j] = row
         work[mi, ri] = row * (m // row[:, j])[:, None] % m
-    # Reduce entries above each pivot into [0, pivot); an empty slot has q = 0.
-    for j in range(1, cols):
-        q = out[:, :j, j] // np.maximum(out[:, j, j], 1)[:, None]
-        mi, ri = np.nonzero(q)
-        out[mi, ri] = (out[mi, ri] - q[mi, ri, None] * out[mi, j]) % m
     return out
 
 
-def _basis(m: int, dim: int, rows: dict) -> SubgroupBasis:
-    """The basis whose slot j holds rows[j], the Howell row with pivot column j."""
-    slots = np.zeros((dim, dim), dtype=np.int64)
-    for j, row in rows.items():
-        slots[j] = row
-    # Held as built: the rows are reduced, and a second (dim, dim) copy costs peak RSS.
+def _reduce_above_pivots(slots: np.ndarray, m: int) -> np.ndarray:
+    """Reduce the entries above each pivot of an (n, C, C) slot stack into [0, pivot), in place.
+
+    Slot j holds the row with pivot column j, or zeros.  Pivot columns go
+    left to right, and a row reduced at column j keeps its entries left of
+    j, so echelon slots with the Howell property become the Howell form.
+    """
+    pivots = slots.diagonal(axis1=1, axis2=2)
+    for j in np.flatnonzero(pivots.any(axis=0)):
+        q = slots[:, :j, j] // np.maximum(pivots[:, j], 1)[:, None]
+        mi, ri = np.nonzero(q)
+        slots[mi, ri] = (slots[mi, ri] - q[mi, ri, None] * slots[mi, j]) % m
+    return slots
+
+
+def _basis(m: int, slots: np.ndarray) -> SubgroupBasis:
+    """The basis held in reduced (dim, dim) Howell row slots, as built: a copy costs peak RSS."""
     matrix = ZmMatrix.__new__(ZmMatrix)
     matrix._set(m, slots)
     return SubgroupBasis(matrix)
@@ -361,53 +357,55 @@ def _basis(m: int, dim: int, rows: dict) -> SubgroupBasis:
 
 def howell_form(matrix: ZmMatrix) -> SubgroupBasis:
     """Canonical basis of the row span of ``matrix`` over Z/m."""
-    return _basis(matrix.modulus, matrix.ncols, _howell_rows(matrix.as_array(), matrix.modulus))
+    m, dim = matrix.modulus, matrix.ncols
+    slots = np.zeros((1, dim, dim), dtype=np.int64)
+    for j, row in _howell_rows(matrix.as_array(), m).items():
+        slots[0, j] = row
+    return _basis(m, _reduce_above_pivots(slots, m)[0])
 
 
 def kernel(matrix: ZmMatrix) -> SubgroupBasis:
-    """Canonical basis of {v : matrix @ v = 0 (mod m)}.
-
-    The row span of [M^T | I] consists of all pairs (x M^T | x).  In its
-    Howell form the rows whose left block vanishes are the rows with pivots
-    past that block, so by the Howell property they generate exactly the
-    kernel of M, and their right blocks are already its Howell form.  All
-    generators are re-checked by one multiplication before returning.
-    """
-    m = matrix.modulus
-    a = matrix.as_array()
-    nrows, ncols = a.shape
-    aug = np.concatenate([a.T, np.eye(ncols, dtype=np.int64)], axis=1)
-    basis = _basis(m, ncols, {j - nrows: row[nrows:] for j, row in _howell_rows(aug, m).items()
-                              if j >= nrows})
-    if einsum_mod("ij,kj->ik", a, basis.as_array(), m).any():
-        raise SelfCheckError("kernel generator failed re-multiplication check")
-    return basis
+    """Canonical basis of {v : matrix @ v = 0 (mod m)}: ``kernels`` on a stack of one."""
+    return _basis(matrix.modulus, kernels(matrix.modulus, matrix.as_array()[None])[0])
 
 
 def kernels(modulus: int, stack) -> np.ndarray:
-    """``kernel`` of each matrix of an (n, r, N) integer stack over Z/modulus, as row slots.
+    """The kernel of each matrix of an (n, r, N) stack reduced to [0, modulus), as row slots.
 
     Returns an (n, N, N) int64 array: row j of matrix i is the Howell row of
     the i-th kernel with pivot column j, or zeros, so ``SubgroupBasis`` of
-    matrix i is ``kernel``'s basis.  A stack of one takes ``kernel``'s
-    worklist on its nonzero rows and returns its read-only slots.  Larger
-    stacks are eliminated in lockstep by ``_howell_stack``: first to their
-    Howell forms H, whose kernels are theirs, then [H^T | I] as in
-    ``kernel``, so the second pass has 2N columns whatever r is.  Per call it
-    costs a few numpy steps per column and Euclid round, so it pays on many
-    small matrices; on one large sparse matrix the worklist is faster.  All
-    generators are re-checked by one stacked multiplication.
+    matrix i is that kernel's canonical basis.  The row span of [M^T | I]
+    consists of all pairs (x M^T | x).  In an echelon form of it with the
+    Howell property, the rows whose left block vanishes are the rows with
+    pivots past that block, so they generate exactly the kernel of M, and
+    one ``_reduce_above_pivots`` pass makes their right blocks its Howell form.
+    A stack of one takes ``_howell_rows``' worklist on [M^T | I] of its
+    nonzero rows.  Larger stacks are eliminated in lockstep by
+    ``_howell_stack``: first to echelon forms H, whose kernels are theirs,
+    then [H^T | I], so the second pass has 2N columns whatever r is.  Per
+    call it costs a few numpy steps per column and Euclid round, so it pays
+    on many small matrices; on one large sparse matrix the worklist is
+    faster.  One stacked multiplication re-checks every generator.
     """
     _validate_modulus(modulus)
     m, stack = modulus, np.asarray(stack, dtype=np.int64)
-    if len(stack) == 1:
-        return kernel(ZmMatrix.from_array(m, stack[0][stack[0].any(axis=1)])).slots[None]
-    stack = stack % m
     n, _, ncols = stack.shape
-    eye = np.broadcast_to(np.eye(ncols, dtype=np.int64), (n, ncols, ncols))
-    howell = _howell_stack(stack, m).transpose(0, 2, 1)
-    gens = _howell_stack(np.concatenate([howell, eye], axis=2), m)[:, ncols:, ncols:]
-    if einsum_mod("nij,nkj->nik", stack, gens, m).any():
+    eye = np.eye(ncols, dtype=np.int64)
+    if n == 1:
+        live = stack[0].any(axis=1)
+        # Copies of kernel's rows, or slots allocated after the worklist, cost peak RSS.
+        stack = stack if live.all() else stack[:, live]
+        r = stack.shape[1]
+        gens = np.zeros((1, ncols, ncols), dtype=np.int64)
+        for j, row in _howell_rows(np.concatenate([stack[0].T, eye], axis=1), m).items():
+            if j >= r:
+                gens[0, j - r] = row[r:]
+    else:
+        howell = _howell_stack(stack, m).transpose(0, 2, 1)
+        gens = _howell_stack(np.concatenate([howell, np.broadcast_to(eye, (n, ncols, ncols))],
+                                            axis=2), m)[:, ncols:, ncols:]
+    _reduce_above_pivots(gens, m)
+    if einsum_mod("nij,nkj->nik", stack, gens[:, gens.any(axis=(0, 2))], m).any():
         raise SelfCheckError("kernel generator failed re-multiplication check")
     return gens
 

@@ -284,6 +284,21 @@ class TestFamilyConditions:
         assert report.ok and report.checked == 16 ** 4
         assert peak < 40 << 20
 
+    def test_peak_memory_on_twenty_classes(self):
+        # Antichain on 20 points over Z/2: (e, f, i, j, k) products peaked at 52.2 MiB.
+        # One member e at a time holds (f, i, j, k) ones; allow eight such int64 arrays.
+        n = 20
+        fi = fi_ring(Preorder.from_pairs([f"p{i}" for i in range(n)], []), zmod(2))
+        family = fi.class_idempotents()
+        tracemalloc.start()
+        try:
+            report = verify_family_conditions(fi, family)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.ok and report.checked == n ** 4
+        assert peak < 8 * n ** 4 * 8
+
     def test_non_orthogonal_family_rejected(self):
         r = matrix_ring(zmod(2), 2)
         with pytest.raises(ValueError):

@@ -549,6 +549,18 @@ class TestCompare:
     def test_empty_batch(self):
         assert compare_all([]) == []
 
+    @pytest.mark.parametrize("wrap", [iter, tuple, lambda rings: (r for r in rings)],
+                             ids=["iterator", "tuple", "generator"])
+    def test_any_iterable_of_rings(self, wrap):
+        # The middle ring has Der != JDer, so both stacked solves run.
+        pool = search_pools()[4, 2]
+        batch = [pool[0], pool[z4_proper_inclusions()[0]], pool[1]]
+        cmps, want = compare_all(wrap(batch)), assert_batch_matches_one_ring_at_a_time(batch)
+        assert [(c.verdict, c.witness, c.derivations.basis, c.jordan.basis) for c in cmps] == \
+            [(c.verdict, c.witness, c.derivations.basis, c.jordan.basis) for c in want]
+        assert [c.jordan.ring for c in cmps] == batch
+        assert compare_all(wrap([])) == []
+
     def test_unitization_of_proper_inclusion_keeps_it(self):
         # R3 adjoins a unit to b0 * b0 = b0 * b1 = 0, b1 * b1 = 2 * b1 over Z/4.
         # Only the square rows decide here: without any one other family the
