@@ -14,7 +14,8 @@ import numpy as np
 
 from .incidence import IncidenceRing, _validate_family, fi_ring
 from .preorders import Preorder
-from .rings import Bimodule, RingElement, StructureRing, corner_of, matrix_bimodule
+from .rings import (Bimodule, RingElement, StructureRing, _peirce_support, corner_of,
+                    matrix_bimodule)
 from .solver import (
     JORDAN,
     AdditiveMap,
@@ -251,12 +252,15 @@ def cross_check(preorder: Preorder, coefficients: StructureRing) -> CrossCheckRe
 
     The verdict claims nothing about R when P has no isolated elements,
     so consistency there means Equal on FI; in the conditional case it
-    means the two Equal answers coincide.  The FI solve's size is checked
-    before FI(P, R) is built.  Each comparison is ``compare_all``'s, which solves
-    Der only for a ring whose JDer has a generator that is not a derivation.
+    means the two Equal answers coincide.  The FI solve's size, on its Peirce
+    support, is checked before FI(P, R) is built.  Each comparison is
+    ``compare_all``'s, which solves Der only for a ring whose JDer has a
+    generator that is not a derivation.
     """
-    fi_rank = len(preorder.comparable_pairs()) * coefficients.rank
-    _check_size(1, fi_rank, coefficients.modulus, JORDAN)
+    pairs = preorder.comparable_pairs()
+    support = _peirce_support(pairs, coefficients)
+    _check_size(1, len(pairs) * coefficients.rank, coefficients.modulus, JORDAN,
+                None if support is None else len(support))
     fi = fi_ring(preorder, coefficients)
     verdict = theorem_verdict(preorder, coefficients)
     fi_cmp = compare_all([fi])[0]

@@ -490,10 +490,12 @@ def run(command: str, instance: Instance) -> dict:
         elif command == "compare":
             result = _comparison_json(compare_spaces(target))
         else:
-            # The family is checked before the solve.  One self-checked stack of one gives
-            # the generators, and its residuals P give the derivation flags.
+            # The family is checked before the solve.  One self-checked stack of one, on the
+            # target's Peirce support, gives the generators; its residuals P give the
+            # derivation flags.
             family = _jordan_family(target)
-            _, _, flat, P = _solve_all(target.constants[None], target.modulus, JORDAN)
+            _, _, flat, P = _solve_all(target.constants[None], target.modulus, JORDAN,
+                                       target.peirce_support())
         if command == "dprime-check":
             maps = [AdditiveMap.from_flat(target, g) for g in flat]
             entries = [{"generator": n, "reconstructed_equals_original":

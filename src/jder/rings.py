@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .zmodlin import ZmMatrix, _reduce, _validate_modulus, einsum_mod, howell_form
+from .zmodlin import ZmMatrix, _int64_array, _reduce, _validate_modulus, einsum_mod, howell_form
 
 __all__ = [
     "RingConstructionError",
@@ -149,7 +149,7 @@ class StructureRing:
         return self.modulus ** self.rank
 
     def element(self, coeffs) -> "RingElement":
-        a = np.asarray(coeffs, dtype=np.int64) % self.modulus
+        a = _int64_array(coeffs) % self.modulus
         if a.shape != (self.rank,):
             raise ValueError(f"expected {self.rank} coefficients, got shape {a.shape}")
         return RingElement(self, a)
@@ -169,6 +169,13 @@ class StructureRing:
         if self.unit is None:
             raise RingConstructionError("ring has no unit")
         return self.element(self.unit)
+
+    def peirce_support(self) -> np.ndarray | None:
+        """The columns of the unknowns a solve may restrict to after normalizing by a
+        complete family of orthogonal idempotents (``solver`` module docstring), or None
+        to solve on every column: a ring without a pair layout knows no such family.
+        ``PairRing`` overrides it."""
+        return None
 
     def mul(self, *factors) -> np.ndarray:
         """Product of reduced coefficient arrays of shape (..., k), folded left.
@@ -316,6 +323,19 @@ def _pair_constants(pairs, base: StructureRing) -> tuple[np.ndarray, np.ndarray 
     return np.kron(pattern, base.constants), unit
 
 
+def _peirce_support(pairs, base: StructureRing) -> np.ndarray | None:
+    """The columns a + k*b of the unknowns D[a, b] of the pair ring on ``pairs`` over base
+    whose pair at a is the pair at b or its transpose, in ascending order; None when base
+    has no unit.  Only the count depends on the order of ``pairs``."""
+    if base.unit is None:
+        return None
+    pairs = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+    p, q = np.repeat(pairs, base.rank, axis=0).T
+    # same[b, a]: the pair at a is the pair at b or its transpose.
+    same = ((p[:, None] == p) & (q[:, None] == q)) | ((p[:, None] == q) & (q[:, None] == p))
+    return np.flatnonzero(same)
+
+
 class PairRing(StructureRing):
     """The ring spanned by index pairs over a base ring R (see ``_pair_constants``).
 
@@ -332,6 +352,11 @@ class PairRing(StructureRing):
         suffixes = [""] if base.rank == 1 else [f"*{lab}" for lab in base.labels]
         labels = [f"{name}{suffix}" for name in names for suffix in suffixes]
         super().__init__(base.modulus, c, unit=unit, labels=labels)
+
+    def peirce_support(self) -> np.ndarray | None:
+        """``_peirce_support`` of the pairs over base: the e_p = (p, p; 1_R) are a complete
+        family of orthogonal idempotents."""
+        return _peirce_support(self.pairs, self.base)
 
     def index(self, p: int, q: int, t: int = 0) -> int:
         """The basis index of b_t at the pair (p, q); KeyError if (p, q) is not listed."""

@@ -37,6 +37,34 @@ families are built.  The self-check still evaluates all four identities
 on every generator at every modulus, so a wrong argument here would
 raise ``SelfCheckError`` rather than return a wrong space.
 
+Pair rings over a unital base solve on their Peirce support.  In a pair
+ring (``rings.PairRing``: M_n(R), FI(P, R)) the e_p = (p, p; 1_R) are
+orthogonal idempotents summing to 1, and A is the direct sum of the
+blocks e_p A e_q.  Only the square identity, its polarization
+d(x o y) = d(x) o y + x o d(y) and the triple identity are used below,
+and derivations satisfy all three, so everything holds for Der as well.
+  Normalization.  For d in JDer and an idempotent e, d(e) = d(e)e +
+ed(e), so ed(e)e = 0, and a = d(e)e - ed(e) has ad_a(e) = ae - ea =
+d(e).  If d(f) = 0 for an idempotent f orthogonal to e, polarizing at
+e o f = 0 gives d(e)f + fd(e) = 0, hence ed(e)f = fd(e)e = 0 and af =
+fa = 0: subtracting ad_a keeps d(f) = 0.  Going through the e_p one by
+one, d = ad_a + d0 with d0(e_p) = 0 for every p.
+  Support.  For b in block (p, q) with p != q, e_p o b = b gives d0(b) =
+e_p d0(b) + d0(b) e_p, so d0(b) lies in the blocks with exactly one
+index p; likewise for q, so d0(b) lies in blocks (p, q) and (q, p).  For
+b in block (p, p), d0(b) = d0(e_p b e_p) = e_p d0(b) e_p by the triple
+identity.
+So JDer = ad(A) + JDer_S, where JDer_S is the kernel of the rows
+restricted to the unknowns D[a, b] whose pair at a is the pair at b or
+its transpose (``peirce_support``); the kernel needs no d(e_p) = 0 rows,
+since it lies between the maps of JDer with every d(e_p) = 0 and JDer.
+The transposed blocks (q, p) are kept although a derivation never uses
+them (d0(b) = e_p d0(b) e_q): dropping them would assume the theorem
+under test.  Nothing here assumes it; the self-check runs on every
+generator either way, so a wrong support could only drop maps, which
+the full path, kept as ``compare_spaces``, ``solve_derivations`` and
+``solve_jordan_derivations``, would show.
+
 Row assembly.  Every identity is linear in d, so a row's entry for the
 unknown D[a, b] (column a + k*b) is the identity's residual at the map
 d = E_ab, which sends x to x_b e_a.  At E_ab the term d(x_1...x_n) is the
@@ -52,8 +80,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rings import RingElement, StructureRing
-from .zmodlin import (SelfCheckError, SubgroupBasis, ZmMatrix, einsum_mod, kernel, kernels,
-                      slots_contain, subgroup_equal)
+from .zmodlin import (SelfCheckError, SubgroupBasis, ZmMatrix, _howell_forms, einsum_mod, kernel,
+                      kernels, slots_contain, subgroup_equal)
 
 __all__ = [
     "DERIVATION",
@@ -78,6 +106,8 @@ _KINDS = (DERIVATION, JORDAN)
 # ring over even m (4.25 GiB), the largest solve cross-check took under its former
 # rank budget 32.
 _SOLVE_LIMIT = 570_949_632
+# Most int64 entries of the rows that _constraint_matrices moves at once.
+_MOVE_ENTRIES = 1 << 20
 
 
 class SizeBudgetError(ValueError):
@@ -266,31 +296,61 @@ def check_map(ring: StructureRing, d: AdditiveMap, kind: str) -> CheckResult:
 
 # -- constraint assembly -------------------------------------------------------
 
-def _rule_rows(out: np.ndarray, prod: np.ndarray, tuples) -> None:
-    """Add product-rule residuals at d = E_ab into ``out``, indexed [n, q, r, b, a].
+def _rule_rows(out: np.ndarray, prod: np.ndarray, tuples, columns) -> None:
+    """Add product-rule residuals at d = E_ab into ``out``, indexed [n, q, r, column].
 
     ``prod`` stacks one basis product tensor of arity s per ring:
     prod[n, x_1, ..., x_s] is the coefficient vector of b_{x_1} ... b_{x_s}
     in ring n.  Each entry of ``tuples`` holds s index arrays of length
     N = out.shape[1]; block q gains coefficient r of
-    d(x_1...x_s) - sum_p x_1...d(x_p)...x_s at the q-th tuple.
+    d(x_1...x_s) - sum_p x_1...d(x_p)...x_s at the q-th tuple.  ``columns``
+    is ``_support_columns``': column s of ``out`` is the unknown D[a[s], b[s]].
     """
-    q, diag = np.arange(out.shape[1]), np.arange(out.shape[2])
-    a, rings = diag[:, None], (slice(None),)
+    a, b, groups = columns
+    rings, every = (slice(None),), np.arange(out.shape[1])[:, None]
     for idx in tuples:
-        out[:, :, diag, :, diag] += prod[rings + idx]
+        wide = tuple(x[:, None] for x in idx)
+        # d(x_1...x_s) at E_ab: coefficient b of the product, in row r = a.
+        out[:, :, a, np.arange(len(a))] += prod[rings + wide + (b,)]
         for p, x in enumerate(idx):
-            # prod with factor p replaced by e_a, as (n, a, N, r) -> (N, n, r, a).
-            out[:, q, :, x, :] -= prod[rings + idx[:p] + (a,) + idx[p + 1:]].transpose(2, 0, 3, 1)
+            for member, slot, a_at in groups:
+                # The tuples q whose x_p = b has w columns, at (q, column of (a, b)):
+                # prod with factor p replaced by e_a, as (n, q, w, r) -> (q, w, n, r).
+                if member is None:
+                    q, at, xq = every, wide, x
+                else:
+                    q = np.flatnonzero(member[x])[:, None]
+                    at, xq = tuple(i[q] for i in idx), x[q[:, 0]]
+                out[:, q, :, slot[xq]] -= prod[
+                    rings + at[:p] + (a_at[xq],) + at[p + 1:]].transpose(1, 2, 0, 3)
 
 
-def _constraint_rows(c: np.ndarray, m: int, kind: str) -> np.ndarray:
+def _support_columns(k: int, support):
+    """``_rule_rows``' columns for the unknowns at the ascending columns a + k*b of
+    ``support`` (all k^2 when None): a and b of each column, then, for each number w of
+    columns that one b has, the b's with w columns (a (k,) mask, None for every b) and
+    (k, w) tables of their columns and of the a's there."""
+    cols = np.arange(k * k) if support is None else np.asarray(support)
+    b, a = np.divmod(cols, k) if k else (cols, cols)
+    counts = np.bincount(b, minlength=k)
+    # The columns of one b are one run, since support is ascending.
+    start, groups = np.cumsum(counts) - counts, []
+    for w in sorted(set(counts[counts > 0].tolist())):
+        member = counts == w
+        slot = np.where(member[:, None], start[:, None] + np.arange(w), 0)
+        groups.append((None if member.all() else member, slot, a[slot]))
+    return a, b, groups
+
+
+def _constraint_rows(c: np.ndarray, m: int, kind: str, support=None) -> np.ndarray:
     """Raw constraint rows at d = E_ab (module docstring), D[a, b] at column a + k*b.
 
     ``c`` stacks the structure constants of rings over Z/m, and the result
     is indexed [ring, row, column].  Row order is fixed: product by (i, j);
     square by i; square-pol by (i, j) with i < j; then, over even m only
     (module docstring), triple by (i, j) and triple-pol by (i, l, j) with i < l.
+    With an ascending ``support`` of columns a + k*b, only those columns are
+    evaluated, in that order: the full rows restricted to them.
     """
     k = c.shape[1]
     i, j = np.divmod(np.arange(k * k), k)
@@ -305,37 +365,51 @@ def _constraint_rows(c: np.ndarray, m: int, kind: str) -> np.ndarray:
             triple = einsum_mod("nijs,nslt->nijlt", c, c, m)
             pi, pl, pj = np.repeat(iu, k), np.repeat(lu, k), np.tile(ar, len(iu))
             families += [(triple, [(i, j, i)]), (triple, [(pi, pj, pl), (pl, pj, pi)])]
-    blocks = sum(len(t[0][0]) for _, t in families)
-    out = np.zeros((len(c), blocks, k, k, k), dtype=np.int64)
+    columns = _support_columns(k, support)
+    blocks, width = sum(len(t[0][0]) for _, t in families), len(columns[0])
+    out = np.zeros((len(c), blocks, k, width), dtype=np.int64)
     start = 0
     for prod, tuples in families:
         stop = start + len(tuples[0][0])
-        _rule_rows(out[:, start:stop], prod, tuples)
+        _rule_rows(out[:, start:stop], prod, tuples, columns)
         start = stop
     out %= m
-    return out.reshape(len(c), blocks * k, k * k)
+    return out.reshape(len(c), blocks * k, width)
 
 
-def _check_size(n: int, k: int, m: int, kind: str) -> None:
+def _check_size(n: int, k: int, m: int, kind: str, columns: int | None = None) -> None:
     """Refuse, before allocating, the raw stack of ``kind`` for n rings of rank k over Z/m:
-    n * blocks * k^3 entries, with k^2 blocks for Der, and for Jordan k(k + 1) / 2
-    over odd m and k(k + 1)^2 / 2 over even m."""
+    n * blocks * k * columns entries, with k^2 columns unless a support gives fewer, k^2
+    blocks for Der, and for Jordan k(k + 1) / 2 over odd m and k(k + 1)^2 / 2 over even m."""
     if kind == DERIVATION:
         blocks = k * k
     else:
         blocks = k * (k + 1) // 2 if m % 2 else k * (k + 1) ** 2 // 2
-    entries = n * blocks * k ** 3
+    entries = n * blocks * k * (k * k if columns is None else columns)
     if entries > _SOLVE_LIMIT:
         raise SizeBudgetError(entries, _SOLVE_LIMIT)
 
 
-def _constraint_matrices(c: np.ndarray, m: int, kind: str) -> np.ndarray:
-    """Per ring, the raw rows sorted as byte strings, with every repeat zeroed in place."""
-    rows = _constraint_rows(c, m, kind)
-    if rows.size:
+def _constraint_matrices(c: np.ndarray, m: int, kind: str, support=None) -> np.ndarray:
+    """Per ring, the raw rows with each distinct nonzero row kept once and the rest zeroed,
+    in place."""
+    rows = _constraint_rows(c, m, kind, support)
+    head = rows.shape[1]
+    if len(rows) == 1:
+        # One ring's rows are mostly zero (at rank 21, 11,184 of 106,722 are not).  Move
+        # its nonzero rows to the front in order, a run at a time, and sort only those:
+        # row live[i] goes to i <= live[i], so no run reads a row that an earlier one wrote.
+        live = np.flatnonzero(rows[0].any(axis=1))
+        step, head = max(1, _MOVE_ENTRIES // max(rows.shape[2], 1)), len(live)
+        for start in range(0, head, step):
+            run = live[start:start + step]
+            rows[0, start:start + len(run)] = rows[0, run]
+        rows[0, head:] = 0
+    rows_head = rows[:, :head]
+    if rows_head.size:
         # Sort each ring's C-contiguous rows in place as byte strings; keep each run's first.
-        rows.view(np.dtype((np.void, rows.itemsize * rows.shape[2]))).sort(axis=1)
-    rows[:, 1:][(rows[:, 1:] == rows[:, :-1]).all(axis=2)] = 0
+        rows_head.view(np.dtype((np.void, rows.itemsize * rows.shape[2]))).sort(axis=1)
+    rows_head[:, 1:][(rows_head[:, 1:] == rows_head[:, :-1]).all(axis=2)] = 0
     return rows
 
 
@@ -362,21 +436,32 @@ class DerivationSpace:
         return f"DerivationSpace(kind={self.kind!r}, cardinality={self.cardinality()})"
 
 
-def _solve_all(c: np.ndarray, m: int, kind: str):
+def _solve_all(c: np.ndarray, m: int, kind: str, support=None):
     """The spaces of ``kind`` of the rings of a reduced stack c of structure constants
     over Z/m, self-checked.
 
-    Returns the kernels as (n, k^2, k^2) Howell row slots, as one
-    ``zmodlin.kernels`` call gives them (``SubgroupBasis`` of ring i's
-    slots is its space's basis), the ring and flat vector of every
-    generator, ring by ring and slot by slot, and the product residual P of
-    every generator.  All generators are self-checked by one
-    ``_first_violation`` pass, which reports the first violation in ring,
-    generator and identity order.  No ring object is needed or made.
+    Returns the spaces as (n, k^2, k^2) Howell row slots (``SubgroupBasis``
+    of ring i's slots is its space's basis), the ring and flat vector of
+    every generator, ring by ring and slot by slot, and the product residual
+    P of every generator.  Without a ``support`` the slots are one
+    ``zmodlin.kernels`` call on the full rows.  With the ascending
+    ``peirce_support`` columns that every ring of the stack shares, the
+    kernels are taken of the rows restricted to those columns, and the
+    slots are the Howell form of those kernels, embedded, together with the
+    inner derivations ad(b_i) (module docstring).  All generators are
+    self-checked by one ``_first_violation`` pass, which reports the first
+    violation in ring, generator and identity order.  No ring object is
+    needed or made.
     """
     n, k = c.shape[:2]
-    _check_size(n, k, m, kind)
-    slots = kernels(m, _constraint_matrices(c, m, kind))
+    _check_size(n, k, m, kind, None if support is None else len(support))
+    slots = kernels(m, _constraint_matrices(c, m, kind, support))
+    if support is not None:
+        union = np.zeros((n, k + len(support), k * k), dtype=np.int64)
+        # ad(b_i) sends b_b to b_i b_b - b_b b_i: entry [n, i, b, a] at column a + k*b.
+        union[:, :k] = ((c - c.transpose(0, 2, 1, 3)) % m).reshape(n, k, k * k)
+        union[:, k:, support] = slots
+        slots = _howell_forms(union, m)
     owner, slot = np.nonzero(slots.any(axis=2))
     flat = slots[owner, slot]
     # Row g of D is generator g laid out column by column (AdditiveMap.from_flat).
@@ -454,7 +539,7 @@ def compare_spaces(ring: StructureRing) -> SpaceComparison:
     return _compare(solve_derivations(ring), solve_jordan_derivations(ring))
 
 
-def _compare_stack(c: np.ndarray, m: int):
+def _compare_stack(c: np.ndarray, m: int, support=None):
     """Decide Der = JDer for every ring of a reduced stack c of structure constants over Z/m.
 
     JDer is solved for the whole stack first (``_solve_all``).  A generator
@@ -464,15 +549,16 @@ def _compare_stack(c: np.ndarray, m: int):
     stacked call, only for the other rings, and one stacked Howell
     membership test checks that each Der contains every JDer generator
     before the first one with P != 0, the witness, and not the witness.
+    Both solves take ``support``, which all the rings share (``_solve_all``).
     Returns the JDer slots, the indices of the rings with Der != JDer, the
     flat vectors of their witnesses and their Der slots.
     """
-    jder, owner, flat, P = _solve_all(c, m, JORDAN)
+    jder, owner, flat, P = _solve_all(c, m, JORDAN, support)
     bad = np.flatnonzero(P.any(axis=(1, 2, 3)))
     # owner is sorted, so the first bad generator of each ring starts a run of owner[bad].
     first = bad[np.flatnonzero(np.diff(owner[bad], prepend=-1))]
     proper = owner[first]
-    der = _solve_all(c[proper], m, DERIVATION)[0] if len(proper) else jder[:0]
+    der = _solve_all(c[proper], m, DERIVATION, support)[0] if len(proper) else jder[:0]
     # Every generator of a ring in ``proper`` up to its witness, and that ring's Der slots.
     witness_of, der_of = np.full(len(c), -1), np.zeros(len(c), dtype=np.intp)
     witness_of[proper], der_of[proper] = first, np.arange(len(proper))
@@ -488,16 +574,22 @@ def compare_all(rings) -> list:
 
     The decision is ``_compare_stack``'s, on the stacked structure
     constants: one kernel solve for JDer and one for the rings with
-    Der != JDer, each stacked unless it has one ring.  This adds the
-    spaces, witnesses and comparisons as objects.  ``rings`` may be any iterable.
+    Der != JDer, each stacked unless it has one ring.  When every ring has
+    the same ``peirce_support`` (pair rings of one pair layout over unital
+    bases), the solves are restricted to it.  This adds the spaces,
+    witnesses and comparisons as objects.  ``rings`` may be any iterable.
     """
     rings = list(rings)
     if len({(ring.modulus, ring.rank) for ring in rings}) > 1:
         raise ValueError("a batch needs rings of one modulus and rank")
     if not rings:
         return []
-    m = rings[0].modulus
-    jder, proper, witnesses, der = _compare_stack(np.stack([ring.constants for ring in rings]), m)
+    m, support = rings[0].modulus, rings[0].peirce_support()
+    if support is not None and not all(
+            np.array_equal(ring.peirce_support(), support) for ring in rings[1:]):
+        support = None
+    jder, proper, witnesses, der = _compare_stack(
+        np.stack([ring.constants for ring in rings]), m, support)
     found = dict(zip(proper.tolist(), zip(witnesses, der)))
     out = []
     for n, ring in enumerate(rings):

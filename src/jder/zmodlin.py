@@ -53,6 +53,22 @@ def _validate_modulus(m: int) -> None:
         raise ValueError(f"modulus must be an integer in [2, 2^31], got {m!r}")
 
 
+def _integer(e) -> int:
+    """A Python or numpy integer as an int; ValueError naming anything else (2.5, 2.0, "2")."""
+    if isinstance(e, (int, np.integer)):
+        return int(e)
+    raise ValueError(f"entries must be integers, got {e!r}")
+
+
+def _int64_array(values) -> np.ndarray:
+    """``values`` as an int64 array; ValueError naming its first entry that is not an integer."""
+    a = np.asarray(values)
+    if a.dtype.kind not in "iub":
+        for e in a.ravel().tolist():
+            _integer(e)
+    return a.astype(np.int64, copy=False)
+
+
 def einsum_mod(spec: str, a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
     """``np.einsum(spec, a, b) % m``, exact for every modulus up to 2^31.
 
@@ -84,7 +100,7 @@ class ZmMatrix:
 
     def __init__(self, modulus: int, rows) -> None:
         _validate_modulus(modulus)
-        reduced = [[int(e) % modulus for e in row] for row in rows]
+        reduced = [[_integer(e) % modulus for e in row] for row in rows]
         if len({len(row) for row in reduced}) > 1:
             raise ValueError("matrix rows must all have the same length")
         shape = (len(reduced), len(reduced[0]) if reduced else 0)
@@ -101,7 +117,7 @@ class ZmMatrix:
     @classmethod
     def from_array(cls, modulus: int, arr) -> "ZmMatrix":
         _validate_modulus(modulus)
-        a = np.asarray(arr, dtype=np.int64)
+        a = _int64_array(arr)
         if a.ndim != 2:
             raise ValueError("expected a 2-d array")
         out = cls.__new__(cls)
@@ -192,7 +208,7 @@ class SubgroupBasis:
 
     def coordinates(self, v) -> tuple[int, ...] | None:
         """Coefficients expressing v over the generators, or None if v is outside."""
-        cur = np.asarray(v, dtype=np.int64)
+        cur = _int64_array(v)
         if cur.shape != (self.dim,):
             raise DimensionMismatch(
                 f"dimension mismatch: basis ambient {self.dim}, vector shape {cur.shape}"
@@ -355,13 +371,23 @@ def _basis(m: int, slots: np.ndarray) -> SubgroupBasis:
     return SubgroupBasis(matrix)
 
 
+def _howell_forms(stack: np.ndarray, m: int) -> np.ndarray:
+    """The Howell forms of the row spans of an (n, r, C) stack reduced to [0, m), as
+    (n, C, C) row slots: ``_howell_rows``' worklist for a stack of one, else
+    ``_howell_stack``, then ``_reduce_above_pivots``."""
+    n, _, cols = stack.shape
+    if n == 1:
+        slots = np.zeros((1, cols, cols), dtype=np.int64)
+        for j, row in _howell_rows(stack[0], m).items():
+            slots[0, j] = row
+    else:
+        slots = _howell_stack(stack, m)
+    return _reduce_above_pivots(slots, m)
+
+
 def howell_form(matrix: ZmMatrix) -> SubgroupBasis:
     """Canonical basis of the row span of ``matrix`` over Z/m."""
-    m, dim = matrix.modulus, matrix.ncols
-    slots = np.zeros((1, dim, dim), dtype=np.int64)
-    for j, row in _howell_rows(matrix.as_array(), m).items():
-        slots[0, j] = row
-    return _basis(m, _reduce_above_pivots(slots, m)[0])
+    return _basis(matrix.modulus, _howell_forms(matrix.as_array()[None], matrix.modulus)[0])
 
 
 def kernel(matrix: ZmMatrix) -> SubgroupBasis:

@@ -344,11 +344,12 @@ class TestCrossCheck:
 
     def test_solver_limit_refusal_names_required_entries(self, monkeypatch):
         monkeypatch.setattr(analysis, "fi_ring", None)  # refused before FI(P, R) is built
-        monkeypatch.setattr(solver, "_SOLVE_LIMIT", 10 ** 6)
-        # FI(chain3, R) over dual numbers has rank 12: 12 * 13^2 / 2 blocks of 12^3.
+        monkeypatch.setattr(solver, "_SOLVE_LIMIT", 10 ** 5)
+        # FI(chain3, R) over dual numbers has rank 12: 12 * 13^2 / 2 blocks of 12 rows, on
+        # its Peirce support of 6 pairs x 2^2 columns.
         with pytest.raises(SizeBudgetError) as exc:
             cross_check(chain(3), dual_numbers(2))
-        assert (exc.value.entries, exc.value.limit) == (1014 * 1728, 10 ** 6)
+        assert (exc.value.entries, exc.value.limit) == (1014 * 12 * 24, 10 ** 5)
 
 
 class TestIdentitySuite:

@@ -64,6 +64,28 @@ def test_contains_reduces_and_checks_length():
             basis.contains(wrong)
 
 
+@pytest.mark.parametrize("call, value", [
+    (lambda: dual_numbers(4).element([1.7, 0]), "1.7"),
+    (lambda: ZmMatrix(4, ((2.5, 1),)), "2.5"),
+    (lambda: ZmMatrix(4, (("3", 1),)), "'3'"),
+    (lambda: ZmMatrix.from_array(4, np.array([[1.5, 2]])), "1.5"),
+    (lambda: howell_form(ZmMatrix(4, ((2, 1),))).contains((2.9, 1.2)), "2.9"),
+    (lambda: howell_form(ZmMatrix(4, ((2, 1),))).coordinates(np.array([2.0, 1.0])), "2.0"),
+], ids=["element", "matrix", "matrix-string", "from-array", "contains", "coordinates"])
+def test_non_integer_entries_are_refused(call, value):
+    with pytest.raises(ValueError, match=f"^entries must be integers, got {re.escape(value)}$"):
+        call()
+
+
+def test_integer_entries_of_every_kind_are_accepted():
+    assert dual_numbers(4).element([np.int32(5), True]).coeffs == (1, 1)
+    assert ZmMatrix(4, ((2 ** 70 + 1, np.uint8(3)),)).rows == ((1, 3),)
+    assert ZmMatrix.from_array(4, np.array([[5, 6]], dtype=np.int16)).rows == ((1, 2),)
+    # An empty array has no entry to refuse, whatever its dtype.
+    assert ZmMatrix.from_array(4, np.zeros((0, 2))).rows == ()
+    assert howell_form(ZmMatrix(4, ((2, 1),))).contains(np.array([6, 7], dtype=np.uint16))
+
+
 def test_every_export_resolves():
     for name in jder.__all__:
         assert hasattr(jder, name), name

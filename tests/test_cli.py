@@ -807,25 +807,25 @@ def refuse_assembly(monkeypatch):
 
 
 # FI(chain3, Z/2) has rank 6: its raw Der stack holds 6^2 * 6^3 = 7776 entries
-# and its raw Jordan stack 6 * 7^2 / 2 * 6^3 = 31752.
+# and its raw Jordan stack 6 * 7^2 / 2 * 6^3 = 31752.  On its Peirce support of
+# 6 columns, which identities, dprime-check and cross-check solve on, the Jordan
+# stack holds 6 * 7^2 / 2 * 6 * 6 = 5292.
 @pytest.mark.parametrize("command, entries", [
     ("compare", 31752), ("solve-der", 7776), ("solve-jder", 31752),
-    ("identities", 31752), ("dprime-check", 31752), ("cross-check", 31752)])
+    ("identities", 5292), ("dprime-check", 5292), ("cross-check", 5292)])
 def test_main_solver_limit_exit_code(tmp_path, capsys, monkeypatch, command, entries):
     refuse_assembly(monkeypatch)
-    monkeypatch.setattr(solver, "_SOLVE_LIMIT", 7775)
+    monkeypatch.setattr(solver, "_SOLVE_LIMIT", 5291)
     assert main([command, "--input", write(tmp_path, CHAIN_INSTANCE)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        f"error: the solve needs {entries} raw constraint entries, over the solver limit 7775\n")
+        f"error: the solve needs {entries} raw constraint entries, over the solver limit 5291\n")
 
 
 @pytest.mark.parametrize("command, labels, pairs, entries", [
     # FI(chain8, Z/2), rank 36: an 8.6 GiB raw Jordan stack.
-    ("compare", "a b c d e f g h", "a<=b b<=c c<=d d<=e e<=f f<=g g<=h", 1149697152),
-    # 33 isolated points over Z/2: rank 33, one over the rank-32 stack of the limit.
-    ("cross-check", " ".join(f"p{i}" for i in range(33)), "", 33 * 34 ** 2 // 2 * 33 ** 3)])
+    ("compare", "a b c d e f g h", "a<=b b<=c c<=d d<=e e<=f f<=g g<=h", 1149697152)])
 def test_main_refuses_stacks_over_the_solver_limit(tmp_path, capsys, monkeypatch, command,
                                                    labels, pairs, entries):
     refuse_assembly(monkeypatch)
@@ -834,6 +834,29 @@ def test_main_refuses_stacks_over_the_solver_limit(tmp_path, capsys, monkeypatch
     assert main([command, "--input", write(tmp_path, text)]) == 2
     assert capsys.readouterr().err == (
         f"error: the solve needs {entries} raw constraint entries, "
+        "over the solver limit 570949632\n")
+
+
+# Z/2 x Z/2 x Z/2, a unital rank-3 base.
+_RANK3_BASE = ("kind = constants\nmodulus = 2\nrank = 3\nunit = 1 1 1\n"
+               "constants =\n  0 0 : 1 0 0\n  1 1 : 0 1 0\n  2 2 : 0 0 1\n")
+
+
+@pytest.mark.parametrize("command", ["identities", "dprime-check", "cross-check"])
+def test_main_refuses_rank48_peirce_stacks_over_the_solver_limit(tmp_path, capsys, monkeypatch,
+                                                                  command):
+    # M_4 over the rank-3 base, and FI of a 4-cycle over it, have rank 48.  Their Peirce
+    # support has 4 * 3 * 3 + 12 * 3 * 6 = 252 of the 48^2 columns, so the restricted Jordan
+    # stack holds 48 * 49^2 / 2 * 48 * 252 entries, over the limit.
+    refuse_assembly(monkeypatch)
+    if command == "cross-check":
+        text = (_HEAD + "[preorder]\nlabels = a b c d\npairs = a<=b b<=c c<=d d<=a\n"
+                "[ring]\n" + _RANK3_BASE)
+    else:
+        text = _HEAD + "[ring]\nkind = matrix\nsize = 4\n[ring.base]\n" + _RANK3_BASE
+    assert main([command, "--input", write(tmp_path, text)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: the solve needs {48 * 49 ** 2 // 2 * 48 * 252} raw constraint entries, "
         "over the solver limit 570949632\n")
 
 

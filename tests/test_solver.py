@@ -15,7 +15,7 @@ from jder import solver, zmodlin
 from jder.cli import _search_batches, main
 from jder.incidence import fi_ring
 from jder.preorders import Preorder
-from jder.rings import (build_ring, dual_numbers, matrix_ring, regular_bimodule,
+from jder.rings import (PairRing, build_ring, dual_numbers, matrix_ring, regular_bimodule,
                         triangular_ring, zmod)
 from jder.solver import (
     DERIVATION,
@@ -251,6 +251,33 @@ class TestSizeLimit:
         monkeypatch.setattr(solver, "_SOLVE_LIMIT", 242)
         with pytest.raises(SizeBudgetError, match="needs 243 raw"):
             solve_derivations(ring)
+
+
+class TestPeirceSizeLimit:
+    """The restricted stack is priced at what it allocates: rows x support columns."""
+
+    @pytest.mark.parametrize("kind", [DERIVATION, JORDAN])
+    def test_price_is_the_allocated_restricted_stack(self, monkeypatch, kind):
+        monkeypatch.setattr(solver, "_SOLVE_LIMIT", 0)
+        for ring in (matrix_ring(zmod(4), 2), matrix_ring(zmod(3), 2),
+                     fi_ring(Preorder.from_pairs("abc", [("a", "b"), ("b", "c")]), dual_numbers(2))):
+            c, m, support = ring.constants[None], ring.modulus, ring.peirce_support()
+            allocated = _constraint_rows(c, m, kind, support)
+            assert allocated.shape[2] == len(support) < ring.rank ** 2
+            with pytest.raises(SizeBudgetError) as exc:
+                solver._solve_all(c, m, kind, support)
+            assert exc.value.entries == allocated.size
+
+    def test_rank48_matrix_ring_is_refused_before_assembly(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("constraint rows were assembled before the size check")
+
+        monkeypatch.setattr(solver, "_constraint_matrices", refuse)
+        ring = matrix_ring(r3(), 4)
+        assert (ring.rank, len(ring.peirce_support())) == (48, 252)
+        with pytest.raises(SizeBudgetError, match="needs 697019904 raw constraint entries, "
+                                                  "over the solver limit 570949632"):
+            compare_all([ring])
 
 
 class TestInnerDerivation:
@@ -1117,3 +1144,118 @@ class TestParityGate:
 def test_foreign_inputs_are_refused(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+def peirce_support_by_definition(ring):
+    """The columns a + k*b with the pair at a equal to the pair at b or its transpose, one
+    pair of basis indices at a time."""
+    k, pair = ring.rank, lambda i: ring.pairs[i // ring.base.rank]
+    return sorted(a + k * b for a in range(k) for b in range(k)
+                  if pair(a) in (pair(b), pair(b)[::-1]))
+
+
+def two_cycle_plus_point():
+    return Preorder.from_pairs("abc", [("a", "b"), ("b", "a")])
+
+
+PEIRCE_RINGS = {
+    "M2(Z/4)": lambda: matrix_ring(zmod(4), 2),
+    "M2(R3)": lambda: matrix_ring(r3(), 2),
+    "M2(Z/6)": lambda: matrix_ring(zmod(6), 2),
+    "FI(a<=b + c, R3)": lambda: fi_ring(Preorder.from_pairs("abc", [("a", "b")]), r3()),
+    "FI(chain3, Z/4)": lambda: fi_ring(Preorder.from_pairs("abc", [("a", "b"), ("b", "c")]),
+                                       zmod(4)),
+    "FI(2-cycle + c, dual(2))": lambda: fi_ring(two_cycle_plus_point(), dual_numbers(2)),
+    "FI(a + b<=c, dual(4))": lambda: fi_ring(Preorder.from_pairs("abc", [("b", "c")]),
+                                             dual_numbers(4)),
+    "FI(empty, Z/4)": lambda: fi_ring(Preorder.from_pairs("", []), zmod(4)),
+}
+
+
+def assert_peirce_path_matches_full_path(ring):
+    """Both kinds of ``_solve_all`` on the Peirce support against the full rows, slots,
+    owners, generators and residuals byte for byte, and compare_all against compare_spaces."""
+    c, m, support = ring.constants[None], ring.modulus, ring.peirce_support()
+    assert support is not None
+    for kind in (DERIVATION, JORDAN):
+        for got, want in zip(solver._solve_all(c, m, kind, support), solver._solve_all(c, m, kind),
+                             strict=True):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+    assert_batch_matches_one_ring_at_a_time([ring])
+
+
+class TestPeirceSupport:
+    @pytest.mark.parametrize("name", PEIRCE_RINGS)
+    def test_support_is_each_pair_and_its_transpose(self, name):
+        ring = PEIRCE_RINGS[name]()
+        assert ring.peirce_support().tolist() == peirce_support_by_definition(ring)
+
+    def test_support_needs_a_pair_ring_over_a_unital_base(self):
+        assert matrix_ring(build_ring(2, [[[0]]]), 2).peirce_support() is None
+        assert r3().peirce_support() is None
+        assert t2(4).peirce_support() is None
+        assert compare_all([matrix_ring(build_ring(2, [[[0]]]), 2)])[0].equal
+
+    @pytest.mark.parametrize("name", PEIRCE_RINGS)
+    def test_peirce_path_matches_the_full_path(self, name):
+        assert_peirce_path_matches_full_path(PEIRCE_RINGS[name]())
+
+    @pytest.mark.parametrize("kind", [DERIVATION, JORDAN])
+    @pytest.mark.parametrize("m", [4, 5])
+    def test_restricted_rows_are_the_full_rows_at_the_support(self, kind, m):
+        # Any ascending support, not only a Peirce one: a random subset of the columns of
+        # stacked search tables, so one b may have any number of columns, or none.
+        rng = random.Random(m)
+        tables = search_table_pools()[m, 2][:64]
+        full = _constraint_rows(tables, m, kind)
+        for _ in range(8):
+            support = np.array(sorted(rng.sample(range(4), rng.randrange(5))), dtype=np.intp)
+            got = _constraint_rows(tables, m, kind, support)
+            assert np.array_equal(got, full[:, :, support])
+
+    def test_compare_all_restricts_only_to_a_support_every_ring_has(self, monkeypatch):
+        stacks = spy(monkeypatch, "_compare_stack")
+        chain3 = Preorder.from_pairs("abc", [("a", "b"), ("b", "c")])
+        same = [fi_ring(chain3, zmod(4)), fi_ring(chain3, build_ring(4, [[[3]]], unit=(3,)))]
+        two_layouts = [fi_ring(Preorder.from_pairs("ab", [("a", "b"), ("b", "a")]), zmod(4)),
+                       fi_ring(Preorder.from_pairs("abc", [("a", "b")]), zmod(4))]
+        plain = [matrix_ring(zmod(4), 2), build_ring(4, matrix_ring(zmod(4), 2).constants)]
+        for batch in (same, two_layouts, plain):
+            assert_batch_matches_one_ring_at_a_time(batch)
+        assert stacks[0][2].tolist() == peirce_support_by_definition(same[0])
+        assert stacks[1][2] is None and stacks[2][2] is None
+
+    def test_cli_identities_solves_on_the_support(self, monkeypatch, tmp_path):
+        calls = spy(monkeypatch, "_solve_all")
+        monkeypatch.setattr("jder.cli._solve_all", solver._solve_all)
+        path = tmp_path / "inst.ini"
+        path.write_text("[instance]\nformat_version = 1\n[preorder]\nlabels = a b c\n"
+                        "pairs = b<=c\n[ring]\nkind = zmod\nmodulus = 4\n", encoding="utf-8")
+        for command in ("identities", "dprime-check"):
+            assert main([command, "--input", str(path), "--out", str(tmp_path / "out.json")]) == 0
+        assert [args[3].tolist() for args in calls] == [[0, 5, 10, 15]] * 2
+
+
+@st.composite
+def peirce_rings(draw):
+    """M_2 or FI(P, R) on a preorder of at most 4 points, over Z/4, dual_numbers(2), R3 or
+    Z/6, of rank at most 12."""
+    base = draw(st.sampled_from([zmod(4), dual_numbers(2), r3(), zmod(6)]), label="base")
+    if draw(st.booleans(), label="M_2"):
+        return matrix_ring(base, 2)
+    n = draw(st.integers(1, 4), label="points")
+    labels = "abcd"[:n]
+    off_diagonal = [(x, y) for x in labels for y in labels if x != y]
+    relation = draw(st.lists(st.sampled_from(off_diagonal), unique=True) if off_diagonal
+                    else st.just([]), label="pairs")
+    preorder = Preorder.from_pairs(labels, relation)
+    assume(len(preorder.comparable_pairs()) * base.rank <= 12)
+    return fi_ring(preorder, base)
+
+
+class TestPeircePathProperty:
+    @settings(max_examples=80, deadline=None)
+    @given(peirce_rings())
+    def test_peirce_path_matches_the_full_path(self, ring):
+        assert_peirce_path_matches_full_path(ring)
