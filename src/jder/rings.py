@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .zmodlin import ZmMatrix, _int64_array, _reduce, _validate_modulus, einsum_mod, howell_form
+from .zmodlin import ZmMatrix, _int64_array, _integer, _reduce, _validate_modulus, einsum_mod, howell_form
 
 __all__ = [
     "RingConstructionError",
@@ -97,7 +97,7 @@ class StructureRing:
 
     def __init__(self, modulus, constants, unit=None, labels=None):
         _validate_modulus(modulus)
-        c = np.asarray(constants, dtype=np.int64)
+        c = _int64_array(constants)
         if c.ndim != 3 or not (c.shape[0] == c.shape[1] == c.shape[2]):
             raise RingConstructionError(
                 f"structure constants must have shape (k, k, k), got {c.shape}"
@@ -113,7 +113,7 @@ class StructureRing:
             raise RingConstructionError("one label per basis element is required")
         self.labels = labels
         self.unit = None if unit is None else tuple(
-            int(u) % self.modulus for u in unit
+            _integer(u) % self.modulus for u in unit
         )
         if self.unit is not None and len(self.unit) != self.rank:
             raise RingConstructionError("unit vector length must equal the rank")
@@ -461,8 +461,8 @@ class Bimodule:
         if self.left.modulus != self.right.modulus:
             raise RingConstructionError("bimodule sides must share the modulus")
         m = self.left.modulus
-        la = np.asarray(self.left_action, dtype=np.int64) % m
-        ra = np.asarray(self.right_action, dtype=np.int64) % m
+        la = _int64_array(self.left_action) % m
+        ra = _int64_array(self.right_action) % m
         if la.shape != (self.left.rank, self.rank, self.rank):
             raise RingConstructionError(
                 f"left action must have shape (k_A, k_M, k_M) = "

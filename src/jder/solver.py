@@ -80,8 +80,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rings import RingElement, StructureRing
-from .zmodlin import (SelfCheckError, SubgroupBasis, ZmMatrix, _howell_forms, einsum_mod, kernel,
-                      kernels, slots_contain, subgroup_equal)
+from .zmodlin import (SelfCheckError, SubgroupBasis, ZmMatrix, _howell_forms, _int64_array, einsum_mod,
+                      kernel, kernels, slots_contain, subgroup_equal)
 
 __all__ = [
     "DERIVATION",
@@ -132,7 +132,7 @@ class AdditiveMap:
 
     def __post_init__(self):
         k = self.ring.rank
-        a = np.asarray(self.matrix, dtype=np.int64) % self.ring.modulus
+        a = _int64_array(self.matrix) % self.ring.modulus
         if a.shape != (k, k):
             raise ValueError(f"additive map on a rank-{k} ring needs a {k}x{k} matrix")
         a.setflags(write=False)
@@ -394,17 +394,15 @@ def _constraint_matrices(c: np.ndarray, m: int, kind: str, support=None) -> np.n
     """Per ring, the raw rows with each distinct nonzero row kept once and the rest zeroed,
     in place."""
     rows = _constraint_rows(c, m, kind, support)
-    head = rows.shape[1]
-    if len(rows) == 1:
-        # One ring's rows are mostly zero (at rank 21, 11,184 of 106,722 are not).  Move
-        # its nonzero rows to the front in order, a run at a time, and sort only those:
-        # row live[i] goes to i <= live[i], so no run reads a row that an earlier one wrote.
-        live = np.flatnonzero(rows[0].any(axis=1))
-        step, head = max(1, _MOVE_ENTRIES // max(rows.shape[2], 1)), len(live)
-        for start in range(0, head, step):
-            run = live[start:start + step]
-            rows[0, start:start + len(run)] = rows[0, run]
-        rows[0, head:] = 0
+    # Most rows are zero in every ring (at rank 21, 11,184 of 106,722 are not).  Move the
+    # others to the front in order, a run at a time, and sort only those: row live[i]
+    # goes to i <= live[i], so no run reads a row that an earlier one wrote.
+    live = np.flatnonzero(rows.any(axis=(0, 2)))
+    step, head = max(1, _MOVE_ENTRIES // max(len(rows) * rows.shape[2], 1)), len(live)
+    for start in range(0, head, step):
+        run = live[start:start + step]
+        rows[:, start:start + len(run)] = rows[:, run]
+    rows[:, head:] = 0
     rows_head = rows[:, :head]
     if rows_head.size:
         # Sort each ring's C-contiguous rows in place as byte strings; keep each run's first.

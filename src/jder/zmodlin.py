@@ -310,11 +310,10 @@ def _howell_rows(arr: np.ndarray, m: int) -> dict[int, np.ndarray]:
     return basis
 
 
-def _howell_stack(stack: np.ndarray, m: int) -> np.ndarray:
-    """Echelon forms with the Howell property of an (n, r, C) int64 stack reduced to [0, m).
+def _howell_stack(stack: np.ndarray, m: int, first: int) -> np.ndarray:
+    """Echelon forms with the Howell property of an (n, r, C) int64 stack reduced to [0, m),
+    as ``_echelon`` returns them.
 
-    Row j of each (C, C) result holds the row with pivot column j, or zeros;
-    entries above the pivots are left as they fall, as in ``_howell_rows``.
     Column by column, in lockstep (Storjohann and Mulders): Euclid across
     rows, by subtracting multiples of each matrix's row with the smallest
     nonzero entry, leaves one nonzero entry per matrix; that row is
@@ -323,7 +322,7 @@ def _howell_stack(stack: np.ndarray, m: int) -> np.ndarray:
     Every product is of two residues, so it is exact.
     """
     n, _, cols = stack.shape
-    out = np.zeros((n, cols, cols), dtype=np.int64)
+    out = np.zeros((n, cols - first, cols - first), dtype=np.int64)
     work = stack[:, stack.any(axis=(0, 2))]  # a copy: the caller's stack is kept
     for j in range(cols if work.shape[1] else 0):
         col = work[:, :, j]
@@ -344,9 +343,35 @@ def _howell_stack(stack: np.ndarray, m: int) -> np.ndarray:
         # One _unit_for per distinct entry; np.unique would import numpy.ma.
         units = {a: _unit_for(a, m) for a in set(entries)}
         row = work[mi, ri] * np.array([units[a] for a in entries], dtype=np.int64)[:, None] % m
-        out[mi, j] = row
+        if j >= first:
+            out[mi, j - first] = row[:, first:]
         work[mi, ri] = row * (m // row[:, j])[:, None] % m
     return out
+
+
+def _echelon(stack: np.ndarray, m: int, first: int = 0) -> np.ndarray:
+    """Echelon forms with the Howell property of the row spans of an (n, r, C) stack
+    reduced to [0, m), from column ``first`` on, as (n, C - first, C - first) row slots.
+
+    Slot j - first of matrix i holds columns first.. of its row with pivot
+    column j, or zeros; entries above the pivots are left as they fall
+    (``_reduce_above_pivots``).  By the Howell property these slots span
+    exactly the vectors of the row span that vanish on the first ``first``
+    columns.  This is the one place that picks the elimination: a stack of
+    exactly one takes ``_howell_rows``' worklist, 2 to 3 times faster on one
+    matrix; any other stack, empty ones too, ``_howell_stack``'s lockstep,
+    whose cost is a few numpy steps per column and Euclid round however many
+    matrices it holds.
+    """
+    n, _, cols = stack.shape
+    if n != 1:
+        return _howell_stack(stack, m, first)
+    # Only the slots from ``first`` on: all C of them would cost (r + N)^2 for a kernel.
+    slots = np.zeros((1, cols - first, cols - first), dtype=np.int64)
+    for j, row in _howell_rows(stack[0], m).items():
+        if j >= first:
+            slots[0, j - first] = row[first:]
+    return slots
 
 
 def _reduce_above_pivots(slots: np.ndarray, m: int) -> np.ndarray:
@@ -373,16 +398,8 @@ def _basis(m: int, slots: np.ndarray) -> SubgroupBasis:
 
 def _howell_forms(stack: np.ndarray, m: int) -> np.ndarray:
     """The Howell forms of the row spans of an (n, r, C) stack reduced to [0, m), as
-    (n, C, C) row slots: ``_howell_rows``' worklist for a stack of one, else
-    ``_howell_stack``, then ``_reduce_above_pivots``."""
-    n, _, cols = stack.shape
-    if n == 1:
-        slots = np.zeros((1, cols, cols), dtype=np.int64)
-        for j, row in _howell_rows(stack[0], m).items():
-            slots[0, j] = row
-    else:
-        slots = _howell_stack(stack, m)
-    return _reduce_above_pivots(slots, m)
+    (n, C, C) row slots: ``_echelon``, then ``_reduce_above_pivots``."""
+    return _reduce_above_pivots(_echelon(stack, m), m)
 
 
 def howell_form(matrix: ZmMatrix) -> SubgroupBasis:
@@ -400,36 +417,23 @@ def kernels(modulus: int, stack) -> np.ndarray:
 
     Returns an (n, N, N) int64 array: row j of matrix i is the Howell row of
     the i-th kernel with pivot column j, or zeros, so ``SubgroupBasis`` of
-    matrix i is that kernel's canonical basis.  The row span of [M^T | I]
-    consists of all pairs (x M^T | x).  In an echelon form of it with the
-    Howell property, the rows whose left block vanishes are the rows with
-    pivots past that block, so they generate exactly the kernel of M, and
-    one ``_reduce_above_pivots`` pass makes their right blocks its Howell form.
-    A stack of one takes ``_howell_rows``' worklist on [M^T | I] of its
-    nonzero rows.  Larger stacks are eliminated in lockstep by
-    ``_howell_stack``: first to echelon forms H, whose kernels are theirs,
-    then [H^T | I], so the second pass has 2N columns whatever r is.  Per
-    call it costs a few numpy steps per column and Euclid round, so it pays
-    on many small matrices; on one large sparse matrix the worklist is
-    faster.  One stacked multiplication re-checks every generator.
+    matrix i is that kernel's canonical basis.  The rows zero in every
+    matrix are dropped, leaving r' rows.  The row span of [M^T | I] consists
+    of all pairs (x M^T | x).  In an echelon form of it with the Howell
+    property, the rows whose left block vanishes are the rows with pivots
+    past that block, so one ``_echelon`` pass from column r' on gives
+    generators of exactly the kernel of M, and one ``_reduce_above_pivots``
+    pass makes them its Howell form.  One stacked multiplication re-checks
+    every generator.
     """
     _validate_modulus(modulus)
-    m, stack = modulus, np.asarray(stack, dtype=np.int64)
+    m, stack = modulus, _int64_array(stack)
     n, _, ncols = stack.shape
-    eye = np.eye(ncols, dtype=np.int64)
-    if n == 1:
-        live = stack[0].any(axis=1)
-        # Copies of kernel's rows, or slots allocated after the worklist, cost peak RSS.
-        stack = stack if live.all() else stack[:, live]
-        r = stack.shape[1]
-        gens = np.zeros((1, ncols, ncols), dtype=np.int64)
-        for j, row in _howell_rows(np.concatenate([stack[0].T, eye], axis=1), m).items():
-            if j >= r:
-                gens[0, j - r] = row[r:]
-    else:
-        howell = _howell_stack(stack, m).transpose(0, 2, 1)
-        gens = _howell_stack(np.concatenate([howell, np.broadcast_to(eye, (n, ncols, ncols))],
-                                            axis=2), m)[:, ncols:, ncols:]
+    live = stack.any(axis=(0, 2))
+    # A copy of kernel's rows costs peak RSS, so a stack whose rows are all live is kept.
+    stack = stack if live.all() else stack[:, live]
+    eye = np.broadcast_to(np.eye(ncols, dtype=np.int64), (n, ncols, ncols))
+    gens = _echelon(np.concatenate([stack.transpose(0, 2, 1), eye], axis=2), m, stack.shape[1])
     _reduce_above_pivots(gens, m)
     if einsum_mod("nij,nkj->nik", stack, gens[:, gens.any(axis=(0, 2))], m).any():
         raise SelfCheckError("kernel generator failed re-multiplication check")
@@ -444,7 +448,7 @@ def _reduce(m: int, slots: np.ndarray, vectors) -> tuple[np.ndarray, np.ndarray]
     span exactly when its residual is zero, and then q[i, j] is its
     coefficient on slot j wherever slot j is filled.
     """
-    cur = np.asarray(vectors, dtype=np.int64) % m
+    cur = _int64_array(vectors) % m
     q = np.zeros_like(cur)
     pivots = slots.diagonal(axis1=1, axis2=2)
     for j in np.flatnonzero(pivots.any(axis=0)):

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 import jder
-from jder.rings import dual_numbers
+from jder.rings import Bimodule, build_ring, dual_numbers, zmod
 from jder.solver import AdditiveMap, solve_jordan_derivations
-from jder.zmodlin import DimensionMismatch, ZmMatrix, howell_form
+from jder.zmodlin import DimensionMismatch, ZmMatrix, howell_form, slots_contain
 
 
 def _values():
@@ -71,7 +71,15 @@ def test_contains_reduces_and_checks_length():
     (lambda: ZmMatrix.from_array(4, np.array([[1.5, 2]])), "1.5"),
     (lambda: howell_form(ZmMatrix(4, ((2, 1),))).contains((2.9, 1.2)), "2.9"),
     (lambda: howell_form(ZmMatrix(4, ((2, 1),))).coordinates(np.array([2.0, 1.0])), "2.0"),
-], ids=["element", "matrix", "matrix-string", "from-array", "contains", "coordinates"])
+    (lambda: build_ring(4, [[[1.5]]]), "1.5"),
+    (lambda: build_ring(4, [[[1]]], unit=(1.7,)), "1.7"),
+    (lambda: AdditiveMap(zmod(4), [[2.9]]), "2.9"),
+    (lambda: AdditiveMap.from_array(zmod(4), [[1.5]]), "1.5"),
+    (lambda: AdditiveMap.from_flat(zmod(4), [1.2]), "1.2"),
+    (lambda: Bimodule(zmod(4), zmod(4), 1, [[[1.5]]], [[[1]]]), "1.5"),
+    (lambda: slots_contain(4, howell_form(ZmMatrix(4, ((2, 1),))).slots[None], [[2.9, 1.2]]), "2.9"),
+], ids=["element", "matrix", "matrix-string", "from-array", "contains", "coordinates", "constants",
+        "unit", "map", "map-from-array", "map-from-flat", "bimodule", "slots-contain"])
 def test_non_integer_entries_are_refused(call, value):
     with pytest.raises(ValueError, match=f"^entries must be integers, got {re.escape(value)}$"):
         call()

@@ -285,12 +285,13 @@ class TestBimodule:
 
     def test_shape_rejected(self):
         with pytest.raises(RingConstructionError):
-            Bimodule(zmod(2), zmod(2), 1, np.zeros((2, 1, 1)), np.zeros((1, 1, 1)))
+            Bimodule(zmod(2), zmod(2), 1, np.zeros((2, 1, 1), dtype=np.int64),
+                     np.zeros((1, 1, 1), dtype=np.int64))
 
     def test_unit_action_enforced(self):
         # Unit must act as the identity on the module.
         with pytest.raises(RingConstructionError):
-            Bimodule(zmod(2), zmod(2), 1, np.zeros((1, 1, 1)), [[[1]]])
+            Bimodule(zmod(2), zmod(2), 1, np.zeros((1, 1, 1), dtype=np.int64), [[[1]]])
 
     # Each law on its own.  Z/4 acting on one side as 2 is not associative:
     # (b0 b0) m = 2m but b0 (b0 m) = 4m = 0.
@@ -307,7 +308,7 @@ class TestBimodule:
         # both actions square to zero, so each is associative, but
         # (a m1) b = m1 while a (m1 b) = 0.
         zero_ring = build_ring(2, [[[0]]])
-        left, right = np.zeros((1, 2, 2)), np.zeros((2, 1, 2))
+        left, right = np.zeros((1, 2, 2), dtype=np.int64), np.zeros((2, 1, 2), dtype=np.int64)
         left[0, 1] = (1, 0)
         right[0, 0] = (0, 1)
         with pytest.raises(RingConstructionError, match="actions do not commute"):
@@ -337,7 +338,8 @@ class TestTriangularRing:
         with pytest.raises(RingConstructionError):
             triangular_ring(
                 nonunital,
-                Bimodule(nonunital, nonunital, 1, np.zeros((1, 1, 1)), np.zeros((1, 1, 1))),
+                Bimodule(nonunital, nonunital, 1, np.zeros((1, 1, 1), dtype=np.int64),
+                         np.zeros((1, 1, 1), dtype=np.int64)),
                 nonunital,
             )
 
@@ -403,9 +405,9 @@ def _t2():
 
 
 @pytest.mark.parametrize("call, error, message", [
-    (lambda: build_ring(2, np.zeros((2, 2, 2)), labels=["a"]), RingConstructionError,
+    (lambda: build_ring(2, np.zeros((2, 2, 2), dtype=np.int64), labels=["a"]), RingConstructionError,
      "one label per basis element is required"),
-    (lambda: build_ring(2, np.zeros((2, 2, 2)), unit=(1,)), RingConstructionError,
+    (lambda: build_ring(2, np.zeros((2, 2, 2), dtype=np.int64), unit=(1,)), RingConstructionError,
      "unit vector length must equal the rank"),
     (lambda: zmod(2).element((1, 0)), ValueError, "expected 1 coefficients, got shape (2,)"),
     (lambda: zmod(2).one() + 1, TypeError, "cannot combine RingElement with int"),

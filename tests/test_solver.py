@@ -694,17 +694,15 @@ class TestStackedSelfCheck:
 
     @staticmethod
     def corrupt_second_matrix(monkeypatch):
-        # kernels eliminates twice; in the second result, [H^T | I], matrix 1's
-        # last slot is a kernel row.  Raising its last entry by 1 keeps the
-        # row's left block zero but breaks M x = 0 (every batch below has
-        # the zero kernel in matrix 1).
-        real, calls = zmodlin._howell_stack, []
+        # kernels eliminates [M^T | I] once and keeps the slots past M, which
+        # are kernel rows.  Raising the last entry of matrix 1's last slot by 1
+        # keeps that row's left block zero but breaks M x = 0 (every batch
+        # below has the zero kernel in matrix 1).
+        real = zmodlin._howell_stack
 
-        def corrupted(stack, m):
-            out = real(stack, m)
-            calls.append(out)
-            if len(calls) % 2 == 0:
-                out[1, -1, -1] = (out[1, -1, -1] + 1) % m
+        def corrupted(stack, m, first):
+            out = real(stack, m, first)
+            out[1, -1, -1] = (out[1, -1, -1] + 1) % m
             return out
 
         monkeypatch.setattr(zmodlin, "_howell_stack", corrupted)

@@ -382,26 +382,33 @@ def stacks(draw):
 
 
 class TestStackedElimination:
-    """_howell_stack and kernels against howell_form and kernel, matrix by matrix."""
+    """The lockstep and the worklist elimination, and kernels against kernel, matrix by matrix."""
 
     @settings(max_examples=200, deadline=None)
-    @given(stacks())
-    def test_matches_the_worklist(self, case):
+    @given(stacks(), st.data())
+    def test_matches_the_worklist(self, case, data):
         m, stack = case
         before = stack.copy()
-        # The elimination stops at an echelon form with the Howell property;
+        n, _, cols = stack.shape
+        first = data.draw(st.integers(0, cols), label="first")
+        # Both eliminations stop at an echelon form with the Howell property;
         # the shared pass makes it canonical.
-        forms = zmodlin._reduce_above_pivots(zmodlin._howell_stack(stack, m), m)
+        forms = zmodlin._reduce_above_pivots(zmodlin._howell_stack(stack, m, first), m)
         gens = kernels(m, stack)
         assert np.array_equal(stack, before)
-        n, _, cols = stack.shape
-        assert forms.shape == gens.shape == (n, cols, cols)
+        assert forms.shape == (n, cols - first, cols - first) and gens.shape == (n, cols, cols)
         for matrix, form, kernel_slots in zip(stack, forms, gens):
-            # Slot j holds the Howell row with pivot column j, or zeros.
-            slots = np.flatnonzero(form.any(axis=1))
-            assert (form[slots] != 0).argmax(axis=1).tolist() == slots.tolist()
-            want = howell_form(ZmMatrix.from_array(m, matrix))
-            assert form[slots].tolist() == want.as_array().tolist()
+            # _echelon on a stack of one takes the worklist.
+            one = zmodlin._reduce_above_pivots(zmodlin._echelon(matrix[None], m, first), m)
+            assert np.array_equal(form, one[0])
+            # Slot j holds the Howell row with pivot column first + j, or zeros.
+            assert not np.tril(form, -1).any()
+            assert np.array_equal(np.flatnonzero(form.diagonal()), np.flatnonzero(form.any(axis=1)))
+            # They span the rows of the span that vanish on the first ``first`` columns.
+            if m ** cols <= 1296:
+                span = span_set(m, matrix.tolist() or [[0] * cols])
+                assert span_set(m, form.tolist() or [[]]) == {v[first:] for v in span
+                                                              if not any(v[:first])}
             # So does each kernel's.
             slots = np.flatnonzero(kernel_slots.any(axis=1))
             assert (kernel_slots[slots] != 0).argmax(axis=1).tolist() == slots.tolist()
