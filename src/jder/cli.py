@@ -612,8 +612,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as handle:
-        json.dump(report, handle, sort_keys=True, indent=2)
-        handle.write("\n")
+        # One write: json.dump makes thousands of small ones.
+        handle.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
     print(f"elapsed_seconds={time.perf_counter() - started:.3f}", file=sys.stderr)
     return 0
 

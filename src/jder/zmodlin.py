@@ -11,13 +11,20 @@ row per pivot column, so it is held as (N, N) row slots: row j is the Howell
 row with pivot column j, or zeros.
 
 All arithmetic is exact on 64-bit integers.  Moduli up to 2^31 are accepted.
-Every contraction over Z/m in this package goes through :func:`einsum_mod`.
-Its operands must be int64 arrays reduced to [0, m), and every summed index
-must appear in both operands; it then keeps each sum exact in int64.
+Every contraction over Z/m in this package goes through :func:`einsum_mod`,
+as one batched int64 ``np.matmul``: each operand's ``...`` is right-aligned,
+a is laid out as (batch, rows, summed) and b as (batch, summed, columns),
+where rows and columns end the output and an operand without a batch label
+broadcasts it, so the product is the output in the spec's order.  Its
+operands must be int64 arrays reduced to [0, m), each label may appear once
+per operand, and every summed label must appear in both operands; the bound
+that keeps each sum exact in int64, with a 16-bit split above it, is that of
+a sum of at most min(a.size, b.size) terms.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -69,25 +76,91 @@ def _int64_array(values) -> np.ndarray:
     return a.astype(np.int64, copy=False)
 
 
-def einsum_mod(spec: str, a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
-    """``np.einsum(spec, a, b) % m``, exact for every modulus up to 2^31.
+# Stand-in labels for the axes of ``...``, right-aligned: the last axis takes the
+# last one.  einsum labels are ASCII letters, so none can clash.
+_DOTS = "".join(map(chr, range(0x100, 0x140)))
 
-    a and b are int64 arrays reduced to [0, m), and every summed index
-    appears in both, so a sum has at most min(a.size, b.size) terms, each
-    at most (m - 1)^2.  Sums that fit in int64 are contracted directly; larger
-    ones split both operands into 16-bit halves, whose four partial sums stay
-    below 2^63 for summed lengths below 2^31, and are recombined mod m.
+
+@functools.lru_cache(maxsize=1024)
+def _contraction_plan(spec: str, ndim_a: int, ndim_b: int) -> tuple:
+    """How :func:`einsum_mod` lays ``spec`` out as one batched matmul of operands
+    with ``ndim_a`` and ``ndim_b`` axes: (axes of a, new axes of a, axes of b,
+    new axes of b, #batch, #rows, #summed).
+
+    ``...`` is right-aligned in each operand, as numpy broadcasts it.  Summed
+    labels are in both operands only.  The output ends in its columns, the
+    longest run of labels of b alone that also lies in b in that order, after
+    its rows, the longest such run of a; its other labels are batch labels,
+    where an operand without the label gets a new axis of length 1.  So the
+    product (batch, rows, columns) is the output in the spec's order, and an
+    operand is copied only to flatten summed labels that do not lie together,
+    in one order, in both.  A spec outside this contract raises ValueError
+    naming it.
     """
-    if (a.size if a.size < b.size else b.size) * (m - 1) ** 2 < 1 << 63:
-        out = np.einsum(spec, a, b)
+    inputs, arrow, output = spec.partition("->")
+    term_a, comma, term_b = inputs.partition(",")
+    dots_a = ndim_a - len(term_a.replace("...", ""))
+    dots_b = ndim_b - len(term_b.replace("...", ""))
+    la = term_a.replace("...", _DOTS[len(_DOTS) - dots_a:] if dots_a > 0 else "")
+    lb = term_b.replace("...", _DOTS[len(_DOTS) - dots_b:] if dots_b > 0 else "")
+    lo = output.replace("...", _DOTS[len(_DOTS) - max(dots_a, dots_b, 0):])
+    if (not arrow or not comma or "," in term_b or "." in la + lb + lo
+            or len(la) != ndim_a or len(lb) != ndim_b):
+        raise ValueError(f"einsum_mod spec {spec!r} does not fit operands of {ndim_a} and {ndim_b} axes")
+    sa, sb, so = set(la), set(lb), set(lo)
+    if (len(sa) < len(la) or len(sb) < len(lb) or len(so) < len(lo) or sa - so != sb - so
+            or not so <= sa | sb):
+        raise ValueError("einsum_mod needs each label once per operand and every summed "
+                         f"label in both operands, got {spec!r}")
+
+    def run(head: str, own: str, other: set) -> str:  # own's labels alone that end head, in own's order
+        start = len(head)
+        while start and head[start - 1] in own and head[start - 1] not in other:
+            start -= 1
+        while head[start:] not in own:
+            start += 1
+        return head[start:]
+
+    cols = run(lo, lb, sa)
+    rows = run(lo[:len(lo) - len(cols)], la, sb)
+    batch, summed = lo[:len(lo) - len(cols) - len(rows)], [l for l in la if l not in so]
+    return (tuple(la.index(l) for l in [*batch, *rows, *summed] if l in sa),
+            tuple(slice(None) if l in sa else None for l in batch),
+            tuple(lb.index(l) for l in [*batch, *summed, *cols] if l in sb),
+            tuple(slice(None) if l in sb else None for l in batch),
+            len(batch), len(rows), len(summed))
+
+
+def einsum_mod(spec: str, a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
+    """The contraction ``spec`` of a and b, as numpy's einsum reads it, mod m, as one
+    batched matmul, exact for every modulus up to 2^31.
+
+    a and b are int64 arrays reduced to [0, m), each label appears at most
+    once per operand, and every summed label appears in both, so a sum has
+    at most min(a.size, b.size) terms, each at most (m - 1)^2.  a is laid out
+    as (batch..., rows, summed) and b as (batch..., summed, columns), batch
+    axes of length 1 broadcasting, and one ``np.matmul`` contracts them into
+    the output (``_contraction_plan``).  Sums that fit in int64 are
+    contracted directly; larger ones split both operands into 16-bit halves,
+    whose four partial sums stay below 2^63 for summed lengths below 2^31,
+    and are recombined mod m.
+    """
+    axes_a, new_a, axes_b, new_b, nb, nr, ns = _contraction_plan(spec, a.ndim, b.ndim)
+    small = (a.size if a.size < b.size else b.size) * (m - 1) ** 2 < 1 << 63
+    a, b = a.transpose(axes_a)[new_a], b.transpose(axes_b)[new_b]
+    rows, cols = a.shape[nb:nb + nr], b.shape[nb + ns:]
+    summed = math.prod(a.shape[nb + nr:])
+    a = a.reshape(a.shape[:nb] + (math.prod(rows), summed))
+    b = b.reshape(b.shape[:nb] + (summed, math.prod(cols)))
+    if small:
+        out = np.matmul(a, b)
         out %= m
-        return out
-    a_hi, a_lo, b_hi, b_lo = a >> 16, a & 0xFFFF, b >> 16, b & 0xFFFF
-    out = np.einsum(spec, a_hi, b_hi) % m
-    for part in (np.einsum(spec, a_hi, b_lo) + np.einsum(spec, a_lo, b_hi),
-                 np.einsum(spec, a_lo, b_lo)):
-        out = ((out << 16) % m + part % m) % m
-    return out
+    else:
+        a_hi, a_lo, b_hi, b_lo = a >> 16, a & 0xFFFF, b >> 16, b & 0xFFFF
+        out = np.matmul(a_hi, b_hi) % m
+        for part in (np.matmul(a_hi, b_lo) + np.matmul(a_lo, b_hi), np.matmul(a_lo, b_lo)):
+            out = ((out << 16) % m + part % m) % m
+    return out.reshape(out.shape[:-2] + rows + cols)
 
 
 class ZmMatrix:
@@ -310,20 +383,29 @@ def _howell_rows(arr: np.ndarray, m: int) -> dict[int, np.ndarray]:
     return basis
 
 
+def _lockstep_zeros(n: int, r: int, cols: int) -> np.ndarray:
+    """An (n, r, cols) int64 stack of zeros, held row by row across the matrices:
+    ``_howell_stack`` eliminates such a stack faster than a C-ordered one."""
+    return np.zeros((r, n, cols), dtype=np.int64).transpose(1, 0, 2)
+
+
 def _howell_stack(stack: np.ndarray, m: int, first: int) -> np.ndarray:
     """Echelon forms with the Howell property of an (n, r, C) int64 stack reduced to [0, m),
-    as ``_echelon`` returns them.
+    as ``_echelon`` returns them; the stack is overwritten.
 
     Column by column, in lockstep (Storjohann and Mulders): Euclid across
     rows, by subtracting multiples of each matrix's row with the smallest
     nonzero entry, leaves one nonzero entry per matrix; that row is
     normalized by a unit, moves to its slot, and leaves its annihilator
     (m/g)*row behind.  Rows zero in every matrix are dropped once, up front.
-    Every product is of two residues, so it is exact.
+    Every row is zero left of column j by then, so each step touches
+    columns j.. only.  Every product is of two residues, so it is exact.
     """
     n, _, cols = stack.shape
     out = np.zeros((n, cols - first, cols - first), dtype=np.int64)
-    work = stack[:, stack.any(axis=(0, 2))]  # a copy: the caller's stack is kept
+    live = stack.any(axis=(0, 2))
+    # Callers pass a temporary, so it is eliminated in place: a copy costs peak RSS.
+    work = stack if live.all() else stack[:, live]
     for j in range(cols if work.shape[1] else 0):
         col = work[:, :, j]
         while True:
@@ -335,17 +417,19 @@ def _howell_stack(stack: np.ndarray, m: int, first: int) -> np.ndarray:
             q = col[many] // col[many, p][:, None]
             q[np.arange(len(many)), p] = 0
             mi, ri = np.nonzero(q)
-            rows, pivots = (many[mi], ri), work[many[mi], p[mi]]
+            rows, pivots = (many[mi], ri, slice(j, None)), work[many[mi], p[mi], j:]
             work[rows] = (work[rows] - q[mi, ri, None] * pivots) % m
         mi = np.flatnonzero(col.any(axis=1))
         ri = col[mi].argmax(axis=1)
-        entries = col[mi, ri].tolist()
-        # One _unit_for per distinct entry; np.unique would import numpy.ma.
-        units = {a: _unit_for(a, m) for a in set(entries)}
-        row = work[mi, ri] * np.array([units[a] for a in entries], dtype=np.int64)[:, None] % m
+        entries = col[mi, ri]
+        # One _unit_for per distinct entry, all nonzero; np.unique would import numpy.ma.
+        distinct = np.sort(entries)
+        distinct = distinct[distinct != np.concatenate(([0], distinct[:-1]))]
+        units = np.array([_unit_for(a, m) for a in distinct.tolist()], dtype=np.int64)
+        row = work[mi, ri, j:] * units[np.searchsorted(distinct, entries)][:, None] % m
         if j >= first:
-            out[mi, j - first] = row[:, first:]
-        work[mi, ri] = row * (m // row[:, j])[:, None] % m
+            out[mi, j - first, j - first:] = row
+        work[mi, ri, j:] = row * (m // row[:, 0])[:, None] % m
     return out
 
 
@@ -361,7 +445,7 @@ def _echelon(stack: np.ndarray, m: int, first: int = 0) -> np.ndarray:
     exactly one takes ``_howell_rows``' worklist, 2 to 3 times faster on one
     matrix; any other stack, empty ones too, ``_howell_stack``'s lockstep,
     whose cost is a few numpy steps per column and Euclid round however many
-    matrices it holds.
+    matrices it holds, and which overwrites the stack.
     """
     n, _, cols = stack.shape
     if n != 1:
@@ -432,8 +516,11 @@ def kernels(modulus: int, stack) -> np.ndarray:
     live = stack.any(axis=(0, 2))
     # A copy of kernel's rows costs peak RSS, so a stack whose rows are all live is kept.
     stack = stack if live.all() else stack[:, live]
-    eye = np.broadcast_to(np.eye(ncols, dtype=np.int64), (n, ncols, ncols))
-    gens = _echelon(np.concatenate([stack.transpose(0, 2, 1), eye], axis=2), m, stack.shape[1])
+    r = stack.shape[1]
+    pair = _lockstep_zeros(n, ncols, r + ncols)
+    pair[:, :, :r] = stack.transpose(0, 2, 1)
+    pair[:, np.arange(ncols), r + np.arange(ncols)] = 1
+    gens = _echelon(pair, m, r)
     _reduce_above_pivots(gens, m)
     if einsum_mod("nij,nkj->nik", stack, gens[:, gens.any(axis=(0, 2))], m).any():
         raise SelfCheckError("kernel generator failed re-multiplication check")

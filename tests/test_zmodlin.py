@@ -393,7 +393,7 @@ class TestStackedElimination:
         first = data.draw(st.integers(0, cols), label="first")
         # Both eliminations stop at an echelon form with the Howell property;
         # the shared pass makes it canonical.
-        forms = zmodlin._reduce_above_pivots(zmodlin._howell_stack(stack, m, first), m)
+        forms = zmodlin._reduce_above_pivots(zmodlin._howell_stack(stack.copy(), m, first), m)
         gens = kernels(m, stack)
         assert np.array_equal(stack, before)
         assert forms.shape == (n, cols - first, cols - first) and gens.shape == (n, cols, cols)
@@ -451,24 +451,28 @@ def _source_specs() -> list:
 
 
 SOURCE_SPECS = _source_specs()
+PAIRED_ELLIPSES = [spec for spec in SOURCE_SPECS if spec.split("->")[0].count("...") == 2]
 LARGE_MODULI = (2**31 - 19, 2**31 - 1, 2**31)
 
 
 @st.composite
 def contractions(draw):
     """(spec, a, b, m) with shapes fitting a source spec and entries in [0, m)."""
-    spec = draw(st.sampled_from(SOURCE_SPECS))
+    # Half the draws pair two ellipses, whose alignment is easy to get wrong.
+    spec = draw(st.sampled_from(SOURCE_SPECS) | st.sampled_from(PAIRED_ELLIPSES))
     m = draw(st.one_of(st.integers(2, 12), st.sampled_from(LARGE_MODULI)))
     dims = {label: draw(st.integers(0, 4)) for label in set(spec) - set(",->.")}
-    batch = draw(st.lists(st.integers(0, 3), max_size=2))
+    batch = draw(st.lists(st.integers(1, 3), max_size=3))  # labels cover length 0
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     largest = draw(st.booleans())
     operands = []
     for term in spec.split("->")[0].split(","):
-        shape = [dims[label] for label in term.replace("...", "")]
-        if term.startswith("..."):
-            # Each batch axis either has the full length or broadcasts as 1.
-            shape = [n if draw(st.booleans()) else 1 for n in batch] + shape
+        head, dots, tail = term.partition("...")
+        # Each operand's ... is its own suffix of the batch axes, right-aligned as
+        # numpy broadcasts it; each of its axes has the full length or broadcasts as 1.
+        own = batch[len(batch) - draw(st.integers(0, len(batch))):] if dots else []
+        shape = ([dims[label] for label in head] + [n if draw(st.booleans()) else 1 for n in own]
+                 + [dims[label] for label in tail])
         if largest:
             operands.append(np.full(shape, m - 1, dtype=np.int64))
         else:
@@ -478,7 +482,7 @@ def contractions(draw):
 
 class TestEinsumMod:
     def test_specs_are_found(self):
-        assert {"...i,ijt->...jt", "nijs,nslt->nijlt", "nij,nkj->nik"} <= set(SOURCE_SPECS)
+        assert {"...i,ijt->...jt", "nijs,nslt->nijlt", "nij,nkj->nik", "...ij,...jt->...it"} <= set(SOURCE_SPECS)
 
     @settings(max_examples=300, deadline=None)
     @given(contractions())
@@ -488,6 +492,28 @@ class TestEinsumMod:
         want = np.asarray(np.einsum(spec, a.astype(object), b.astype(object)) % m)
         assert got.dtype == np.int64 and got.shape == want.shape
         assert (got == want).all()
+
+    @pytest.mark.parametrize("spec", PAIRED_ELLIPSES)
+    def test_right_aligns_each_ellipsis(self, spec):
+        # The shorter ... meets the last axes of the longer one, as numpy broadcasts:
+        # identity-suite calls pair ellipses of different lengths.
+        rng, m = np.random.default_rng(7), 5
+        a_term, b_term = spec.split("->")[0].split(",")
+        dims = dict.fromkeys(set(spec) - set(",->."), 2)
+        for a_dots, b_dots in (((3, 1), (4, 1, 3)), ((2, 4, 1, 3), (1, 3)), ((), (2, 3))):
+            a = rng.integers(0, m, a_dots + tuple(dims[c] for c in a_term[3:]), dtype=np.int64)
+            b = rng.integers(0, m, b_dots + tuple(dims[c] for c in b_term[3:]), dtype=np.int64)
+            want = np.einsum(spec, a.astype(object), b.astype(object)) % m
+            assert np.array_equal(zmodlin.einsum_mod(spec, a, b, m), want.astype(np.int64))
+
+    @pytest.mark.parametrize("spec", ["ii,ij->j", "ij,jk->i", "ik,jk->i", "ij,jk->ii", "ij,jk->il",
+                                      "ijk,jk->i", "ij->ij", "ij,jk"])
+    def test_refuses_a_spec_outside_the_contract(self, spec):
+        # A label repeated in one operand, a summed label missing from one operand,
+        # an output label in neither, or operands the spec does not fit.
+        a = np.zeros((2, 2), dtype=np.int64)
+        with pytest.raises(ValueError, match=re.escape(repr(spec))):
+            zmodlin.einsum_mod(spec, a, a, 5)
 
     @pytest.mark.parametrize("m", LARGE_MODULI)
     def test_long_sum_of_largest_terms(self, m):
