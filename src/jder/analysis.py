@@ -96,7 +96,7 @@ def construct_dprime(ring: StructureRing, family, d: AdditiveMap) -> AdditiveMap
     if not ring.is_unital or total != ring.one():
         raise ValueError("the idempotent family must sum to the unit")
     D, m = d.as_array(), ring.modulus
-    idempotents = np.array([e.as_array() for e in family])
+    idempotents = np.array([e.as_array() for e in family], dtype=np.int64)
     e, f = idempotents[:, None, None], idempotents[None, :, None]
     b = np.eye(ring.rank, dtype=np.int64)
     mul = ring.mul
@@ -341,7 +341,7 @@ def identity_suites(ring: StructureRing, family, maps,
     for d in maps:
         if not d.ring.same_presentation(ring):
             raise ValueError("map belongs to a different ring")
-    D = np.array([d.as_array() for d in maps]).reshape(len(maps), ring.rank, ring.rank)
+    D = np.array([d.as_array() for d in maps], dtype=np.int64).reshape(len(maps), ring.rank, ring.rank)
     P, first = _first_violation(np.broadcast_to(ring.constants, (len(D),) + ring.constants.shape),
                                 D, ring.modulus, JORDAN)
     if first is not None:
@@ -509,7 +509,7 @@ def _suite_stack(ring: StructureRing, family: list, D: np.ndarray, derivation: n
     # Operators of the family, indexed by positions e, g, f in it, after the map
     # axis where they depend on the map.
     n, diagonal = len(family), np.arange(len(family))
-    E = np.array([e.as_array() for e in family])
+    E = np.array([e.as_array() for e in family], dtype=np.int64)
     dE = dm(E, every)
     left, right = left_op(E), right_op(E)
     sandwich = then(left[:, None], right[None])  # [e, f]: r -> e r f
@@ -583,7 +583,7 @@ def _suite_stack(ring: StructureRing, family: list, D: np.ndarray, derivation: n
                   np.ndindex(ring.quotient.size, ring.quotient.size) if ring.quotient.leq(x, y)]
         # [map, block (x, y)]: alpha -> d(alpha) - d(alpha_xy) + d(e_x) alpha + alpha d(e_y),
         # read on the coefficients of Mor(x, y).
-        d_ex = dm(np.array([e.as_array() for e in ring.class_idempotents()]), every)
+        d_ex = dm(np.array([e.as_array() for e in ring.class_idempotents()], dtype=np.int64), every)
         inside = np.array([np.isin(np.arange(k), cols) for _, _, cols in blocks], dtype=np.int64)
         x, y = np.array([block[:2] for block in blocks]).T
         delta = ((1 - inside)[:, :, None] * d_op(every, 3) + left_op(d_ex)[:, x]

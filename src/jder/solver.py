@@ -80,8 +80,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rings import RingElement, StructureRing
-from .zmodlin import (SelfCheckError, SubgroupBasis, ZmMatrix, _howell_forms, _int64_array, _lockstep_zeros,
-                      einsum_mod, kernel, kernels, slots_contain, subgroup_equal)
+from .zmodlin import (SelfCheckError, SubgroupBasis, ZmMatrix, _howell_forms, _int64_array, einsum_mod,
+                      kernel, kernels, slots_contain, subgroup_equal)
 
 __all__ = [
     "DERIVATION",
@@ -455,7 +455,7 @@ def _solve_all(c: np.ndarray, m: int, kind: str, support=None):
     _check_size(n, k, m, kind, None if support is None else len(support))
     slots = kernels(m, _constraint_matrices(c, m, kind, support))
     if support is not None:
-        union = _lockstep_zeros(n, k + len(support), k * k)
+        union = np.zeros((n, k + len(support), k * k), dtype=np.int64)
         # ad(b_i) sends b_b to b_i b_b - b_b b_i: entry [n, i, b, a] at column a + k*b.
         union[:, :k] = ((c - c.transpose(0, 2, 1, 3)) % m).reshape(n, k, k * k)
         union[:, k:, support] = slots

@@ -17,9 +17,9 @@ a is laid out as (batch, rows, summed) and b as (batch, summed, columns),
 where rows and columns end the output and an operand without a batch label
 broadcasts it, so the product is the output in the spec's order.  Its
 operands must be int64 arrays reduced to [0, m), each label may appear once
-per operand, and every summed label must appear in both operands; the bound
-that keeps each sum exact in int64, with a 16-bit split above it, is that of
-a sum of at most min(a.size, b.size) terms.
+per operand, and every summed label must appear in both operands with one
+length; the bound that keeps each sum exact in int64, with a 16-bit split
+above it, is that of a sum of at most min(a.size, b.size) terms.
 """
 
 from __future__ import annotations
@@ -136,31 +136,47 @@ def einsum_mod(spec: str, a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
     batched matmul, exact for every modulus up to 2^31.
 
     a and b are int64 arrays reduced to [0, m), each label appears at most
-    once per operand, and every summed label appears in both, so a sum has
-    at most min(a.size, b.size) terms, each at most (m - 1)^2.  a is laid out
-    as (batch..., rows, summed) and b as (batch..., summed, columns), batch
-    axes of length 1 broadcasting, and one ``np.matmul`` contracts them into
-    the output (``_contraction_plan``).  Sums that fit in int64 are
-    contracted directly; larger ones split both operands into 16-bit halves,
-    whose four partial sums stay below 2^63 for summed lengths below 2^31,
-    and are recombined mod m.
+    once per operand, and every summed label appears in both with one
+    length, so a sum has at most min(a.size, b.size) terms, each at most
+    (m - 1)^2; summed lengths that differ raise ValueError.  a is laid out as
+    (batch..., rows, summed) and b as (batch..., summed, columns), batch axes
+    of length 1 broadcasting, and one ``np.matmul`` contracts them into the
+    output (``_contraction_plan``).  Sums that fit in int64 are contracted
+    directly and reduced in place, by a mask when m is a power of two;
+    larger ones split both operands into 16-bit halves, whose four partial
+    sums stay below 2^63 for summed lengths below 2^31, and are recombined
+    mod m.
     """
     axes_a, new_a, axes_b, new_b, nb, nr, ns = _contraction_plan(spec, a.ndim, b.ndim)
     small = (a.size if a.size < b.size else b.size) * (m - 1) ** 2 < 1 << 63
     a, b = a.transpose(axes_a)[new_a], b.transpose(axes_b)[new_b]
     rows, cols = a.shape[nb:nb + nr], b.shape[nb + ns:]
+    if a.shape[nb + nr:] != b.shape[nb:nb + ns]:
+        # numpy's einsum would broadcast a summed axis of length 1; the bound above would not hold.
+        raise ValueError(f"einsum_mod spec {spec!r} sums axes of lengths {a.shape[nb + nr:]} "
+                         f"and {b.shape[nb:nb + ns]}")
     summed = math.prod(a.shape[nb + nr:])
     a = a.reshape(a.shape[:nb] + (math.prod(rows), summed))
     b = b.reshape(b.shape[:nb] + (summed, math.prod(cols)))
+    # The result is filled through a (batch, rows, columns) view, so it owns its data, as
+    # numpy's einsum output does: numpy reuses such a temporary in place in a caller's expression.
+    batch = tuple(x if y == 1 else y for x, y in zip(a.shape[:nb], b.shape[:nb]))
+    result = np.empty(batch + rows + cols, dtype=np.int64)
+    out = result.reshape(batch + (a.shape[-2], b.shape[-1]))
     if small:
-        out = np.matmul(a, b)
-        out %= m
+        np.matmul(a, b, out=out)
+        # The sums are nonnegative, so for m a power of two the mask is the residue;
+        # an int64 remainder costs about five times as much.
+        if m & (m - 1):
+            out %= m
+        else:
+            out &= m - 1
     else:
         a_hi, a_lo, b_hi, b_lo = a >> 16, a & 0xFFFF, b >> 16, b & 0xFFFF
-        out = np.matmul(a_hi, b_hi) % m
+        out[...] = np.matmul(a_hi, b_hi) % m
         for part in (np.matmul(a_hi, b_lo) + np.matmul(a_lo, b_hi), np.matmul(a_lo, b_lo)):
-            out = ((out << 16) % m + part % m) % m
-    return out.reshape(out.shape[:-2] + rows + cols)
+            out[...] = ((out << 16) % m + part % m) % m
+    return result
 
 
 class ZmMatrix:
@@ -383,12 +399,6 @@ def _howell_rows(arr: np.ndarray, m: int) -> dict[int, np.ndarray]:
     return basis
 
 
-def _lockstep_zeros(n: int, r: int, cols: int) -> np.ndarray:
-    """An (n, r, cols) int64 stack of zeros, held row by row across the matrices:
-    ``_howell_stack`` eliminates such a stack faster than a C-ordered one."""
-    return np.zeros((r, n, cols), dtype=np.int64).transpose(1, 0, 2)
-
-
 def _howell_stack(stack: np.ndarray, m: int, first: int) -> np.ndarray:
     """Echelon forms with the Howell property of an (n, r, C) int64 stack reduced to [0, m),
     as ``_echelon`` returns them; the stack is overwritten.
@@ -482,7 +492,8 @@ def _basis(m: int, slots: np.ndarray) -> SubgroupBasis:
 
 def _howell_forms(stack: np.ndarray, m: int) -> np.ndarray:
     """The Howell forms of the row spans of an (n, r, C) stack reduced to [0, m), as
-    (n, C, C) row slots: ``_echelon``, then ``_reduce_above_pivots``."""
+    (n, C, C) row slots: ``_echelon``, then ``_reduce_above_pivots``.  A stack of
+    more than one matrix is overwritten."""
     return _reduce_above_pivots(_echelon(stack, m), m)
 
 
@@ -517,7 +528,8 @@ def kernels(modulus: int, stack) -> np.ndarray:
     # A copy of kernel's rows costs peak RSS, so a stack whose rows are all live is kept.
     stack = stack if live.all() else stack[:, live]
     r = stack.shape[1]
-    pair = _lockstep_zeros(n, ncols, r + ncols)
+    # Held row by row across the matrices: the lockstep eliminates that layout faster.
+    pair = np.zeros((ncols, n, r + ncols), dtype=np.int64).transpose(1, 0, 2)
     pair[:, :, :r] = stack.transpose(0, 2, 1)
     pair[:, np.arange(ncols), r + np.arange(ncols)] = 1
     gens = _echelon(pair, m, r)
