@@ -153,8 +153,9 @@ def _annihilator(side_ring: StructureRing, action: np.ndarray) -> RingElement | 
     """
     k = side_ring.rank
     rows = action.transpose(1, 2, 0).reshape(-1, k)
+    rows = rows[rows.any(axis=1)]
     if rows.shape[0] == 0:
-        # Rank-0 module: no constraint, everything annihilates.
+        # A zero action, or a rank-0 module: no constraint, everything annihilates.
         rows = np.zeros((1, k), dtype=np.int64)
     gens = kernel(ZmMatrix.from_array(side_ring.modulus, rows)).as_array()
     return side_ring.element(gens[0]) if len(gens) else None
@@ -201,7 +202,10 @@ def theorem_verdict(preorder: Preorder, coefficients: StructureRing) -> Structur
     case applied: an isolated class of size > 1 falls to the matrix-ring
     theorem; a non-isolated class is discharged through a comparable
     partner whose morphism bimodule is checked faithful on both sides;
-    an isolated singleton is the conditional case.
+    an isolated singleton is the conditional case.  The outcome is never
+    UNKNOWN for unital R: an a that kills every E_{j1} (E_{1j} on the right)
+    is zero, so ``matrix_bimodule`` is faithful on both sides.  The check,
+    the paper's argument, is kept.
     """
     if not coefficients.is_unital:
         raise ValueError("the coefficient ring must be unital")
@@ -342,11 +346,11 @@ def identity_suites(ring: StructureRing, family, maps,
         if not d.ring.same_presentation(ring):
             raise ValueError("map belongs to a different ring")
     D = np.array([d.as_array() for d in maps], dtype=np.int64).reshape(len(maps), ring.rank, ring.rank)
-    P, first = _first_violation(np.broadcast_to(ring.constants, (len(D),) + ring.constants.shape),
-                                D, ring.modulus, JORDAN)
+    derivation, first = _first_violation(np.broadcast_to(ring.constants, (len(D),) + ring.constants.shape),
+                                         D, ring.modulus, JORDAN)
     if first is not None:
         raise ValueError(f"map is not a Jordan derivation (violates {first[1]} at {first[2]})")
-    return _identity_suites(ring, family, D, ~P.any(axis=(1, 2, 3)), mode, seed, trials)
+    return _identity_suites(ring, family, D, derivation, mode, seed, trials)
 
 
 def _identity_suites(ring: StructureRing, family, D: np.ndarray, derivation: np.ndarray,

@@ -491,13 +491,12 @@ def run(command: str, instance: Instance) -> dict:
             result = _comparison_json(compare_spaces(target))
         else:
             # The family is checked before the solve.  One self-checked stack of one, on the
-            # target's Peirce support, gives the generators; its residuals P give the
-            # derivation flags.
+            # target's Peirce support, gives the generators and their derivation flags.
             family = _jordan_family(target)
-            _, _, flat, P = _solve_all(target.constants[None], target.modulus, JORDAN,
-                                       target.peirce_support())
+            _, _, D, derivation = _solve_all(target.constants[None], target.modulus, JORDAN,
+                                             target.peirce_support())
         if command == "dprime-check":
-            maps = [AdditiveMap.from_flat(target, g) for g in flat]
+            maps = [AdditiveMap(target, d) for d in D]
             entries = [{"generator": n, "reconstructed_equals_original":
                         construct_dprime(target, family, d) == d} for n, d in enumerate(maps)]
             result = {
@@ -505,9 +504,7 @@ def run(command: str, instance: Instance) -> dict:
                 "ok": all(e["reconstructed_equals_original"] for e in entries),
             }
         elif command == "identities":
-            reports = _identity_suites(target, family,
-                                       flat.reshape(len(flat), target.rank, target.rank).transpose(0, 2, 1),
-                                       ~P.any(axis=(1, 2, 3)), mode, seed, trials)
+            reports = _identity_suites(target, family, D, derivation, mode, seed, trials)
             entries = [
                 {
                     "generator": n,
@@ -561,14 +558,12 @@ def run(command: str, instance: Instance) -> dict:
         for m, tables in _search_batches(moduli):
             checked += len(tables)
             _, proper, witnesses, _ = _compare_stack(tables, m)
-            k = tables.shape[1]
             for table, witness in zip(tables[proper], witnesses):
                 counterexamples.append({
                     "modulus": m,
-                    "rank": k,
+                    "rank": tables.shape[1],
                     "constants": table.flatten().tolist(),
-                    # The witness vector read column by column, as AdditiveMap.from_flat reads it.
-                    "witness": witness.reshape(k, k, order="F").tolist(),
+                    "witness": witness.tolist(),
                 })
         result = {
             "family": {"moduli": sorted(set(moduli)), "max_rank": 2},

@@ -73,6 +73,10 @@ x_1...d(x_p)...x_n is the product with b_b replaced by e_a if x_p = b_b,
 else 0.  Both read off the structure constants (n = 2) or the basis
 triple-product tensor b_i b_j b_l (n = 3), so each kind's rows for a
 whole batch of rings are built in a few whole-array steps.
+
+Hand-offs.  ``_constraint_matrices`` passes on each ring's distinct nonzero
+rows, ``_solve_all`` each generator's ring, (k, k) map and derivation flag,
+``_compare_stack`` witness maps; residuals and slot vectors stay inside.
 """
 
 from dataclasses import dataclass
@@ -245,14 +249,15 @@ def _first_violation(c: np.ndarray, D: np.ndarray, m: int, kind: str):
     kernels.  P[g] = 0 means D[g] is a derivation, so every identity holds.
     Otherwise the residual T[i, j, l] of (b_i b_j) b_l is P(b_i b_j, b_l) +
     P(b_i, b_j) b_l by bilinearity alone (no associativity); T is computed
-    only for the maps with P[g] != 0.  Returns P and, for the first map
-    that violates an identity of ``kind``, (g, identity, indices) with the
-    first offending basis indices in that identity's order, or None.
+    only for the maps with P[g] != 0.  Returns the flags P[g] == 0 and, for the
+    first map that violates an identity of ``kind``, (g, identity, indices)
+    with the first offending basis indices in that identity's order, or None.
     """
     P = _product_residuals(c, D, m)
-    nonzero = np.flatnonzero(P.any(axis=(1, 2, 3)))
+    derivation = ~P.any(axis=(1, 2, 3))
+    nonzero = np.flatnonzero(~derivation)
     if not len(nonzero):
-        return P, None
+        return derivation, None
     Pn = P[nonzero]
     if kind == DERIVATION:
         checks = [("product", Pn.any(-1))]
@@ -274,10 +279,10 @@ def _first_violation(c: np.ndarray, D: np.ndarray, m: int, kind: str):
     hit = np.array([bad.reshape(len(nonzero), -1).any(axis=1) for _, bad in checks])
     failing = np.flatnonzero(hit.any(axis=0))
     if not len(failing):
-        return P, None
+        return derivation, None
     n = int(failing[0])
     name, bad = checks[int(np.flatnonzero(hit[:, n])[0])]
-    return P, (int(nonzero[n]), name, tuple(int(x) for x in np.argwhere(bad[n])[0]))
+    return derivation, (int(nonzero[n]), name, tuple(int(x) for x in np.argwhere(bad[n])[0]))
 
 
 def check_map(ring: StructureRing, d: AdditiveMap, kind: str) -> CheckResult:
@@ -391,8 +396,9 @@ def _check_size(n: int, k: int, m: int, kind: str, columns: int | None = None) -
 
 
 def _constraint_matrices(c: np.ndarray, m: int, kind: str, support=None) -> np.ndarray:
-    """Per ring, the raw rows with each distinct nonzero row kept once and the rest zeroed,
-    in place."""
+    """Per ring, zero rows, then its distinct nonzero raw rows once each in byte order: an
+    (n, r', columns) view of the raw stack's head, r' the most that any ring has, so no
+    row is zero in every ring."""
     rows = _constraint_rows(c, m, kind, support)
     # Most rows are zero in every ring (at rank 21, 11,184 of 106,722 are not).  Move the
     # others to the front in order, a run at a time, and sort only those: row live[i]
@@ -402,13 +408,14 @@ def _constraint_matrices(c: np.ndarray, m: int, kind: str, support=None) -> np.n
     for start in range(0, head, step):
         run = live[start:start + step]
         rows[:, start:start + len(run)] = rows[:, run]
-    rows[:, head:] = 0
-    rows_head = rows[:, :head]
-    if rows_head.size:
-        # Sort each ring's C-contiguous rows in place as byte strings; keep each run's first.
-        rows_head.view(np.dtype((np.void, rows.itemsize * rows.shape[2]))).sort(axis=1)
-    rows_head[:, 1:][(rows_head[:, 1:] == rows_head[:, :-1]).all(axis=2)] = 0
-    return rows
+    rows = rows[:, :head]
+    if rows.size:
+        # Sort each ring's rows as byte strings, zero repeats, and sort the zeros to the front.
+        strings = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[2])))
+        strings.sort(axis=1)
+        rows[:, 1:][(rows[:, 1:] == rows[:, :-1]).all(axis=2)] = 0
+        strings.sort(axis=1)
+    return rows[:, head - rows.any(axis=2).sum(axis=1).max(initial=0):]
 
 
 @dataclass(frozen=True, eq=False)
@@ -439,9 +446,10 @@ def _solve_all(c: np.ndarray, m: int, kind: str, support=None):
     over Z/m, self-checked.
 
     Returns the spaces as (n, k^2, k^2) Howell row slots (``SubgroupBasis``
-    of ring i's slots is its space's basis), the ring and flat vector of
-    every generator, ring by ring and slot by slot, and the product residual
-    P of every generator.  Without a ``support`` the slots are one
+    of ring i's slots is its space's basis), then, for every generator, ring
+    by ring and slot by slot: its ring, its (k, k) map matrix (entry a + k*b
+    of its slot row is D[a, b]) and whether it is a derivation (its product
+    residual P is zero).  Without a ``support`` the slots are one
     ``zmodlin.kernels`` call on the full rows.  With the ascending
     ``peirce_support`` columns that every ring of the stack shares, the
     kernels are taken of the rows restricted to those columns, and the
@@ -461,13 +469,11 @@ def _solve_all(c: np.ndarray, m: int, kind: str, support=None):
         union[:, k:, support] = slots
         slots = _howell_forms(union, m)
     owner, slot = np.nonzero(slots.any(axis=2))
-    flat = slots[owner, slot]
-    # Row g of D is generator g laid out column by column (AdditiveMap.from_flat).
-    D = flat.reshape(len(flat), k, k).transpose(0, 2, 1)
-    P, first = _first_violation(c[owner], D, m, kind)
+    D = slots[owner, slot].reshape(len(owner), k, k).transpose(0, 2, 1)
+    derivation, first = _first_violation(c[owner], D, m, kind)
     if first is not None:
         raise SelfCheckError(f"solver generator violates {first[1]} at {first[2]}")
-    return slots, owner, flat, P
+    return slots, owner, D, derivation
 
 
 def _solve_one(ring: StructureRing, kind: str) -> DerivationSpace:
@@ -476,7 +482,7 @@ def _solve_one(ring: StructureRing, kind: str) -> DerivationSpace:
     check_map call per kernel generator."""
     _check_size(1, ring.rank, ring.modulus, kind)
     rows = _constraint_matrices(ring.constants[None], ring.modulus, kind)[0]
-    space = DerivationSpace(ring, kind, kernel(ZmMatrix.from_array(ring.modulus, rows[rows.any(axis=1)])))
+    space = DerivationSpace(ring, kind, kernel(ZmMatrix.from_array(ring.modulus, rows)))
     for g in space.generators():
         result = check_map(ring, g, kind)
         if not result.ok:
@@ -540,19 +546,19 @@ def compare_spaces(ring: StructureRing) -> SpaceComparison:
 def _compare_stack(c: np.ndarray, m: int, support=None):
     """Decide Der = JDer for every ring of a reduced stack c of structure constants over Z/m.
 
-    JDer is solved for the whole stack first (``_solve_all``).  A generator
-    is a derivation exactly when its product residual P is zero, and Der is
-    a subgroup of JDer, so a ring whose JDer generators all have P = 0 has
-    Der = JDer with the same canonical basis.  Der is solved, in one more
-    stacked call, only for the other rings, and one stacked Howell
-    membership test checks that each Der contains every JDer generator
-    before the first one with P != 0, the witness, and not the witness.
-    Both solves take ``support``, which all the rings share (``_solve_all``).
-    Returns the JDer slots, the indices of the rings with Der != JDer, the
-    flat vectors of their witnesses and their Der slots.
+    JDer is solved for the whole stack first (``_solve_all``), which flags
+    the generators that are derivations.  Der is a subgroup of JDer, so a
+    ring whose JDer generators are all derivations has Der = JDer with the
+    same canonical basis.  Der is solved, in one more stacked call, only for
+    the other rings, and one stacked Howell membership test checks that each
+    Der contains every JDer generator before the first non-derivation, the
+    witness, and not the witness.  Both solves take ``support``, which all
+    the rings share (``_solve_all``).  Returns the JDer slots, the indices
+    of the rings with Der != JDer, the (k, k) map matrices of their
+    witnesses and their Der slots.
     """
-    jder, owner, flat, P = _solve_all(c, m, JORDAN, support)
-    bad = np.flatnonzero(P.any(axis=(1, 2, 3)))
+    jder, owner, D, derivation = _solve_all(c, m, JORDAN, support)
+    bad = np.flatnonzero(~derivation)
     # owner is sorted, so the first bad generator of each ring starts a run of owner[bad].
     first = bad[np.flatnonzero(np.diff(owner[bad], prepend=-1))]
     proper = owner[first]
@@ -561,10 +567,11 @@ def _compare_stack(c: np.ndarray, m: int, support=None):
     witness_of, der_of = np.full(len(c), -1), np.zeros(len(c), dtype=np.intp)
     witness_of[proper], der_of[proper] = first, np.arange(len(proper))
     tested = np.flatnonzero(np.arange(len(owner)) <= witness_of[owner])
-    inside = slots_contain(m, der[der_of[owner[tested]]], flat[tested])
+    # Generator g is the g-th nonzero slot row, in the order of owner.
+    inside = slots_contain(m, der[der_of[owner[tested]]], jder[jder.any(axis=2)][tested])
     if (inside != (tested < witness_of[owner[tested]])).any():
         raise SelfCheckError("Der solve disagrees with the first non-derivation generator")
-    return jder, proper, flat[first], der
+    return jder, proper, D[first], der
 
 
 def compare_all(rings) -> list:
@@ -595,7 +602,7 @@ def compare_all(rings) -> list:
         if n in found:
             witness, slots = found[n]
             dspace = DerivationSpace(ring, DERIVATION, SubgroupBasis(ZmMatrix.from_array(m, slots)))
-            out.append(SpaceComparison(False, AdditiveMap.from_flat(ring, witness), dspace, jspace))
+            out.append(SpaceComparison(False, AdditiveMap(ring, witness), dspace, jspace))
         else:
             out.append(SpaceComparison(True, None, DerivationSpace(ring, DERIVATION, jspace.basis), jspace))
     return out

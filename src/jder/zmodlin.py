@@ -443,7 +443,7 @@ def _howell_stack(stack: np.ndarray, m: int, first: int) -> np.ndarray:
     return out
 
 
-def _echelon(stack: np.ndarray, m: int, first: int = 0) -> np.ndarray:
+def _echelon(stack: np.ndarray, m: int, first: int) -> np.ndarray:
     """Echelon forms with the Howell property of the row spans of an (n, r, C) stack
     reduced to [0, m), from column ``first`` on, as (n, C - first, C - first) row slots.
 
@@ -490,11 +490,11 @@ def _basis(m: int, slots: np.ndarray) -> SubgroupBasis:
     return SubgroupBasis(matrix)
 
 
-def _howell_forms(stack: np.ndarray, m: int) -> np.ndarray:
-    """The Howell forms of the row spans of an (n, r, C) stack reduced to [0, m), as
-    (n, C, C) row slots: ``_echelon``, then ``_reduce_above_pivots``.  A stack of
-    more than one matrix is overwritten."""
-    return _reduce_above_pivots(_echelon(stack, m), m)
+def _howell_forms(stack: np.ndarray, m: int, first: int = 0) -> np.ndarray:
+    """The Howell forms of the row spans of an (n, r, C) stack reduced to [0, m), from
+    column ``first`` on, as (n, C - first, C - first) row slots: ``_echelon``, then
+    ``_reduce_above_pivots``.  A stack of more than one matrix is overwritten."""
+    return _reduce_above_pivots(_echelon(stack, m, first), m)
 
 
 def howell_form(matrix: ZmMatrix) -> SubgroupBasis:
@@ -512,28 +512,21 @@ def kernels(modulus: int, stack) -> np.ndarray:
 
     Returns an (n, N, N) int64 array: row j of matrix i is the Howell row of
     the i-th kernel with pivot column j, or zeros, so ``SubgroupBasis`` of
-    matrix i is that kernel's canonical basis.  The rows zero in every
-    matrix are dropped, leaving r' rows.  The row span of [M^T | I] consists
-    of all pairs (x M^T | x).  In an echelon form of it with the Howell
-    property, the rows whose left block vanishes are the rows with pivots
-    past that block, so one ``_echelon`` pass from column r' on gives
-    generators of exactly the kernel of M, and one ``_reduce_above_pivots``
-    pass makes them its Howell form.  One stacked multiplication re-checks
-    every generator.
+    matrix i is that kernel's canonical basis.  The row span of [M^T | I]
+    consists of all pairs (x M^T | x).  In an echelon form of it with the
+    Howell property, the rows whose left block vanishes are the rows with
+    pivots past that block, so its Howell form from column r on
+    (``_howell_forms``) is exactly the kernel of M in Howell form.  One
+    stacked multiplication re-checks every generator.
     """
     _validate_modulus(modulus)
     m, stack = modulus, _int64_array(stack)
-    n, _, ncols = stack.shape
-    live = stack.any(axis=(0, 2))
-    # A copy of kernel's rows costs peak RSS, so a stack whose rows are all live is kept.
-    stack = stack if live.all() else stack[:, live]
-    r = stack.shape[1]
+    n, r, ncols = stack.shape
     # Held row by row across the matrices: the lockstep eliminates that layout faster.
     pair = np.zeros((ncols, n, r + ncols), dtype=np.int64).transpose(1, 0, 2)
     pair[:, :, :r] = stack.transpose(0, 2, 1)
     pair[:, np.arange(ncols), r + np.arange(ncols)] = 1
-    gens = _echelon(pair, m, r)
-    _reduce_above_pivots(gens, m)
+    gens = _howell_forms(pair, m, r)
     if einsum_mod("nij,nkj->nik", stack, gens[:, gens.any(axis=(0, 2))], m).any():
         raise SelfCheckError("kernel generator failed re-multiplication check")
     return gens

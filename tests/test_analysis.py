@@ -1,5 +1,6 @@
 """Corner restrictions, d' reconstruction, extensions, verdicts, identity suite."""
 
+import dataclasses
 import random
 import sys
 import tracemalloc
@@ -12,6 +13,7 @@ from jder import analysis, cli, solver, zmodlin
 from jder.analysis import (
     ALL_JORDAN_ARE_DERIVATIONS,
     CONDITIONAL_ON_COEFFICIENT_RING,
+    UNKNOWN,
     bimodule_faithful,
     construct_dprime,
     cross_check,
@@ -326,6 +328,20 @@ class TestTheoremVerdict:
         with pytest.raises(ValueError):
             theorem_verdict(chain(2), build_ring(2, [[[0]]]))
 
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_a_bimodule_not_faithful_gives_unknown(self, monkeypatch, side):
+        # Unreachable for unital coefficients (theorem_verdict's docstring), so the
+        # faithfulness report is forced.
+        real = analysis.bimodule_faithful
+        monkeypatch.setattr(analysis, "bimodule_faithful", lambda bim: dataclasses.replace(
+            real(bim), **{side: False}))
+        verdict = theorem_verdict(chain(2), zmod(4))
+        assert verdict.outcome == UNKNOWN
+        assert [fact.faithful for fact in verdict.facts] == [
+            (side == "right", side == "left")] * 2
+        report = cross_check(POINT_PLUS_CHAIN, zmod(4))
+        assert report.verdict.outcome == UNKNOWN and report.consistent
+
 
 class TestCrossCheck:
     def test_unconditional_instances(self):
@@ -499,8 +515,8 @@ def open_gate(monkeypatch, keep_derivation_flags):
     real = analysis._first_violation
 
     def first_violation(c, D, m, kind):
-        P = real(c, D, m, kind)[0] if keep_derivation_flags else np.zeros(c.shape, dtype=np.int64)
-        return P, None
+        derivation = real(c, D, m, kind)[0] if keep_derivation_flags else np.ones(len(D), dtype=bool)
+        return derivation, None
 
     def check(ring, d, kind):
         if keep_derivation_flags and kind == DERIVATION:

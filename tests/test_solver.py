@@ -199,17 +199,39 @@ class TestCheckMap:
         assert seen == {"", "product", "square", "square-pol", "triple", "triple-pol"}
 
 
+def constraint_matrix_cases():
+    """Rings of one modulus and rank, and whether to restrict to their shared Peirce support:
+    single rings, stacks of 2 and 3 rings (one of them zero), and Peirce stacks."""
+    nonunital = build_ring(4, [[[0, 0], [0, 0]], [[0, 0], [0, 2]]])
+    dual = build_ring(4, [[[1, 0], [0, 1]], [[0, 1], [0, 0]]])
+    product = build_ring(4, [[[1, 0], [0, 0]], [[0, 0], [0, 1]]])
+    zero = build_ring(4, np.zeros((2, 2, 2), dtype=np.int64))
+    unit3 = build_ring(4, [[[3]]], unit=(3,))
+    chain3 = Preorder.from_pairs("abc", [("a", "b"), ("b", "c")])
+    return [([matrix_ring(zmod(4), 2)], False), ([t2(2)], False), ([nonunital], False),
+            ([nonunital, dual], False), ([product, zero, nonunital], False),
+            ([matrix_ring(zmod(4), 2)], True),
+            ([fi_ring(chain3, zmod(4)), fi_ring(chain3, unit3)], True),
+            ([matrix_ring(zmod(4), 2), matrix_ring(unit3, 2), matrix_ring(zmod(4), 2)], True)]
+
+
 class TestConstraintMatrix:
     @pytest.mark.parametrize("kind", [DERIVATION, JORDAN])
     def test_rows_are_the_distinct_nonzero_raw_rows(self, kind):
-        nonunital = build_ring(4, [[[0, 0], [0, 0]], [[0, 0], [0, 2]]])
-        for ring in (matrix_ring(zmod(4), 2), t2(2), nonunital):
-            c, m = ring.constants[None], ring.modulus
-            raw = {tuple(row) for row in _constraint_rows(c, m, kind)[0].tolist() if any(row)}
-            stack = _constraint_matrices(c, m, kind)
-            assert stack.shape == _constraint_rows(c, m, kind).shape
-            rows = [tuple(row) for row in stack[0].tolist() if any(row)]
-            assert len(rows) == len(raw) and set(rows) == raw
+        for rings, peirce in constraint_matrix_cases():
+            c, m = np.stack([ring.constants for ring in rings]), rings[0].modulus
+            support = rings[0].peirce_support() if peirce else None
+            if peirce:
+                assert all(np.array_equal(ring.peirce_support(), support) for ring in rings)
+            raw = _constraint_rows(c, m, kind, support)
+            stack = _constraint_matrices(c, m, kind, support)
+            assert stack.shape[::2] == raw.shape[::2] and stack.shape[1] <= raw.shape[1]
+            # No returned row is zero in every ring.
+            assert stack.any(axis=(0, 2)).all()
+            for got, want in zip(stack, raw, strict=True):
+                rows = [tuple(row) for row in got.tolist() if any(row)]
+                distinct = {tuple(row) for row in want.tolist() if any(row)}
+                assert len(rows) == len(distinct) and set(rows) == distinct
 
 
 class TestSizeLimit:
@@ -649,11 +671,12 @@ def search_table_pools():
 
 def assert_stack_matches_compare_spaces(m, tables):
     """solver._compare_stack(tables, m) against compare_spaces ring by ring: the same
-    rings with Der != JDer, in order, with the same witness flats.  Returns them."""
+    rings with Der != JDer, in order, with the same witness maps.  Returns them."""
     _, proper, witnesses, _ = solver._compare_stack(tables, m)
-    want = [(n, cmp.witness.to_flat()) for n, cmp in
+    want = [(n, cmp.witness.matrix.tolist()) for n, cmp in
             enumerate(compare_spaces(build_ring(m, table)) for table in tables) if not cmp.equal]
-    assert [(n, tuple(w.tolist())) for n, w in zip(proper.tolist(), witnesses, strict=True)] == want
+    assert witnesses.dtype == np.int64 and witnesses.shape[1:] == (tables.shape[1],) * 2
+    assert [(n, w.tolist()) for n, w in zip(proper.tolist(), witnesses, strict=True)] == want
     return proper
 
 
@@ -806,6 +829,24 @@ class TestStackedGeneratorCheck:
         assert unit_fails.identity == "square"
 
 
+def edit_kernels(monkeypatch, edit):
+    """Apply edit(kind, stack, slots) to every solver.kernels result, with ``kind`` that of
+    the ``_solve_all`` call that takes the kernels."""
+    real_solve, real_kernels, kinds = solver._solve_all, solver.kernels, []
+
+    def solve_all(c, m, kind, support=None):
+        kinds.append(kind)
+        return real_solve(c, m, kind, support)
+
+    def kernels(modulus, stack):
+        slots = real_kernels(modulus, stack)
+        edit(kinds[-1], stack, slots)
+        return slots
+
+    monkeypatch.setattr(solver, "_solve_all", solve_all)
+    monkeypatch.setattr(solver, "kernels", kernels)
+
+
 class TestStackedDerSelfCheck:
     """A wrong generator of a stacked Der solve (two or more rings with Der != JDer) is reported."""
 
@@ -814,18 +855,15 @@ class TestStackedDerSelfCheck:
         """Put e_j in row slot j of ring 1's kernel in every Der kernels call, for the first
         column j that ring 1's Der rows use; such a map breaks some row, so it is not a
         derivation."""
-        real, added = solver.kernels, []
+        added = []
 
-        def kernels(modulus, stack):
-            slots = real(modulus, stack)
-            _, rows, cols = stack.shape
-            if rows ** 2 == cols ** 3:  # k^3 Der rows on k^2 columns; a Jordan stack has more.
+        def edit(kind, stack, slots):
+            if kind == DERIVATION:
                 j = np.flatnonzero(stack[1].any(axis=0))[0]
-                slots[1, j] = np.eye(cols, dtype=np.int64)[j]
+                slots[1, j] = np.eye(stack.shape[2], dtype=np.int64)[j]
                 added.append(slots[1, j].copy())
-            return slots
 
-        monkeypatch.setattr(solver, "kernels", kernels)
+        edit_kernels(monkeypatch, edit)
         return added
 
     def test_compare_all_raises(self, monkeypatch):
@@ -863,16 +901,9 @@ class TestSearchSelfChecks:
 
     @staticmethod
     def search_error(monkeypatch, tmp_path, capsys, edit) -> str:
-        """The stderr of search at moduli = 4 with edit(stack, slots) applied to every
-        solver.kernels result."""
-        real = solver.kernels
-
-        def kernels(modulus, stack):
-            slots = real(modulus, stack)
-            edit(stack, slots)
-            return slots
-
-        monkeypatch.setattr(solver, "kernels", kernels)
+        """The stderr of search at moduli = 4 with edit(kind, stack, slots) applied to every
+        solver.kernels result (``edit_kernels``)."""
+        edit_kernels(monkeypatch, edit)
         path = tmp_path / "search.ini"
         path.write_text("[instance]\nformat_version = 1\n[ring]\nkind = zmod\nmodulus = 2\n"
                         "[task]\ncommand = search\nmoduli = 4\n", encoding="utf-8")
@@ -885,7 +916,7 @@ class TestSearchSelfChecks:
         # The rank-1 tables b0 b0 = t b0, t = 0..3, come first: JDer has the passing
         # generators (1,) at t = 0 and (2,) at t = 2, and none at t = 1 (Z/4) or t = 3.
         # d = 2 * id breaks the square rule of Z/4 at (0,).
-        def edit(stack, slots):
+        def edit(kind, stack, slots):
             if slots.shape[1] == 1:
                 assert slots[:, 0, 0].tolist() == [1, 0, 2, 0]
                 slots[1] = [[2]]
@@ -897,9 +928,8 @@ class TestSearchSelfChecks:
         ring = build_ring(4, self.COUNTEREXAMPLE)
         witness = np.array(compare_spaces(ring).witness.to_flat())
 
-        def edit(stack, slots):
-            _, rows, cols = stack.shape
-            if rows ** 2 == cols ** 3:  # the Der solve: k^3 rows on k^2 columns
+        def edit(kind, stack, slots):
+            if kind == DERIVATION:
                 slots[0, np.flatnonzero(witness)[0]] = witness
 
         err = self.search_error(monkeypatch, tmp_path, capsys, edit)
@@ -914,9 +944,8 @@ class TestSearchSelfChecks:
         first = cmp.jordan.generators()[0]
         assert check_map(ring, first, DERIVATION).ok and first != cmp.witness
 
-        def edit(stack, slots):
-            _, rows, cols = stack.shape
-            if rows ** 2 == cols ** 3:
+        def edit(kind, stack, slots):
+            if kind == DERIVATION:
                 slots[0] = 0
 
         err = self.search_error(monkeypatch, tmp_path, capsys, edit)
@@ -1257,3 +1286,36 @@ class TestPeircePathProperty:
     @given(peirce_rings())
     def test_peirce_path_matches_the_full_path(self, ring):
         assert_peirce_path_matches_full_path(ring)
+
+
+def closed_form_cases():
+    """(name, FI(P, Z/m), |Der| in closed form) for chains of 2 to 6 points and the crown."""
+    crown = Preorder.from_pairs("abcd", [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")])
+    for m in (2, 3, 4, 6):
+        for n in range(2, 7):
+            labels = "abcdef"[:n]
+            chain = Preorder.from_pairs(labels, list(zip(labels, labels[1:])))
+            yield f"chain{n}/Z{m}", fi_ring(chain, zmod(m)), m ** (n * (n + 1) // 2 - 1)
+        yield f"crown/Z{m}", fi_ring(crown, zmod(m)), m ** 8
+
+
+def test_der_order_matches_the_closed_form():
+    """|Der(FI(P, Z/m))| = |JDer| against a closed form, on both solver paths.
+
+    Over a commutative ring R, the derivations of an incidence algebra are
+    the inner ones, the maps from H^1 of the order complex of P and those
+    induced from Der(R) (K. Baclawski, "Automorphisms and derivations of
+    incidence algebras", Proc. AMS 36 (1972)).  Der(Z/m) = 0, and for a
+    connected P the inner derivations form FI(P, Z/m) modulo its center
+    Z/m, so |Der| = m^(#comparable pairs - 1) |H^1(order complex; Z/m)|.
+    The order complex of a chain of n points is a simplex, with H^1 = 0:
+    |Der| = m^(n(n+1)/2 - 1).  That of the crown {a, b} < {c, d} is a
+    4-cycle, with H^1 = Z/m: |Der| = m^8.  ``compare_all`` takes the Peirce
+    path; ``compare_spaces``, run at rank <= 10, the full rows.
+    """
+    for name, ring, order in closed_form_cases():
+        assert ring.peirce_support() is not None
+        cmps = compare_all([ring]) + ([compare_spaces(ring)] if ring.rank <= 10 else [])
+        for cmp in cmps:
+            assert cmp.equal, name
+            assert cmp.derivations.cardinality() == cmp.jordan.cardinality() == order, name

@@ -399,7 +399,7 @@ class TestStackedElimination:
         assert forms.shape == (n, cols - first, cols - first) and gens.shape == (n, cols, cols)
         for matrix, form, kernel_slots in zip(stack, forms, gens):
             # _echelon on a stack of one takes the worklist.
-            one = zmodlin._reduce_above_pivots(zmodlin._echelon(matrix[None], m, first), m)
+            one = zmodlin._howell_forms(matrix[None], m, first)
             assert np.array_equal(form, one[0])
             # Slot j holds the Howell row with pivot column first + j, or zeros.
             assert not np.tril(form, -1).any()
