@@ -85,26 +85,36 @@ def construct_dprime(ring: StructureRing, family, d: AdditiveMap) -> AdditiveMap
     """The blockwise reconstruction e d'(r) f = e d(erf) f - e d(e) r f - e r d(f) f.
 
     The family must be complete (sum to the unit); then the displayed
-    blocks determine d'(r) uniquely as their sum over all (e, f).
+    blocks determine d'(r) uniquely as their sum over all (e, f).  This is
+    ``_dprimes`` on a stack of one map.
     """
     if not d.ring.same_presentation(ring):
         raise ValueError("map belongs to a different ring")
+    return AdditiveMap(ring, _dprimes(ring, family, d.as_array()[None])[0])
+
+
+def _dprimes(ring: StructureRing, family, D: np.ndarray) -> np.ndarray:
+    """The (g, k, k) matrices of d' = sum_p S_p d S_p - L_A - R_B for the maps d = D[g]: S_p
+    is r -> e r f for the pairs p = (e, f), L_A and R_B multiply by A = sum_e e d(e) on the
+    left and B = sum_f d(f) f on the right.  As the family sums to 1, this is the sum of the
+    blocks: the e d(e) r f sum to A r and the e r d(f) f to r B."""
+    if not len(D):  # nothing to rebuild, as on a rank-0 ring, whose JDer has no generator
+        return D
     family = _validate_family(ring, family)
-    total = ring.zero()
-    for e in family:
-        total = total + e
-    if not ring.is_unital or total != ring.one():
+    k, m, c = ring.rank, ring.modulus, ring.constants
+    E = np.array([e.as_array() for e in family], dtype=np.int64)
+    if not ring.is_unital or (E.sum(axis=0) % m != ring.one().as_array()).any():
         raise ValueError("the idempotent family must sum to the unit")
-    D, m = d.as_array(), ring.modulus
-    idempotents = np.array([e.as_array() for e in family], dtype=np.int64)
-    e, f = idempotents[:, None, None], idempotents[None, :, None]
-    b = np.eye(ring.rank, dtype=np.int64)
-    mul = ring.mul
-    spec = "...j,ij->...i"  # d applied to coefficient arrays of shape (..., k)
-    blocks = (mul(e, einsum_mod(spec, mul(e, b, f), D, m), f)
-              - mul(e, einsum_mod(spec, e, D, m), b, f)
-              - mul(e, b, einsum_mod(spec, f, D, m), f))
-    return AdditiveMap.from_array(ring, blocks.sum(axis=(0, 1)).T % m)
+    # Row layout, y -> y @ op: T[p] is S_p, and D[g].T is d.
+    T = ring.mul(E[:, None, None], np.eye(k, dtype=np.int64), E[None, :, None]).reshape(-1, k, k)
+    dE = einsum_mod("ej,gij->gei", E, D, m)  # [g, e]: d(e)
+    A, B = ring.mul(E, dE).sum(axis=1) % m, ring.mul(dE, E).sum(axis=1) % m
+    out = -einsum_mod("xgi,xijt->gjt", np.stack([A, B]), np.stack([c, c.transpose(1, 0, 2)]), m)
+    step = max(1, _TUPLE_CHUNK_BYTES // (8 * T.size))  # maps per chunk of (n^2, k, k) sandwiches
+    for start in range(0, len(D), step):
+        inner = einsum_mod("pij,glj->gpil", T, D[start:start + step], m)  # [g, p]: S_p then d
+        out[start:start + step] += einsum_mod("gpil,plt->git", inner, T, m)
+    return out.transpose(0, 2, 1) % m
 
 
 # -- isolated-point extension --------------------------------------------------
@@ -302,8 +312,9 @@ class IdentitySuiteReport:
 
 
 # Bytes of (maps) x (family tuples) x (samples) x k x k int64 in one chunk of an identity,
-# and of the maps' n x n family operators (or one family tuple's k^3 basis samples) in one
-# chunk of maps.  Every chunk holds at least one map, one family tuple and one sample.
+# and of the maps' n x n family operators (or one family tuple's k^3 basis samples, or the
+# d' sandwiches of ``_dprimes``) in one chunk of maps.  Every chunk holds at least one map,
+# one family tuple and one sample.
 _TUPLE_CHUNK_BYTES = 1 << 25
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import _identity_suites, construct_dprime, cross_check, theorem_verdict
+from .analysis import _dprimes, _identity_suites, cross_check, theorem_verdict
 from .incidence import IncidenceRing, fi_ring, verify_family_conditions
 from .preorders import ClosureError, Preorder
 from .rings import (
@@ -35,7 +35,6 @@ from .rings import (
 )
 from .solver import (
     JORDAN,
-    AdditiveMap,
     SizeBudgetError,
     _compare_stack,
     _solve_all,
@@ -496,31 +495,14 @@ def run(command: str, instance: Instance) -> dict:
             _, _, D, derivation = _solve_all(target.constants[None], target.modulus, JORDAN,
                                              target.peirce_support())
         if command == "dprime-check":
-            maps = [AdditiveMap(target, d) for d in D]
-            entries = [{"generator": n, "reconstructed_equals_original":
-                        construct_dprime(target, family, d) == d} for n, d in enumerate(maps)]
-            result = {
-                "generators": entries,
-                "ok": all(e["reconstructed_equals_original"] for e in entries),
-            }
+            same = (_dprimes(target, family, D) == D).all(axis=(1, 2)).tolist()
+            result = {"generators": [{"generator": n, "reconstructed_equals_original": s}
+                                     for n, s in enumerate(same)], "ok": all(same)}
         elif command == "identities":
             reports = _identity_suites(target, family, D, derivation, mode, seed, trials)
-            entries = [
-                {
-                    "generator": n,
-                    "ok": report.ok,
-                    "identities": [
-                        {
-                            "name": o.name,
-                            "applicable": o.applicable,
-                            "passed": o.passed,
-                            "checks": o.checks,
-                        }
-                        for o in report.outcomes
-                    ],
-                }
-                for n, report in enumerate(reports)
-            ]
+            entries = [{"generator": n, "ok": report.ok, "identities": [
+                {"name": o.name, "applicable": o.applicable, "passed": o.passed, "checks": o.checks}
+                for o in report.outcomes]} for n, report in enumerate(reports)]
             result = {"generators": entries, "ok": all(e["ok"] for e in entries)}
     elif command == "fi-build":
         _require_preorder(instance, command)

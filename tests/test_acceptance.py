@@ -1,4 +1,4 @@
-"""Acceptance gate: ten exact end-to-end criteria, one verdict line each.
+"""Acceptance gate: eleven exact end-to-end criteria, one verdict line each.
 
 Every criterion prints ``criterion NN: PASS/FAIL - detail`` (visible under
 ``pytest -s``) and then asserts, so a red run always names the criterion
@@ -44,7 +44,8 @@ from jder.solver import (
 )
 from jder.zmodlin import ZmMatrix, howell_form, kernel
 
-from oracles import all_vectors, brute_force_maps, kernel_set, span_set
+from oracles import (all_vectors, brute_force_maps, kernel_set, preorders_up_to_isomorphism, r3,
+                     r9, span_set)
 
 
 def verdict(number: int, ok: bool, detail: str) -> None:
@@ -339,3 +340,38 @@ def test_criterion_10_exact_linear_algebra_agrees_with_enumeration():
     verdict(10, ok and checks == 60,
             f"kernel and subgroup operations agree with exhaustive enumeration "
             f"in {checks} checks over m in 2..6, dimensions up to 4")
+
+
+def test_criterion_11_criterion_holds_both_ways_where_it_bites():
+    rings = {"Z/4": zmod(4), "Z/2[e]": dual_numbers(2), "R3": r3(), "R9": r9()}
+    cases = [(p, name) for n in (1, 2, 3) for p in preorders_up_to_isomorphism(n)
+             for name in rings if len(p.comparable_pairs()) * rings[name].rank <= 21]
+    small = len(cases)
+    # M_3(R3) is FI(P, R3) for the 3-cycle, whose closure is one class of three points.
+    cases += [(Preorder.from_pairs("abc", [("a", "b"), ("b", "c"), ("c", "a")]), "R3"),
+              (Preorder.from_pairs("ab", [("a", "b")]), "R9")]
+    ok = True
+    for p, name in cases:
+        r = rings[name]
+        report = cross_check(p, r)
+        fi, s = fi_ring(p, r), len(p.isolated_elements())
+        fi_cmp, r_cmp = report.fi_comparison, report.ring_comparison
+        ok = ok and report.consistent
+        if name in ("R3", "R9"):  # Der(R) != JDer(R): proper on FI exactly when P has an isolated point
+            ok = ok and (fi_cmp.verdict == "ProperInclusion") == bool(s)
+        # |JDer(FI)| / |Der(FI)| = (|JDer(R)| / |Der(R)|)^s, cross-multiplied
+        ok = ok and (fi_cmp.jordan.cardinality() * r_cmp.derivations.cardinality() ** s
+                     == fi_cmp.derivations.cardinality() * r_cmp.jordan.cardinality() ** s)
+        # JDer(FI) is spanned by Der(FI) and JDer(R) extended along each isolated point.
+        q = fi.quotient
+        extended = [extend_isolated(fi, ci, g).to_flat() for ci in q.isolated_classes()
+                    if len(q.classes[ci]) == 1 for g in r_cmp.jordan.generators()]
+        rows = np.concatenate([fi_cmp.derivations.basis.as_array().reshape(-1, fi.rank ** 2),
+                               np.array(extended, dtype=np.int64).reshape(-1, fi.rank ** 2)])
+        spanned = howell_form(ZmMatrix.from_array(fi.modulus, rows))
+        ok = ok and spanned.generators == fi_cmp.jordan.basis.generators
+    verdict(11, ok and small == 40 and len(cases) == 42,
+            f"{small} FI(P, R), P every preorder on <= 3 points up to isomorphism, R in "
+            "Z/4, Z/2[e], R3, R9, rank <= 21, with M_3(R3) and FI(a <= b, R9) at rank 27: "
+            "cross_check consistent, ProperInclusion over R3 and R9 iff P has an isolated "
+            "element, |JDer/Der| = |JDer(R)/Der(R)|^s, JDer = Der + isolated extensions")

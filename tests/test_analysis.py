@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jder import analysis, cli, solver, zmodlin
 from jder.analysis import (
@@ -229,6 +231,42 @@ class TestConstructDprime:
         r = matrix_ring(zmod(3), 2)
         with pytest.raises(ValueError):
             construct_dprime(r, [r.one(), r.one()], AdditiveMap.zero(r))
+
+
+@st.composite
+def dprime_cases(draw):
+    """FI(P, R) on a random preorder of at most 3 points over Z/4, dual_numbers(2) or R3
+    with its class idempotents, or M_2(Z/6) with its diagonal units."""
+    if draw(st.booleans(), label="M_2(Z/6)"):
+        return _matrix_case(6)
+    base = draw(st.sampled_from([zmod(4), dual_numbers(2), r3()]), label="base")
+    labels = "abc"[:draw(st.integers(1, 3), label="points")]
+    off_diagonal = [(x, y) for x in labels for y in labels if x != y]
+    relation = draw(st.lists(st.sampled_from(off_diagonal), unique=True) if off_diagonal
+                    else st.just([]), label="pairs")
+    return _incidence_case(Preorder.from_pairs(labels, relation), base)
+
+
+class TestStackedDprime:
+    @settings(max_examples=60, deadline=None)
+    @given(dprime_cases(), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_matches_the_scalar_reference_map_by_map(self, case, maps, seed):
+        # Random maps, dense, sparse or zero, so mostly not Jordan derivations.
+        ring, family = case
+        rng, k = np.random.default_rng(seed), ring.rank
+        density = rng.choice([0.0, 0.2, 1.0], size=(maps, 1, 1))
+        D = rng.integers(0, ring.modulus, (maps, k, k)) * (rng.random((maps, k, k)) < density)
+        for d, dprime in zip(D, analysis._dprimes(ring, family, D)):
+            expected = construct_dprime_scalar(ring, family, AdditiveMap(ring, d))
+            assert dprime.tolist() == expected.as_array().tolist()
+
+    def test_one_map_per_chunk_gives_the_same_maps(self, monkeypatch):
+        ring, family = _incidence_case(POINT_PLUS_CHAIN, dual_numbers(2))
+        D = np.random.default_rng(5).integers(0, 2, (4, ring.rank, ring.rank))
+        whole = analysis._dprimes(ring, family, D)
+        monkeypatch.setattr(analysis, "_TUPLE_CHUNK_BYTES", 1)
+        assert np.array_equal(analysis._dprimes(ring, family, D), whole)
+        assert whole.any()
 
 
 class TestExtendIsolated:
