@@ -386,6 +386,19 @@ def _identity_suites(ring: StructureRing, family, D: np.ndarray, derivation: np.
         ring, family, D[start:start + step], derivation[start:start + step], seed, trials))
 
 
+def _suite_draws(ring: StructureRing, family) -> int:
+    """Coefficients that one map's randomized stream draws per trial when every identity of
+    ``_suite_stack`` applies and passes: k per variable of each family tuple.  That is 2 + 3
+    (polarized-product, herstein), 1 per member (same-idempotent-sandwich), 1 per ordered pair
+    of unequal members in each of three identities, 2 per triple of members not all equal
+    (triple-composition) and 1 for incidence-block."""
+    E = np.array([e.as_array() for e in family], dtype=np.int64).reshape(len(family), -1)
+    same = (E[:, None] == E).all(axis=-1)  # same[e, f]: family[e] == family[f]
+    n, pairs = len(family), int((~same).sum())
+    triples = n ** 3 - int((same.sum(axis=0) ** 2).sum())
+    return ring.rank * (5 + n + 3 * pairs + 2 * triples + isinstance(ring, IncidenceRing))
+
+
 def _stream(state) -> random.Random:
     """A new random stream in the given state."""
     rng = random.Random()

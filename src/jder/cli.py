@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import _dprimes, _identity_suites, cross_check, theorem_verdict
+from .analysis import _dprimes, _identity_suites, _suite_draws, cross_check, theorem_verdict
 from .incidence import IncidenceRing, fi_ring, verify_family_conditions
 from .preorders import ClosureError, Preorder
 from .rings import (
@@ -34,15 +34,15 @@ from .rings import (
     zmod,
 )
 from .solver import (
+    DERIVATION,
     JORDAN,
+    DerivationSpace,
     SizeBudgetError,
     _compare_stack,
     _solve_all,
     compare_spaces,
-    solve_derivations,
-    solve_jordan_derivations,
 )
-from .zmodlin import SelfCheckError
+from .zmodlin import SelfCheckError, SubgroupBasis, ZmMatrix
 
 __all__ = ["InstanceError", "Instance", "load_instance", "run", "main"]
 
@@ -392,6 +392,9 @@ _SEARCH_STACK, _SEARCH_CANDIDATES = 512, 1 << 13
 # Most rank-2 tables one search visits, summing m^8 over its moduli (so m <= 8);
 # int16 holds each associativity residual, in +-2(m - 1)^2, for any m <= 128.
 _SEARCH_TABLES = 1 << 24
+# Most coefficients one map's randomized identity stream may draw: about 52 s of
+# random.Random.randrange at 0.52 us a draw.
+_DRAW_LIMIT = 10 ** 8
 
 
 def _check_moduli(moduli) -> None:
@@ -482,19 +485,25 @@ def run(command: str, instance: Instance) -> dict:
         target = _target(instance)
         if isinstance(target, IncidenceRing):
             fi_rank = target.rank
-        if command == "solve-der":
-            result = _space_json(solve_derivations(target))
-        elif command == "solve-jder":
-            result = _space_json(solve_jordan_derivations(target))
-        elif command == "compare":
+        if command == "compare":
+            # On the full rows: bench/test_harness.py pins its one check_map per generator.
             result = _comparison_json(compare_spaces(target))
         else:
             # The family is checked before the solve.  One self-checked stack of one, on the
-            # target's Peirce support, gives the generators and their derivation flags.
-            family = _jordan_family(target)
-            _, _, D, derivation = _solve_all(target.constants[None], target.modulus, JORDAN,
-                                             target.peirce_support())
-        if command == "dprime-check":
+            # target's Peirce support, gives the space, its generators and derivation flags.
+            kind = DERIVATION if command == "solve-der" else JORDAN
+            family = None if command.startswith("solve") else _jordan_family(target)
+            if command == "identities" and mode == "randomized":
+                draws = trials * _suite_draws(target, family)
+                if draws > _DRAW_LIMIT:
+                    raise InstanceError(f"randomized identities draw {draws} sample coefficients "
+                                        f"per map, over the draw limit {_DRAW_LIMIT}")
+            slots, _, D, derivation = _solve_all(target.constants[None], target.modulus, kind,
+                                                 target.peirce_support())
+        if command.startswith("solve"):
+            basis = SubgroupBasis(ZmMatrix.from_array(target.modulus, slots[0]))
+            result = _space_json(DerivationSpace(target, kind, basis))
+        elif command == "dprime-check":
             same = (_dprimes(target, family, D) == D).all(axis=(1, 2)).tolist()
             result = {"generators": [{"generator": n, "reconstructed_equals_original": s}
                                      for n, s in enumerate(same)], "ok": all(same)}

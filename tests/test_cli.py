@@ -5,6 +5,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jder import cli, rings, solver
+from jder import analysis, cli, rings, solver
 from jder.cli import (
     _SEARCH_TABLES,
     Instance,
@@ -444,6 +445,21 @@ def test_odd_modulus_reports_are_pinned(tmp_path, command, text, digest):
     assert sha256_of(out) == digest
 
 
+CHAIN6_Z4_INSTANCE = CHAIN6_Z3_INSTANCE.replace("modulus = 3", "modulus = 4")
+
+
+@pytest.mark.parametrize("command, digest", [
+    ("solve-der", "d5d63763e6c9ac1a79c7ef251a89124ebb48a840f2850fc16206575f8e0b2cbd"),
+    ("solve-jder", "d2399bf7eed2339bb78a2341ee9f97bccd2449fdd4e669e4362f441e95afcc8a"),
+])
+def test_support_solve_reports_are_pinned(tmp_path, command, digest):
+    # FI(chain6, Z/4), rank 21: digests of these reports as produced by the single-ring
+    # solver on all 21^2 columns, before solve-der and solve-jder took the Peirce support.
+    out = tmp_path / "report.json"
+    assert main([command, "--input", write(tmp_path, CHAIN6_Z4_INSTANCE), "--out", str(out)]) == 0
+    assert sha256_of(out) == digest
+
+
 # FI(a<=b<=c<=d<=e, Z/4), rank 15, where FI and Z/4 are Equal, and FI({a} + {b<=c}, R3),
 # rank 12, with R3 = Z/4 + Z/4 b1 + Z/4 b2 (b2 b2 = 2 b2), where both are ProperInclusion.
 CHAIN5_Z4_INSTANCE = CHAIN5_IDENTITIES_INSTANCE.split("[task]")[0]
@@ -806,21 +822,21 @@ def refuse_assembly(monkeypatch):
     monkeypatch.setattr(solver, "_constraint_matrices", refuse)
 
 
-# FI(chain3, Z/2) has rank 6: its raw Der stack holds 6^2 * 6^3 = 7776 entries
-# and its raw Jordan stack 6 * 7^2 / 2 * 6^3 = 31752.  On its Peirce support of
-# 6 columns, which identities, dprime-check and cross-check solve on, the Jordan
-# stack holds 6 * 7^2 / 2 * 6 * 6 = 5292.
+# FI(chain3, Z/2) has rank 6: its raw Jordan stack holds 6 * 7^2 / 2 * 6^3 = 31752
+# entries, which compare solves on all 6^2 columns.  Every other command solves on the
+# Peirce support of 6 columns, where the Der stack holds 6^2 * 6 * 6 = 1296 entries and
+# the Jordan stack 6 * 7^2 / 2 * 6 * 6 = 5292.  Each limit is one below the price.
 @pytest.mark.parametrize("command, entries", [
-    ("compare", 31752), ("solve-der", 7776), ("solve-jder", 31752),
+    ("compare", 31752), ("solve-der", 1296), ("solve-jder", 5292),
     ("identities", 5292), ("dprime-check", 5292), ("cross-check", 5292)])
 def test_main_solver_limit_exit_code(tmp_path, capsys, monkeypatch, command, entries):
     refuse_assembly(monkeypatch)
-    monkeypatch.setattr(solver, "_SOLVE_LIMIT", 5291)
+    monkeypatch.setattr(solver, "_SOLVE_LIMIT", entries - 1)
     assert main([command, "--input", write(tmp_path, CHAIN_INSTANCE)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (
-        f"error: the solve needs {entries} raw constraint entries, over the solver limit 5291\n")
+    assert captured.err == (f"error: the solve needs {entries} raw constraint entries, "
+                            f"over the solver limit {entries - 1}\n")
 
 
 @pytest.mark.parametrize("command, labels, pairs, entries", [
@@ -878,6 +894,64 @@ def test_main_refuses_randomized_trials_below_one(tmp_path, capsys, trials):
     text = CHAIN_INSTANCE + f"\n[task]\nmode = randomized\ntrials = {trials}\n"
     assert main(["identities", "--input", write(tmp_path, text)]) == 2
     assert capsys.readouterr().err == message
+
+
+# FI(chain5, Z/4), rank 15, five class idempotents: per trial and coefficient one map's stream
+# draws 2 + 3 (polarized-product, herstein) + 5 + 3 * 20 (pairs) + 2 * 120 (triples) + 1
+# (incidence-block) = 311 coefficients, so 4665 a trial and 4,665,000 at the default 1000.
+CHAIN5_RANDOMIZED_INSTANCE = CHAIN5_IDENTITIES_INSTANCE.replace("mode = basis", "mode = randomized")
+
+
+@pytest.mark.parametrize("trials, limit", [(1000, 4664999), (21437, cli._DRAW_LIMIT)])
+def test_main_refuses_randomized_draws_over_the_limit(tmp_path, capsys, monkeypatch, trials,
+                                                      limit):
+    def refuse(*args):
+        raise AssertionError("solved or drew before the draw limit was checked")
+
+    monkeypatch.setattr(cli, "_solve_all", refuse)
+    monkeypatch.setattr(cli, "_identity_suites", refuse)
+    monkeypatch.setattr(cli, "_DRAW_LIMIT", limit)
+    path = write(tmp_path, CHAIN5_RANDOMIZED_INSTANCE)
+    assert main(["identities", "--input", path, "--trials", str(trials)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: randomized identities draw {4665 * trials} sample "
+                            f"coefficients per map, over the draw limit {limit}\n")
+
+
+def test_randomized_draws_at_the_limit_are_admitted(tmp_path, monkeypatch):
+    suites = []
+    monkeypatch.setattr(cli, "_identity_suites", lambda *args: suites.append(args) or ())
+    inst = load_instance(write(tmp_path, CHAIN5_RANDOMIZED_INSTANCE))
+    assert run("identities", inst)["result"] == {"generators": [], "ok": True}
+    monkeypatch.setattr(cli, "_DRAW_LIMIT", 4665 * 1000)
+    assert run("identities", inst)["result"] == {"generators": [], "ok": True}
+    assert [args[4:] for args in suites] == [("randomized", 0, 1000)] * 2
+
+
+def test_basis_mode_is_never_priced(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_DRAW_LIMIT", 0)
+    inst = load_instance(write(tmp_path, CHAIN5_IDENTITIES_INSTANCE))
+    assert run("identities", with_task(inst, trials=10 ** 9))["result"]["ok"]
+
+
+@pytest.mark.parametrize("text", [CHAIN_INSTANCE, MATRIX_INSTANCE])
+def test_draw_price_is_what_one_passing_stream_draws(tmp_path, monkeypatch, text):
+    # Every Jordan generator of these rings is a derivation that passes, so all of them
+    # share one stream, which draws each coefficient that the price counts.
+    draws = []
+
+    class Counting(random.Random):
+        def randrange(self, *args):
+            draws.append(args)
+            return super().randrange(*args)
+
+    inst = load_instance(write(tmp_path, text))
+    target = _target(inst)
+    price = analysis._suite_draws(target, cli._jordan_family(target))
+    monkeypatch.setattr(analysis.random, "Random", Counting)
+    assert run("identities", with_task(inst, mode="randomized", trials=3))["result"]["ok"]
+    assert len(draws) == 3 * price > 0
 
 
 def test_main_self_check_exit_code(tmp_path, capsys, monkeypatch):

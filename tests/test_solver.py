@@ -1259,9 +1259,10 @@ class TestPeirceSupport:
         path = tmp_path / "inst.ini"
         path.write_text("[instance]\nformat_version = 1\n[preorder]\nlabels = a b c\n"
                         "pairs = b<=c\n[ring]\nkind = zmod\nmodulus = 4\n", encoding="utf-8")
-        for command in ("identities", "dprime-check"):
+        for command in ("identities", "dprime-check", "solve-der", "solve-jder"):
             assert main([command, "--input", str(path), "--out", str(tmp_path / "out.json")]) == 0
-        assert [args[3].tolist() for args in calls] == [[0, 5, 10, 15]] * 2
+        assert [args[3].tolist() for args in calls] == [[0, 5, 10, 15]] * 4
+        assert [args[2] for args in calls] == [JORDAN, JORDAN, DERIVATION, JORDAN]
 
 
 @st.composite
