@@ -161,8 +161,8 @@ def _annihilator(side_ring: StructureRing, action: np.ndarray) -> RingElement | 
     ``action`` has shape (ring rank, module rank, module rank): entry
     [i, j, t] is the t-th coefficient of basis_i acting on module basis_j.
     """
-    k = side_ring.rank
-    rows = action.transpose(1, 2, 0).reshape(-1, k)
+    k, r = side_ring.rank, action.shape[1]
+    rows = action.transpose(1, 2, 0).reshape(r * r, k)
     rows = rows[rows.any(axis=1)]
     if rows.shape[0] == 0:
         # A zero action, or a rank-0 module: no constraint, everything annihilates.
@@ -392,7 +392,7 @@ def _suite_draws(ring: StructureRing, family) -> int:
     (polarized-product, herstein), 1 per member (same-idempotent-sandwich), 1 per ordered pair
     of unequal members in each of three identities, 2 per triple of members not all equal
     (triple-composition) and 1 for incidence-block."""
-    E = np.array([e.as_array() for e in family], dtype=np.int64).reshape(len(family), -1)
+    E = np.array([e.as_array() for e in family], dtype=np.int64).reshape(len(family), ring.rank)
     same = (E[:, None] == E).all(axis=-1)  # same[e, f]: family[e] == family[f]
     n, pairs = len(family), int((~same).sum())
     triples = n ** 3 - int((same.sum(axis=0) ** 2).sum())

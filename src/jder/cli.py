@@ -597,9 +597,13 @@ def main(argv=None) -> int:
     except SelfCheckError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as handle:
-        # One write: json.dump makes thousands of small ones.
-        handle.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    try:
+        with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as handle:
+            # One write: json.dump makes thousands of small ones.
+            handle.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    except OSError as exc:
+        print(f"error: cannot write report: {exc}", file=sys.stderr)
+        return 2
     print(f"elapsed_seconds={time.perf_counter() - started:.3f}", file=sys.stderr)
     return 0
 

@@ -358,19 +358,25 @@ class PairRing(StructureRing):
         family of orthogonal idempotents."""
         return _peirce_support(self.pairs, self.base)
 
-    def index(self, p: int, q: int, t: int = 0) -> int:
-        """The basis index of b_t at the pair (p, q); KeyError if (p, q) is not listed."""
+    def _offset(self, p: int, q: int) -> int:
+        """The first basis index at the pair (p, q), of rank-0 bases too; KeyError if (p, q) is
+        not listed."""
         if (p, q) not in self._position:
             raise KeyError(f"the pair ({p}, {q}) is not listed")
+        return self._position[(p, q)] * self.base.rank
+
+    def index(self, p: int, q: int, t: int = 0) -> int:
+        """The basis index of b_t at the pair (p, q); KeyError if (p, q) is not listed."""
+        n = self._offset(p, q)
         if not 0 <= t < self.base.rank:
             raise IndexError(f"base-ring index {t} out of range")
-        return self._position[(p, q)] * self.base.rank + t
+        return n + t
 
     def entry(self, elem: RingElement, p: int, q: int) -> RingElement:
         """The base-ring coefficient of an element at (p, q), zero if the pair is not listed."""
         if (p, q) not in self._position:
             return self.base.zero()
-        n = self.index(p, q)
+        n = self._offset(p, q)
         return self.base.element(elem.as_array()[n:n + self.base.rank])
 
     def from_entries(self, entries: dict) -> RingElement:
@@ -379,7 +385,7 @@ class PairRing(StructureRing):
         for (p, q), value in entries.items():
             if not value.ring.same_presentation(self.base):
                 raise ValueError("entries must belong to the base ring")
-            n = self.index(p, q)
+            n = self._offset(p, q)
             coeffs[n:n + self.base.rank] = value.as_array()
         return self.element(coeffs)
 

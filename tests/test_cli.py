@@ -1042,6 +1042,14 @@ def test_main_missing_file_exit_code(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_main_unwritable_out_exit_code(tmp_path, capsys):
+    out = tmp_path / "missing" / "report.json"
+    assert main(["compare", "--input", write(tmp_path, MATRIX_INSTANCE), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("error: cannot write report: ") and str(out) in captured.err
+
+
 _HEAD = "[instance]\nformat_version = 1\n"
 _Z2 = "[ring]\nkind = zmod\nmodulus = 2\n"
 _TRIANGULAR_SIDES = ("[ring]\nkind = triangular\n[ring.left]\nkind = zmod\nmodulus = 2\n"
@@ -1099,9 +1107,14 @@ def test_nonunital_plain_ring_is_refused_before_the_solve(tmp_path, capsys, monk
     assert capsys.readouterr().err == "error: a plain coefficient ring must be unital for this command\n"
 
 
+_ZERO_RING = "[ring]\nkind = constants\nmodulus = 4\nrank = 0\nunit =\n"
+_EMPTY_PREORDER = _HEAD + "[preorder]\nlabels =\n[ring]\nkind = zmod\nmodulus = 4\n"
 _RANK0_INSTANCES = {
-    "empty-preorder": _HEAD + "[preorder]\nlabels =\n[ring]\nkind = zmod\nmodulus = 4\n",
-    "rank0-constants": _HEAD + "[ring]\nkind = constants\nmodulus = 4\nrank = 0\nunit =\n",
+    "empty-preorder": _EMPTY_PREORDER,
+    "empty-preorder-randomized": _EMPTY_PREORDER + "[task]\nmode = randomized\n",
+    "rank0-constants": _HEAD + _ZERO_RING,
+    "fi-zero-ring": _HEAD + "[preorder]\nlabels = a b\npairs = a<=b\n" + _ZERO_RING,
+    "m2-zero-ring": _HEAD + "[ring]\nkind = matrix\nsize = 2\n" + _ZERO_RING.replace("[ring]", "[ring.base]"),
 }
 _DEGENERATE_INSTANCES = {
     **_RANK0_INSTANCES,
@@ -1138,6 +1151,11 @@ def test_rank0_targets_have_no_generator_to_check(tmp_path, command, name):
         assert result["fi_comparison"]["jordan"]["basis"]["generators"] == []
     else:
         assert result == {"generators": [], "ok": True}
+
+
+def test_fi_over_the_zero_ring(tmp_path):
+    built = run("fi-build", load_instance(write(tmp_path, _RANK0_INSTANCES["fi-zero-ring"])))
+    assert built["result"]["rank"] == 0 and built["result"]["family_conditions_ok"]
 
 
 @pytest.mark.parametrize("argv", [[], ["--input", "x.ini"], ["summon", "--input", "x.ini"],

@@ -14,6 +14,7 @@ from jder.rings import (
     Bimodule,
     CornerNotFreeError,
     RingConstructionError,
+    StructureRing,
     UnitLawError,
     are_orthogonal,
     build_ring,
@@ -186,6 +187,17 @@ class TestMatrixRing:
         assert mr.entry(mr.one(), 0, 2) == base.zero()
         with pytest.raises(ValueError):
             mr.from_entries({(0, 0): zmod(3).one()})
+
+    def test_pair_ring_over_the_zero_ring(self):
+        # Every pair of M_2(0) is listed, but b_0 lies outside the rank-0 base.
+        base = StructureRing(4, np.zeros((0, 0, 0), dtype=np.int64), unit=[])
+        mr = matrix_ring(base, 2)
+        assert mr.rank == 0 and mr.matrix_unit(1, 0) == mr.one() == mr.zero()
+        assert mr.entry(mr.one(), 0, 1) == base.zero()
+        with pytest.raises(IndexError, match="base-ring index 0 out of range"):
+            mr.index(0, 1)
+        with pytest.raises(KeyError, match=r"the pair \(0, 2\) is not listed"):
+            mr.from_entries({(0, 2): base.one()})
 
     def test_entries_round_trip(self):
         base = dual_numbers(3)

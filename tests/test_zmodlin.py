@@ -398,7 +398,7 @@ class TestStackedElimination:
         assert np.array_equal(stack, before)
         assert forms.shape == (n, cols - first, cols - first) and gens.shape == (n, cols, cols)
         for matrix, form, kernel_slots in zip(stack, forms, gens):
-            # _echelon on a stack of one takes the worklist.
+            # _howell_forms on a stack of one takes the worklist.
             one = zmodlin._howell_forms(matrix[None], m, first)
             assert np.array_equal(form, one[0])
             # Slot j holds the Howell row with pivot column first + j, or zeros.
@@ -413,6 +413,16 @@ class TestStackedElimination:
             slots = np.flatnonzero(kernel_slots.any(axis=1))
             assert (kernel_slots[slots] != 0).argmax(axis=1).tolist() == slots.tolist()
             assert np.array_equal(kernel_slots, kernel(ZmMatrix.from_array(m, matrix)).slots)
+
+    def test_a_worklist_merge_lowers_a_pivot(self):
+        # The worklist pops the last row first: [2, 1] joins with pivot 2, then
+        # [3, 1] merges into it by Euclid steps, and the pivot becomes gcd(2, 3) = 1.
+        m, matrix = 4, np.array([[3, 1], [2, 1]], dtype=np.int64)
+        assert zmodlin._howell_rows(matrix[1:], m)[0].tolist() == [2, 1]
+        one = zmodlin._howell_forms(matrix[None], m)
+        lockstep = zmodlin._reduce_above_pivots(zmodlin._howell_stack(matrix[None].copy(), m, 0), m)
+        assert one.tolist() == lockstep.tolist() == [[[1, 0], [0, 1]]]
+        assert span_set(m, one[0].tolist()) == span_set(m, matrix.tolist()) == set(all_vectors(m, 2))
 
     @settings(max_examples=200, deadline=None)
     @given(stacks(), st.data())
